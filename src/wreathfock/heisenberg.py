@@ -4,20 +4,23 @@ plus an abstract Z2-graded Fock model for the super (odd) case.
 Creation is multiplication by omega_m(V); annihilation is restriction
 followed by reading off m-cycle values and pairing with a dual functional.
 Both are computed in the type basis, with an evaluation-style restriction
-oracle as the independent cross-check.
+oracle as the independent cross-check.  What an operator needs apart from
+the vector it acts on (the element omega_m(V), or the weights
+m <eta, sigma_c>) is computed once, when the operator is built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fock import FockElement, fock_mul
-from .groups import ClassFunction, DualFunctional, FiniteGroup, sigma_basis
+from .groups import (ClassFunction, DualFunctional, FiniteGroup, GroupError,
+                     sigma_basis)
 from .lambda_ops import omega_n
 from .linalg import matrix_rank
 from .report import Report
-from .scalars import Cyclotomic, align, cyc_eq
-from .wreath import (WreathClassFunction, WreathError, enumerate_types,
+from .scalars import Cyclotomic, align
+from .wreath import (WreathClassFunction, WreathType, enumerate_types,
                      n_cycle_type, sigma_rho, z_rho)
 
 
@@ -33,6 +36,9 @@ class HeisenbergOp:
     sign: int
     mode: int
     payload: object
+    # a_m(V): the FockElement omega_m(V); a_{-m}(eta): the tuple of
+    # weights m <eta, sigma_c> indexed by class c
+    _data: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode < 1:
@@ -42,11 +48,20 @@ class HeisenbergOp:
         want = ClassFunction if self.sign == 1 else DualFunctional
         if not isinstance(self.payload, want):
             raise HeisenbergError(f"payload must be a {want.__name__}")
+        g, m = self.payload.group, self.mode
+        if self.sign == 1:
+            data = FockElement.from_wcf(omega_n(self.payload, m))
+        else:
+            data = tuple(self.payload.pair(sigma_basis(g, c)) * Fraction(m)
+                         for c in range(g.num_classes))
+        object.__setattr__(self, "_data", data)
 
     def __call__(self, u: FockElement) -> FockElement:
+        if u.group is not self.payload.group:
+            raise GroupError("operator and vector need a common group")
         if self.sign == 1:
-            return _apply_plus(self.mode, self.payload, u)
-        return _apply_minus(self.mode, self.payload, u)
+            return fock_mul(u, self._data)
+        return _apply_minus(self.mode, self._data, u)
 
 
 def a_plus(m: int, v: ClassFunction) -> HeisenbergOp:
@@ -61,31 +76,31 @@ def vacuum(group: FiniteGroup) -> FockElement:
     return FockElement.unit(group)
 
 
-def _apply_plus(m: int, v: ClassFunction, u: FockElement) -> FockElement:
-    return fock_mul(u, FockElement.from_wcf(omega_n(v, m)))
-
-
-def _apply_minus(m: int, eta: DualFunctional, u: FockElement) -> FockElement:
-    """On sigma^rho: sum_c (multiplicity of part m at c) <eta, m sigma_c>
-    sigma^{rho minus one m-part at c}."""
+def _apply_minus(m: int, weights: tuple[Cyclotomic, ...],
+                 u: FockElement) -> FockElement:
+    """On sigma^rho: sum_c (multiplicity of part m at c) weights[c]
+    sigma^{rho minus one m-part at c}, with weights[c] = m <eta, sigma_c>."""
     g = u.group
-    out = FockElement.zero(g)
-    weights = {c: eta.pair(sigma_basis(g, c)) * Fraction(m)
-               for c in range(g.num_classes)}
+    out: dict[int, dict[WreathType, Cyclotomic]] = {}
     for n, f in u.parts.items():
         if n < m:
             continue
+        terms = out.setdefault(n - m, {})
         for rho, val in f.vals:
             coeff = val / z_rho(g, rho)
             for c, lam in rho.parts:
                 mult = lam.count(m)
                 if mult == 0:
                     continue
+                new = rho.remove_part(m, c)
                 x, y = align(coeff, weights[c])
-                scalar = (x * y) * Fraction(mult)
-                out = out + FockElement.from_wcf(
-                    sigma_rho(g, rho.remove_part(m, c))) * scalar
-    return out
+                term = (x * y) * Fraction(mult * z_rho(g, new))
+                if new in terms:
+                    term, cur = align(term, terms[new])
+                    term = cur + term
+                terms[new] = term
+    return FockElement(g, {d: WreathClassFunction.build(g, d, vals)
+                           for d, vals in out.items()})
 
 
 def a_minus_oracle(m: int, eta: DualFunctional,
@@ -118,14 +133,17 @@ def commutator_check(group: FiniteGroup, max_degree: int,
              for rho in enumerate_types(g, n)]
     etas = [DualFunctional.delta(g, c) for c in range(g.num_classes)]
     vees = [sigma_basis(g, c) for c in range(g.num_classes)]
+    pairings = [[eta.pair(v) for v in vees] for eta in etas]
+    modes = range(1, max_mode + 1)
+    downs = {m: [a_minus(m, eta) for eta in etas] for m in modes}
+    ups = {m: [a_plus(m, v) for v in vees] for m in modes}
 
     ok, witness = True, None
-    for m in range(1, max_mode + 1):
-        for l in range(1, max_mode + 1):
-            for ci, eta in enumerate(etas):
-                for cj, v in enumerate(vees):
-                    down, up = a_minus(m, eta), a_plus(l, v)
-                    expect = eta.pair(v) * Fraction(l if m == l else 0)
+    for m in modes:
+        for l in modes:
+            for ci, down in enumerate(downs[m]):
+                for cj, up in enumerate(ups[l]):
+                    expect = pairings[ci][cj] * Fraction(l if m == l else 0)
                     for u in basis:
                         lhs = down(up(u)) - up(down(u))
                         rhs = u * expect
@@ -145,11 +163,10 @@ def commutator_check(group: FiniteGroup, max_degree: int,
             ok, witness)
 
     ok, witness = True, None
-    for m in range(1, max_mode + 1):
-        for l in range(1, max_mode + 1):
-            for v in vees:
-                for w in vees:
-                    p1, p2 = a_plus(m, v), a_plus(l, w)
+    for m in modes:
+        for l in modes:
+            for p1 in ups[m]:
+                for p2 in ups[l]:
                     for u in basis:
                         if not p1(p2(u)).equals(p2(p1(u))):
                             ok, witness = False, f"m={m},l={l}"
@@ -165,11 +182,10 @@ def commutator_check(group: FiniteGroup, max_degree: int,
     rep.add("Eq. (25): creation operators commute", ok, witness)
 
     ok, witness = True, None
-    for m in range(1, max_mode + 1):
-        for l in range(1, max_mode + 1):
-            for eta in etas:
-                for xi in etas:
-                    d1, d2 = a_minus(m, eta), a_minus(l, xi)
+    for m in modes:
+        for l in modes:
+            for d1 in downs[m]:
+                for d2 in downs[l]:
                     for u in basis:
                         if not d1(d2(u)).equals(d2(d1(u))):
                             ok, witness = False, f"m={m},l={l}"
@@ -185,9 +201,8 @@ def commutator_check(group: FiniteGroup, max_degree: int,
     rep.add("Eq. (26): annihilation operators commute", ok, witness)
 
     ok, witness = True, None
-    for m in range(1, max_mode + 1):
-        for eta in etas:
-            op = a_minus(m, eta)
+    for m in modes:
+        for eta, op in zip(etas, downs[m]):
             for u in basis:
                 for n, f in u.parts.items():
                     got = op(u).component(max(n - m, 0)) if n >= m else None
@@ -210,6 +225,8 @@ def irreducibility_check(group: FiniteGroup, max_degree: int) -> bool:
     """Monomials in the a_m(sigma_c) applied to the vacuum span each
     graded piece: rank equals dim C(G_n) per degree."""
     g = group
+    ups = {(r, c): a_plus(r, sigma_basis(g, c))
+           for r in range(1, max_degree + 1) for c in range(g.num_classes)}
     for n in range(max_degree + 1):
         types_n = enumerate_types(g, n)
         rows = []
@@ -217,7 +234,7 @@ def irreducibility_check(group: FiniteGroup, max_degree: int) -> bool:
             vec = vacuum(g)
             for c, lam in rho.parts:
                 for r in lam:
-                    vec = a_plus(r, sigma_basis(g, c))(vec)
+                    vec = ups[r, c](vec)
             comp = vec.component(n)
             row = []
             for tau in types_n:

@@ -96,7 +96,8 @@ class Cyclotomic:
     def __mul__(self, other) -> "Cyclotomic":
         if not isinstance(other, Cyclotomic):
             x = _frac(other)
-            return Cyclotomic(self.modulus, tuple(a * x for a in self.coeffs))
+            return Cyclotomic(self.modulus,
+                             tuple(a * x if a else a for a in self.coeffs))
         o = self._coerce(other)
         m = self.modulus
         out = [Fraction(0)] * m
@@ -115,7 +116,7 @@ class Cyclotomic:
         x = _frac(other)
         if x == 0:
             raise ZeroDivisionError("division by zero")
-        return self * Fraction(1, 1) * (Fraction(1) / x)
+        return self * (Fraction(1) / x)
 
     def __pow__(self, n: int) -> "Cyclotomic":
         if n < 0:

@@ -3,16 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from wreathfock.fock import FockElement, graded_dim
-from wreathfock.groups import (DualFunctional, cyclic, sigma_basis, symmetric,
-                               trivial_group)
+from wreathfock import heisenberg
+from wreathfock.fock import FockElement, fock_mul, graded_dim
+from wreathfock.groups import (ClassFunction, DualFunctional, GroupError,
+                               cyclic, sigma_basis, symmetric, trivial_group)
 from wreathfock.heisenberg import (HeisenbergError, SuperElement,
                                    SuperFockSpace, a_minus, a_minus_oracle,
                                    a_plus, commutator_check,
                                    heisenberg_verify, irreducibility_check,
                                    sf_a_minus, sf_a_plus, sf_commutator_check,
                                    vacuum)
-from wreathfock.wreath import (WreathType, n_cycle_type, sigma_r_c, sigma_rho)
+from wreathfock.lambda_ops import omega_n
+from wreathfock.scalars import Cyclotomic
+from wreathfock.wreath import (WreathType, enumerate_types, n_cycle_type,
+                               sigma_r_c, sigma_rho)
 
 
 class TestCreation:
@@ -72,10 +76,91 @@ class TestAnnihilation:
                     assert got.component(rho.degree - m).equals(want)
 
 
+class TestGroupMismatch:
+    # Z3 and S3 both have three classes, so only the group check can tell
+    # an operator on one from a vector on the other.
+    def test_annihilation_rejects_other_group(self):
+        op = a_minus(1, DualFunctional.delta(cyclic(3), 0))
+        with pytest.raises(GroupError):
+            op(vacuum(symmetric(3)))
+
+    def test_creation_rejects_other_group(self):
+        op = a_plus(1, sigma_basis(cyclic(3), 0))
+        with pytest.raises(GroupError):
+            op(vacuum(symmetric(3)))
+
+
+@pytest.fixture
+def z3_payloads():
+    """Z3 with V the character k -> w^k and eta with w coefficients, so the
+    operator data is not rational; basis is sigma^rho up to degree 3."""
+    g = cyclic(3)
+    w = Cyclotomic.root(3)
+    v = ClassFunction(g, (Cyclotomic.one(3), w, w * w))
+    eta = DualFunctional(g, (w, Cyclotomic.rational(3, 2), w * w - w))
+    basis = [FockElement.from_wcf(sigma_rho(g, rho))
+             for n in range(4) for rho in enumerate_types(g, n)]
+    return v, eta, basis
+
+
+class TestCyclotomicPayloads:
+    def test_annihilation_matches_oracle(self, z3_payloads):
+        _, eta, basis = z3_payloads
+        for m in (1, 2, 3):
+            op = a_minus(m, eta)
+            for u in basis:
+                (n, f), = u.parts.items()
+                if n >= m:
+                    got = op(u).component(n - m)
+                    assert got.equals(a_minus_oracle(m, eta, f))
+
+    def test_creation_is_multiplication_by_omega(self, z3_payloads):
+        v, _, basis = z3_payloads
+        for m in (1, 2, 3):
+            op = a_plus(m, v)
+            omega = FockElement.from_wcf(omega_n(v, m))
+            for u in basis:
+                assert op(u).equals(fock_mul(u, omega))
+
+    def test_commutator(self, z3_payloads):
+        v, eta, basis = z3_payloads
+        pairing = eta.pair(v)
+        assert not pairing.is_rational()
+        for m in (1, 2, 3):
+            for l in (1, 2, 3):
+                down, up = a_minus(m, eta), a_plus(l, v)
+                expect = pairing * Fraction(l if m == l else 0)
+                for u in basis:
+                    lhs = down(up(u)) - up(down(u))
+                    assert lhs.equals(u * expect), (m, l, u)
+
+
 class TestRelations:
     @pytest.mark.parametrize("group", [cyclic(2), symmetric(3)])
     def test_commutators(self, group):
         assert commutator_check(group, 3, 2).all_passed
+
+    def test_operator_data_does_not_grow_with_basis(self, monkeypatch):
+        calls = {"pair": 0, "omega_n": 0}
+        pair, omega = DualFunctional.pair, heisenberg.omega_n
+
+        def counting_pair(self, v):
+            calls["pair"] += 1
+            return pair(self, v)
+
+        def counting_omega(v, n):
+            calls["omega_n"] += 1
+            return omega(v, n)
+
+        monkeypatch.setattr(DualFunctional, "pair", counting_pair)
+        monkeypatch.setattr(heisenberg, "omega_n", counting_omega)
+        counts = []
+        for n in (2, 3):
+            calls.update(pair=0, omega_n=0)
+            assert commutator_check(cyclic(2), n, 2).all_passed
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["pair"] > 0 and counts[0]["omega_n"] > 0
 
     def test_irreducibility(self):
         assert irreducibility_check(cyclic(2), 2)
