@@ -20,9 +20,8 @@ from .linalg import matrix_rank
 from .report import CheckResult, Report
 from .scalars import Cyclotomic, TruncSeries, align, cyc_eq
 from .wreath import (EMPTY_TYPE, WreathClassFunction, WreathElement,
-                     WreathError, WreathType, enumerate_types,
-                     enumerate_wreath_elements, representative_of_type,
-                     sigma_rho, type_of, wreath_inv, wreath_mul, wreath_order,
+                     WreathError, WreathType, element_model, enumerate_types,
+                     representative_of_type, sigma_rho, type_of, wreath_order,
                      z_rho)
 
 
@@ -311,10 +310,6 @@ def graded_dim(group: FiniteGroup, max_order: int) -> TruncSeries:
 
 # -- element-level oracles --------------------------------------------------
 
-def _block_membership(a: WreathElement, k: int) -> bool:
-    return all(a.perm[i] < k for i in range(k))
-
-
 def _split_element(a: WreathElement, k: int) -> tuple[WreathElement, WreathElement]:
     left = WreathElement(a.gs[:k], a.perm[:k])
     right = WreathElement(a.gs[k:], tuple(p - k for p in a.perm[k:]))
@@ -325,27 +320,23 @@ def _split_element(a: WreathElement, k: int) -> tuple[WreathElement, WreathEleme
 def _induction_bags(group: FiniteGroup, a: int, b: int,
                     reps: tuple[WreathType, ...], limit: int):
     """For each target type: a Counter over (left type, right type) of the
-    conjugates landing in the Young subgroup G_a x G_b."""
-    n = a + b
-    elements = enumerate_wreath_elements(group, n, limit)
+    conjugates w^-1 z w (w in G_n) landing in the Young subgroup G_a x G_b.
+    Each member of the class of z is hit |C(z)| = |G_n|/|cl(z)| times, so
+    the class is walked once with that weight."""
+    model = element_model(group, a + b, limit)
+    cut = a * group.order  # points of G x {0..a-1}
     bags = {}
     for pi in reps:
-        z = representative_of_type(group, pi)
+        members = model.classes[model.class_of[
+            model.id_of(representative_of_type(group, pi))]]
+        weight = len(model) // len(members)
         bag: Counter = Counter()
-        for w in elements:
-            y = wreath_conj_inv(group, w, z)
-            if _block_membership(y, a):
-                left, right = _split_element(y, a)
-                bag[(type_of(group, left), type_of(group, right))] += 1
+        for y in members:
+            if max(model.perms[y][:cut]) < cut:
+                left, right = _split_element(model.elements[y], a)
+                bag[(type_of(group, left), type_of(group, right))] += weight
         bags[pi] = bag
     return bags
-
-
-def wreath_conj_inv(group: FiniteGroup, w: WreathElement,
-                    z: WreathElement) -> WreathElement:
-    """w^-1 z w."""
-    wi = wreath_inv(group, w)
-    return wreath_mul(group, wreath_mul(group, wi, z), w)
 
 
 def oracle_product(f1: WreathClassFunction, f2: WreathClassFunction,

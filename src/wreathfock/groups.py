@@ -48,13 +48,7 @@ class FiniteGroup:
                     break
             if inv[i] is None:
                 raise GroupError(f"element {i} has no two-sided inverse")
-        for a in range(n):
-            for b in range(n):
-                ab = table[a][b]
-                for c in range(n):
-                    if table[ab][c] != table[a][table[b][c]]:
-                        raise GroupError(
-                            f"table is not associative at ({a},{b},{c})")
+        _check_associative(table)
         self.order = n
         self.table = table
         self.inverse = tuple(inv)
@@ -144,6 +138,33 @@ class FiniteGroup:
 
 
 # -- constructors ----------------------------------------------------------
+
+def _check_associative(table) -> None:
+    """Light's test: (x a) y == x (a y) for all x, y and every a in a set A
+    whose left-normed products cover the table.  The a passing the test
+    are closed under the product, so this is associativity everywhere."""
+    n = len(table)
+    covered = {0}  # (x 0) y == x (0 y) holds for the identity
+    gens = []
+    for g in range(n):
+        if g in covered:
+            continue
+        gens.append(g)
+        frontier = list(covered)
+        for x in frontier:
+            for a in gens:
+                y = table[x][a]
+                if y not in covered:
+                    covered.add(y)
+                    frontier.append(y)
+    for a in gens:
+        row_a = table[a]
+        for x in range(n):
+            row_xa, row_x = table[table[x][a]], table[x]
+            if row_xa != tuple([row_x[v] for v in row_a]):
+                y = next(y for y in range(n) if row_xa[y] != row_x[row_a[y]])
+                raise GroupError(f"table is not associative at ({x},{a},{y})")
+
 
 def group_from_cayley(table, name: str = "G") -> FiniteGroup:
     return FiniteGroup(table, name=name)

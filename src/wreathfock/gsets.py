@@ -12,15 +12,14 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from .groups import FiniteGroup, GroupError, binary_dihedral, \
     binary_octahedral, cyclic, sl2_f3, sl2_f5
 from .report import Report
 from .scalars import TruncSeries, euler_product
-from .wreath import (WreathElement, enumerate_types, enumerate_wreath_elements,
-                     type_of, wreath_generators, wreath_inv, wreath_mul,
+from .wreath import (WreathElement, element_model, enumerate_types, type_of,
                      wreath_order)
 
 
@@ -146,18 +145,28 @@ class PowerGSet:
     def size(self) -> int:
         return self.base.size ** self.n
 
+    @cached_property
+    def _points(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(itertools.product(range(self.base.size), repeat=self.n))
+
     def points(self) -> list[tuple[int, ...]]:
-        return list(itertools.product(range(self.base.size), repeat=self.n))
+        return list(self._points)
 
     def act(self, a: WreathElement, x: tuple[int, ...]) -> tuple[int, ...]:
-        s = a.perm
-        sinv = [0] * self.n
-        for i, v in enumerate(s):
-            sinv[v] = i
-        return tuple(self.base.act(a.gs[i], x[sinv[i]]) for i in range(self.n))
+        """(a.x)_{s(i)} = g_{s(i)} x_i."""
+        out = [0] * self.n
+        for i, j in enumerate(a.perm):
+            out[j] = self.base.action[a.gs[j]][x[i]]
+        return tuple(out)
 
     def fixed(self, a: WreathElement) -> list[tuple[int, ...]]:
-        return [x for x in self.points() if self.act(a, x) == x]
+        """All points with x_{s(i)} = g_{s(i)} x_i, one coordinate
+        condition at a time."""
+        out = self._points
+        for i, j in enumerate(a.perm):
+            row = self.base.action[a.gs[j]]
+            out = [x for x in out if row[x[i]] == x[j]]
+        return list(out)
 
 
 def gset_power(x: GSet, n: int, limit: int = 1_000_000) -> PowerGSet:
@@ -179,24 +188,6 @@ def fixed_points(x, a):
 # -- orbifold Euler characteristics ----------------------------------------
 
 @lru_cache(maxsize=32)
-def _wreath_commuting(group: FiniteGroup, n: int,
-                      limit: int) -> tuple[tuple[WreathElement, ...],
-                                           tuple[tuple[int, ...], ...]]:
-    """Elements of G_n plus, per element, indices of its commutants."""
-    elements = tuple(enumerate_wreath_elements(group, n, limit))
-    comm = []
-    k = len(elements)
-    for i in range(k):
-        a = elements[i]
-        row = []
-        for j in range(k):
-            b = elements[j]
-            if wreath_mul(group, a, b) == wreath_mul(group, b, a):
-                row.append(j)
-        comm.append(tuple(row))
-    return elements, tuple(comm)
-
-
 def power_orbifold_euler(x: GSet, n: int, limit: int = 50_000) -> int:
     """e(X^n, G_n), by the commuting-pair average and independently by
     counting inertia orbits; the two must agree."""
@@ -206,27 +197,22 @@ def power_orbifold_euler(x: GSet, n: int, limit: int = 50_000) -> int:
     power = gset_power(x, n)
     if wreath_order(g, n) * power.size > 4_000_000:
         raise GSetError("power euler computation exceeds limit")
-    elements, comm = _wreath_commuting(g, n, limit)
-    index = {a: i for i, a in enumerate(elements)}
-    fixed = [power.fixed(a) for a in elements]
+    model = element_model(g, n, limit)
+    fixed = [power.fixed(a) for a in model.elements]
     fixed_sets = [set(f) for f in fixed]
 
     total = 0
-    for i in range(len(elements)):
-        if not fixed[i]:
-            continue
-        for j in comm[i]:
-            fj = fixed_sets[j]
-            total += sum(1 for p in fixed[i] if p in fj)
-    if total % len(elements) != 0:
+    for fi, row in zip(fixed_sets, model.centralizers):
+        if fi:
+            total += sum(len(fi & fixed_sets[j]) for j in row)
+    if total % len(model) != 0:
         raise GSetError("commuting-pair sum is not divisible by |G_n|")
-    e_pairs = total // len(elements)
+    e_pairs = total // len(model)
 
-    gens = wreath_generators(g, n) or [elements[0]]
-    gen_invs = [wreath_inv(g, h) for h in gens]
+    moves = list(zip(model.generators, model.generator_conj))
     seen = set()
     orbits = 0
-    for i in range(len(elements)):
+    for i in range(len(model)):
         for p in fixed[i]:
             if (i, p) in seen:
                 continue
@@ -235,8 +221,8 @@ def power_orbifold_euler(x: GSet, n: int, limit: int = 50_000) -> int:
             seen.add((i, p))
             while stack:
                 ii, pp = stack.pop()
-                for h, hi in zip(gens, gen_invs):
-                    jj = index[wreath_mul(g, wreath_mul(g, h, elements[ii]), hi)]
+                for h, conj in moves:
+                    jj = conj[ii]
                     qq = power.act(h, pp)
                     if (jj, qq) not in seen:
                         seen.add((jj, qq))
@@ -285,31 +271,36 @@ def inertia_dim(x: GSet) -> int:
     return len(inertia_basis(x))
 
 
+@lru_cache(maxsize=32)
+def _orbit_counts_by_class(x: GSet) -> tuple[int, ...]:
+    """k_c = |X^c/Z_G(c)| per class c of G."""
+    k = [0] * x.group.num_classes
+    for c, _orbit in inertia_basis(x):
+        k[c] += 1
+    return tuple(k)
+
+
 def symmetric_orbit_count(x: GSet, a: WreathElement) -> int:
     """|(X^n)^a / Z(a)| predicted by the symmetric-product formula:
     prod over (c, r) of C(k_c + m - 1, m) with k_c = |X^c/Z_G(c)|."""
-    g = x.group
-    k = {}
-    for c, _orbit in inertia_basis(x):
-        k[c] = k.get(c, 0) + 1
+    k = _orbit_counts_by_class(x)
     out = 1
-    rho = type_of(g, a)
+    rho = type_of(x.group, a)
     for c, lam in rho.parts:
         for r in set(lam):
             m = lam.count(r)
-            out *= comb(k.get(c, 0) + m - 1, m)
+            out *= comb(k[c] + m - 1, m)
     return out
 
 
 def lemma_16_check(x: GSet, n: int, limit: int = 50_000) -> bool:
     """For every a in G_n: the centralizer orbit count on (X^n)^a equals
     the symmetric-product formula."""
-    g = x.group
-    elements, comm = _wreath_commuting(g, n, limit)
+    model = element_model(x.group, n, limit)
     power = gset_power(x, n)
-    for i, a in enumerate(elements):
+    for a, row in zip(model.elements, model.centralizers):
         fixed = power.fixed(a)
-        cent = [elements[j] for j in comm[i]]
+        cent = [model.elements[j] for j in row]
         remaining = set(fixed)
         orbits = 0
         while remaining:

@@ -4,6 +4,18 @@ Class functions on G_n are stored in the type basis (one value per
 partition-valued function on the conjugacy classes of G).  The element
 model of G_n only ever appears inside brute-force oracles, where whole
 groups up to a few tens of thousands of elements are enumerated.
+
+Those oracles share one compiled model per (G, n), `element_model`.  Each
+element (g; s) becomes its permutation of the |G| n points of
+G x {0..n-1}, (g; s).(h, i) = (g_{s(i)} h, s(i)), with point (h, i) at
+index i |G| + h; a product is a composition of two permutation tuples.
+Element ids follow `enumerate_wreath_elements`, which is also
+`WreathElement` order, so the smallest id of a class is its smallest
+element.  Conjugacy classes come from closure under conjugation by
+`wreath_generators`, recording per element one conjugator x from its
+class representative z.  C(z) is found by testing every element of G_n
+for commutation with z, and C(x z x^-1) = x C(z) x^-1.  No |G_n|^2 table
+is built.
 """
 from __future__ import annotations
 
@@ -11,7 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Iterator, NamedTuple
 
@@ -212,6 +224,7 @@ def enumerate_types(group: FiniteGroup, n: int) -> list[WreathType]:
     return sorted(results)
 
 
+@lru_cache(maxsize=None)
 def z_partition(lam: tuple[int, ...]) -> int:
     """z_lambda = prod r^{m_r} m_r!, the S_n centralizer order."""
     out = 1
@@ -414,31 +427,119 @@ def wreath_generators(group: FiniteGroup, n: int) -> list[WreathElement]:
     return gens
 
 
+class ElementModel:
+    """G_n compiled into permutation ids; see the module docstring.
+
+    Id 0 is the identity.  Products are compositions of permutation
+    tuples, `perms[a] o perms[b] = tuple([perms[a][x] for x in perms[b]])`;
+    the list comprehension sizes the tuple exactly, so the temporaries are
+    not resized into CPython's tuple free lists (which would hold on to
+    about 2000 of them per length).
+    """
+
+    def __init__(self, group: FiniteGroup, n: int):
+        self.group = group
+        self.elements = tuple(enumerate_wreath_elements(
+            group, n, wreath_order(group, n)))
+        self.perms = tuple(self.perm_of(a) for a in self.elements)
+        self.index = index = {p: i for i, p in enumerate(self.perms)}
+        self.inverse = tuple(index[_perm_inverse(p)] for p in self.perms)
+        self.generators = tuple(wreath_generators(group, n))
+        gen_perms = [self.perm_of(h) for h in self.generators]
+        # generator_conj[t][i]: id of h_t x_i h_t^-1
+        self.generator_conj = tuple(
+            tuple(index[tuple([h[p[x]] for x in hi])]
+                  for p in self.perms)
+            for h, hi in ((h, _perm_inverse(h)) for h in gen_perms))
+        class_of = [-1] * len(self.perms)
+        conjugator = [0] * len(self.perms)
+        classes = []
+        for r in range(len(self.perms)):
+            if class_of[r] >= 0:
+                continue
+            c = len(classes)
+            class_of[r] = c
+            members = [r]
+            for x in members:
+                cx = self.perms[conjugator[x]]
+                for h, conj in zip(gen_perms, self.generator_conj):
+                    y = conj[x]
+                    if class_of[y] < 0:
+                        class_of[y] = c
+                        conjugator[y] = index[tuple([h[v] for v in cx])]
+                        members.append(y)
+            classes.append(tuple(sorted(members)))
+        self.classes = tuple(classes)
+        self.class_of = tuple(class_of)
+        # conjugator[i] = x with x_i = x z x^-1, z the representative
+        self.conjugator = tuple(conjugator)
+
+    def __len__(self):
+        return len(self.perms)
+
+    def perm_of(self, a: WreathElement) -> tuple[int, ...]:
+        """(g;s).(h, i) = (g_{s(i)} h, s(i)), point (h, i) at i*|G| + h."""
+        k = self.group.order
+        table = self.group.table
+        return tuple([j * k + v for j in a.perm for v in table[a.gs[j]]])
+
+    def id_of(self, a: WreathElement) -> int:
+        return self.index[self.perm_of(a)]
+
+    def brute_centralizer(self, i: int) -> tuple[int, ...]:
+        """Ids commuting with element i: one commutation test per element."""
+        p = self.perms[i]
+        return tuple(j for j, q in enumerate(self.perms) if _commutes(p, q))
+
+    @cached_property
+    def centralizers(self) -> tuple[tuple[int, ...], ...]:
+        """Per element, the sorted ids of its centralizer: the brute test at
+        each class representative z, and x C(z) x^-1 for x z x^-1."""
+        perms, index = self.perms, self.index
+        at_rep = [[perms[j] for j in self.brute_centralizer(cl[0])]
+                  for cl in self.classes]
+        out = []
+        for i, x in enumerate(self.conjugator):
+            px, pxi = perms[x], perms[self.inverse[x]]
+            out.append(tuple(sorted(
+                index[tuple([px[q[v]] for v in pxi])]
+                for q in at_rep[self.class_of[i]])))
+        return tuple(out)
+
+
+def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+def _commutes(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
+    """One commutation test: pq == qp as permutations."""
+    return [p[x] for x in q] == [q[x] for x in p]
+
+
+def element_model(group: FiniteGroup, n: int,
+                  limit: int = 200_000) -> ElementModel:
+    """The compiled G_n, built once per (G, n); raises past the limit."""
+    total = wreath_order(group, n)
+    if total > limit:
+        raise WreathError(f"|G_n| = {total} exceeds limit {limit}")
+    return _element_model(group, n)
+
+
+@lru_cache(maxsize=8)
+def _element_model(group: FiniteGroup, n: int) -> ElementModel:
+    return ElementModel(group, n)
+
+
 def brute_force_classes(group: FiniteGroup, n: int,
                         limit: int = 200_000) -> list[tuple[WreathElement, int]]:
     """Conjugacy classes of G_n by orbit closure under conjugation by a
     generating set; returns (representative, class size) pairs sorted by
     the representative's type."""
-    elements = enumerate_wreath_elements(group, n, limit)
-    gens = wreath_generators(group, n)
-    gen_invs = [wreath_inv(group, g) for g in gens]
-    seen: set[WreathElement] = set()
-    out = []
-    for a in elements:
-        if a in seen:
-            continue
-        orbit = {a}
-        frontier = [a]
-        while frontier:
-            x = frontier.pop()
-            for g, gi in zip(gens, gen_invs):
-                y = wreath_mul(group, wreath_mul(group, g, x), gi)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        seen |= orbit
-        rep = min(orbit)
-        out.append((rep, len(orbit)))
+    model = element_model(group, n, limit)
+    out = [(model.elements[cl[0]], len(cl)) for cl in model.classes]
     out.sort(key=lambda t: (type_of(group, t[0]), t[0]))
     return out
 
@@ -460,15 +561,9 @@ def representative_of_type(group: FiniteGroup, rho: WreathType) -> WreathElement
 
 
 def centralizer_order_brute(group: FiniteGroup, n: int, a: WreathElement,
-                            elements: list[WreathElement] | None = None,
                             limit: int = 200_000) -> int:
-    if elements is None:
-        elements = enumerate_wreath_elements(group, n, limit)
-    count = 0
-    for x in elements:
-        if wreath_mul(group, x, a) == wreath_mul(group, a, x):
-            count += 1
-    return count
+    model = element_model(group, n, limit)
+    return len(model.brute_centralizer(model.id_of(a)))
 
 
 def centralizer_checks(group: FiniteGroup, n: int, limit: int = 200_000):
@@ -486,7 +581,7 @@ def centralizer_checks(group: FiniteGroup, n: int, limit: int = 200_000):
         cent = total // size
         ok = cent == zr
         if small:
-            ok = ok and centralizer_order_brute(group, n, rep) == zr
+            ok = ok and centralizer_order_brute(group, n, rep, limit) == zr
         results.append(CheckResult(
             f"centralizer {group.name} n={n} type={rho!r}", ok,
             None if ok else f"brute {cent} vs Z_rho {zr}"))
@@ -504,13 +599,11 @@ def wreath_cayley_group(group: FiniteGroup, n: int,
                         limit: int = 5000) -> tuple[FiniteGroup, list[WreathElement]]:
     """G_n as a plain FiniteGroup (identity-first element order), plus the
     element list realizing the numbering.  Only for small instances."""
-    elements = enumerate_wreath_elements(group, n, limit)
-    ident = wreath_identity(n)
-    ordered = [ident] + sorted(a for a in elements if a != ident)
-    index = {a: i for i, a in enumerate(ordered)}
-    table = [[index[wreath_mul(group, a, b)] for b in ordered]
-             for a in ordered]
-    return FiniteGroup(table, name=f"{group.name}wr{n}"), ordered
+    model = element_model(group, n, limit)
+    perms, index = model.perms, model.index
+    table = [[index[tuple([p[x] for x in q])] for q in perms]
+             for p in perms]
+    return FiniteGroup(table, name=f"{group.name}wr{n}"), list(model.elements)
 
 
 def types_json(group: FiniteGroup, n: int) -> str:

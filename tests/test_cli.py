@@ -77,6 +77,16 @@ class TestFileIngestion:
         assert main(["group", "info", "--group", str(path)]) == 0
         assert "order: 6" in capsys.readouterr().out
 
+    def test_non_associative_table_file(self, tmp_path, capsys):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps({"order": 5, "table": [
+            [0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]}))
+        assert main(["group", "info", "--group", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: table is not associative")
+        assert "Traceback" not in err
+
     def test_permutation_file(self, tmp_path, capsys):
         path = tmp_path / "perms.json"
         path.write_text(json.dumps(

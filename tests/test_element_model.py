@@ -1,0 +1,142 @@
+"""The compiled element model of G_n against element-level sweeps over
+`wreath_mul`: commuting rows, conjugacy classes and induction bags."""
+from collections import Counter
+
+import pytest
+
+from wreathfock import fock, wreath
+from wreathfock.groups import cyclic, symmetric
+from wreathfock.gsets import power_orbifold_euler, regular_gset
+from wreathfock.wreath import (WreathError, element_model,
+                               enumerate_types, enumerate_wreath_elements,
+                               representative_of_type, type_of,
+                               wreath_generators, wreath_inv, wreath_mul,
+                               wreath_order)
+
+CASES = [(cyclic(2), 3), (cyclic(3), 2), (symmetric(3), 2), (symmetric(3), 3)]
+IDS = ["Z2wr3", "Z3wr2", "S3wr2", "S3wr3"]
+
+
+def closure_classes(group, n):
+    """Orbit closure under conjugation by the generators, on elements."""
+    elements = enumerate_wreath_elements(group, n)
+    gens = wreath_generators(group, n)
+    gen_invs = [wreath_inv(group, g) for g in gens]
+    seen = set()
+    out = []
+    for a in elements:
+        if a in seen:
+            continue
+        orbit = {a}
+        frontier = [a]
+        while frontier:
+            x = frontier.pop()
+            for g, gi in zip(gens, gen_invs):
+                y = wreath_mul(group, wreath_mul(group, g, x), gi)
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        seen |= orbit
+        out.append((min(orbit), len(orbit)))
+    out.sort(key=lambda t: (type_of(group, t[0]), t[0]))
+    return out
+
+
+def conjugation_bags(group, a, b, reps):
+    """Count w^-1 z w over every w in G_n landing in G_a x G_b."""
+    bags = {}
+    elements = enumerate_wreath_elements(group, a + b)
+    for pi in reps:
+        z = representative_of_type(group, pi)
+        bag = Counter()
+        for w in elements:
+            y = wreath_mul(group, wreath_mul(group, wreath_inv(group, w), z), w)
+            if all(y.perm[i] < a for i in range(a)):
+                left, right = fock._split_element(y, a)
+                bag[(type_of(group, left), type_of(group, right))] += 1
+        bags[pi] = bag
+    return bags
+
+
+@pytest.mark.parametrize("group,n", CASES, ids=IDS)
+def test_commuting_rows_match_all_pairs(group, n):
+    model = element_model(group, n)
+    elements = model.elements
+    rows = [[] for _ in elements]
+    for i, a in enumerate(elements):
+        for j in range(i, len(elements)):
+            b = elements[j]
+            if wreath_mul(group, a, b) == wreath_mul(group, b, a):
+                rows[i].append(j)
+                if j != i:
+                    rows[j].append(i)
+    assert [tuple(sorted(r)) for r in rows] == list(model.centralizers)
+
+
+@pytest.mark.parametrize("group,n", CASES, ids=IDS)
+def test_classes_match_closure(group, n):
+    assert wreath.brute_force_classes(group, n) == closure_classes(group, n)
+
+
+@pytest.mark.parametrize("group,n", CASES, ids=IDS)
+def test_induction_bags_match_conjugation_sweep(group, n):
+    for total in range(2, n + 1):
+        reps = tuple(enumerate_types(group, total))
+        for a in range(1, total):
+            got = fock._induction_bags(group, a, total - a, reps, 50_000)
+            assert got == conjugation_bags(group, a, total - a, reps)
+
+
+@pytest.mark.parametrize("group,n", CASES[:3], ids=IDS[:3])
+def test_model_structure(group, n):
+    model = element_model(group, n)
+    elements = model.elements
+    assert list(elements) == sorted(elements)
+    assert list(elements) == enumerate_wreath_elements(group, n)
+    assert model.perms[0] == tuple(range(group.order * n))
+    for i, a in enumerate(elements):
+        assert model.id_of(a) == i
+        assert elements[model.inverse[i]] == wreath_inv(group, a)
+        x = elements[model.conjugator[i]]
+        z = elements[model.classes[model.class_of[i]][0]]
+        assert wreath_mul(group, wreath_mul(group, x, z),
+                          wreath_inv(group, x)) == a
+        for j in (0, len(elements) // 3, len(elements) - 1):
+            b = elements[j]
+            ab = tuple(map(model.perms[i].__getitem__, model.perms[j]))
+            assert elements[model.index[ab]] == wreath_mul(group, a, b)
+
+
+def test_limit_raises_before_any_work():
+    with pytest.raises(WreathError, match="exceeds limit 1000"):
+        element_model(symmetric(3), 4, 1000)
+
+
+def clear_caches():
+    wreath._element_model.cache_clear()
+    power_orbifold_euler.cache_clear()
+
+
+def test_commutation_tests_below_all_pairs(monkeypatch):
+    """e(X^2, S3_2) takes fewer commutation tests than |G_2|^2 = 5184;
+    a pair test through `wreath_mul` counts once per two products."""
+    tests = Counter()
+    real_mul, real_commutes = wreath.wreath_mul, wreath._commutes
+
+    def counting_mul(group, a, b):
+        tests["mul"] += 1
+        return real_mul(group, a, b)
+
+    def counting_commutes(p, q):
+        tests["commutes"] += 1
+        return real_commutes(p, q)
+
+    monkeypatch.setattr(wreath, "wreath_mul", counting_mul)
+    monkeypatch.setattr(wreath, "_commutes", counting_commutes)
+    clear_caches()
+    try:
+        g = symmetric(3)
+        assert power_orbifold_euler(regular_gset(g), 2) == 2
+    finally:
+        clear_caches()
+    assert 0 < tests["commutes"] + tests["mul"] // 2 < wreath_order(g, 2) ** 2

@@ -7,13 +7,19 @@ import pytest
 from wreathfock.groups import (ClassFunction, DualFunctional, FiniteGroup,
                                GroupError, adams_psi,
                                all_subgroup_element_sets, binary_dihedral,
-                               builtin, cyclic, dihedral,
+                               builtin, cyclic, dihedral, group_from_cayley,
                                group_from_cayley_json,
                                group_from_permutations, induce_cf,
                                inner_product, mackey_verify,
                                regular_character, restrict_cf, sigma_basis,
                                subgroup_from_elements, symmetric,
                                trivial_character, trivial_group)
+
+NON_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4],
+                        [1, 0, 3, 4, 2],
+                        [2, 4, 0, 1, 3],
+                        [3, 2, 4, 0, 1],
+                        [4, 3, 1, 2, 0]]
 
 
 class TestConstruction:
@@ -45,6 +51,12 @@ class TestConstruction:
         with pytest.raises(GroupError):
             group_from_cayley_json(json.dumps({"order": 3,
                                                "table": [[0, 1], [1, 0]]}))
+
+    def test_non_associative_loop_rejected(self):
+        # an order-5 loop: two-sided identity 0, every element its own
+        # two-sided inverse, yet no group (a group of order 5 is cyclic)
+        with pytest.raises(GroupError, match="not associative"):
+            group_from_cayley(NON_ASSOCIATIVE_LOOP)
 
     def test_permutation_closure(self):
         g = group_from_permutations([(1, 0, 2), (1, 2, 0)], 3)
