@@ -3,8 +3,9 @@ space F_G = sum of class-function spaces C(G_n), with verified Hopf
 structure, lambda-operations, Heisenberg operators, and orbifold Euler
 series."""
 
-from .fock import (FockElement, TensorElement, antipode, counit, fock_comul,
-                   fock_exp, fock_mul, graded_dim, hopf_verify, wcf_mul)
+from .fock import (FockElement, antipode, counit, fock_comul, fock_exp,
+                   fock_mul, graded_dim, hopf_verify, sigma_r_c, sigma_rho,
+                   sign_char, trivial_char)
 from .groups import (ClassFunction, DualFunctional, FiniteGroup, GroupError,
                      SubgroupEmbedding, adams_psi, all_subgroup_element_sets,
                      binary_dihedral, binary_octahedral, builtin, cyclic,
@@ -29,14 +30,11 @@ from .lambda_ops import (E_series, H_series, additivity_check, boxtimes_power,
                          h_e_identities, lambda_n, lambda_verify, omega_n,
                          phi_n, psi_classical, psi_composite)
 from .report import CheckResult, Report
-from .scalars import (Cyclotomic, ScalarError, TruncSeries, cyc_conj, cyc_mul,
-                      euler_product, graded_dim_series, series_exp,
-                      series_mul)
-from .wreath import (WreathClassFunction, WreathElement, WreathError,
-                     WreathType, brute_force_classes, centralizer_checks,
-                     cycle_products, enumerate_types, sigma_r_c, sigma_rho,
-                     sign_char, star_wreath, trivial_char, type_of,
-                     wreath_cayley_group, wreath_conj, wreath_inv, wreath_mul,
-                     wreath_order, z_rho)
+from .scalars import (Cyclotomic, ScalarError, TruncSeries, euler_product,
+                      graded_dim_series, series_exp)
+from .wreath import (WreathElement, WreathError, WreathType,
+                     brute_force_classes, centralizer_checks, cycle_products,
+                     enumerate_types, type_of, wreath_cayley_group,
+                     wreath_conj, wreath_inv, wreath_mul, wreath_order, z_rho)
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ import re
 import sys
 from pathlib import Path
 
-from .fock import hopf_verify
+from .fock import graded_dim, hopf_verify
 from .groups import (FiniteGroup, GroupError, builtin, group_from_cayley_json,
                      group_from_permutations_json, mackey_verify)
 from .gsets import (GSet, GSetError, euler_verify, gset_from_json,
@@ -149,9 +149,7 @@ def cmd_series(args) -> int:
         return 0
     if args.what == "graded-dim":
         if args.group is not None:
-            g = parse_group(args.group)
-            counts = [len(enumerate_types(g, n))
-                      for n in range(args.max_degree + 1)]
+            counts = graded_dim(parse_group(args.group), args.max_degree)
             print(" ".join(str(c) for c in counts))
             return 0
         print(_series_line(graded_dim_series(args.d0, args.d1,
@@ -161,6 +159,10 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("-N", args.max_degree), ("-M", args.max_mode),
+                        ("--limit", args.limit)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     fmt = args.format
     if args.what == "mackey":
         return _emit_report(mackey_verify(parse_group(args.group)), fmt)

@@ -319,44 +319,34 @@ def sl2_f5() -> FiniteGroup:
 def binary_octahedral() -> FiniteGroup:
     """Binary octahedral group, order 48, 8 classes (type E7).
 
-    Built from exact quaternion arithmetic over Q(sqrt2): the binary
-    tetrahedral units together with (1+i)/sqrt2.
+    Built from exact quaternion arithmetic over Z[sqrt2]: the binary
+    tetrahedral units together with (1+i)/sqrt2.  Every coordinate is
+    (a + b sqrt2)/2 with integers a, b, stored as the pair (a, b); the
+    coordinates of a product of two units are again of that form, so
+    halving the integer sums is exact.
     """
-    # numbers a + b*sqrt2 as (a, b) pairs of Fractions
-    def nmul(x, y):
-        return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-    def nadd(x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
-    def nneg(x):
-        return (-x[0], -x[1])
-
-    zero = (Fraction(0), Fraction(0))
-
     def qmul(q, r):
         a, b, c, d = q
         e, f, g, h = r
-        w = nadd(nadd(nmul(a, e), nneg(nmul(b, f))),
-                 nadd(nneg(nmul(c, g)), nneg(nmul(d, h))))
-        x = nadd(nadd(nmul(a, f), nmul(b, e)),
-                 nadd(nmul(c, h), nneg(nmul(d, g))))
-        y = nadd(nadd(nmul(a, g), nneg(nmul(b, h))),
-                 nadd(nmul(c, e), nmul(d, f)))
-        z = nadd(nadd(nmul(a, h), nmul(b, g)),
-                 nadd(nneg(nmul(c, f)), nmul(d, e)))
-        return (w, x, y, z)
+        rows = (((1, a, e), (-1, b, f), (-1, c, g), (-1, d, h)),
+                ((1, a, f), (1, b, e), (1, c, h), (-1, d, g)),
+                ((1, a, g), (-1, b, h), (1, c, e), (1, d, f)),
+                ((1, a, h), (1, b, g), (-1, c, f), (1, d, e)))
+        out = []
+        for row in rows:
+            u = v = 0
+            for sign, x, y in row:
+                u += sign * (x[0] * y[0] + 2 * x[1] * y[1])
+                v += sign * (x[0] * y[1] + x[1] * y[0])
+            out.append((u // 2, v // 2))
+        return tuple(out)
 
-    def num(a):
-        return (Fraction(a), Fraction(0))
-
-    i = (zero, num(1), zero, zero)
-    omega = ((Fraction(-1, 2), Fraction(0)), (Fraction(1, 2), Fraction(0)),
-             (Fraction(1, 2), Fraction(0)), (Fraction(1, 2), Fraction(0)))
-    s = ((Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(1, 2)),
-         zero, zero)
+    zero = (0, 0)
+    i = (zero, (2, 0), zero, zero)
+    omega = ((-1, 0), (1, 0), (1, 0), (1, 0))
+    s = ((0, 1), (0, 1), zero, zero)
     gens = [i, omega, s]
-    ident = (num(1), zero, zero, zero)
+    ident = ((2, 0), zero, zero, zero)
     elems = {ident}
     frontier = [ident]
     while frontier:
@@ -465,10 +455,6 @@ def subgroup_from_elements(g: FiniteGroup, elements,
     table = [[index[g.mul(a, b)] for b in elems] for a in elems]
     sub = FiniteGroup(table, name=name or f"{g.name}_sub{len(elems)}")
     return SubgroupEmbedding(sub, g, tuple(elems))
-
-
-def trivial_embedding(g: FiniteGroup) -> SubgroupEmbedding:
-    return subgroup_from_elements(g, [0])
 
 
 def full_embedding(g: FiniteGroup) -> SubgroupEmbedding:
@@ -612,10 +598,6 @@ def adams_psi(n: int, chi: ClassFunction) -> ClassFunction:
     vals = [chi.value_at_element(g.power(g.class_reps[c], n))
             for c in range(g.num_classes)]
     return ClassFunction(g, tuple(vals))
-
-
-def pointwise_star(chi: ClassFunction, psi: ClassFunction) -> ClassFunction:
-    return chi.star(psi)
 
 
 @dataclass(frozen=True)

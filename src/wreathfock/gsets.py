@@ -15,12 +15,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
 
+from .fock import graded_dim
 from .groups import FiniteGroup, GroupError, binary_dihedral, \
     binary_octahedral, cyclic, sl2_f3, sl2_f5
 from .report import Report
 from .scalars import TruncSeries, euler_product
-from .wreath import (WreathElement, element_model, enumerate_types, type_of,
-                     wreath_order)
+from .wreath import WreathElement, element_model, type_of, wreath_order
 
 
 class GSetError(ValueError):
@@ -396,10 +396,6 @@ def macdonald_check(size_x: int, max_degree: int) -> bool:
     return True
 
 
-def graded_dim_counts(group: FiniteGroup, max_degree: int) -> list[int]:
-    return [len(enumerate_types(group, n)) for n in range(max_degree + 1)]
-
-
 _MCKAY_ROWS = [
     ("cyclic(2)", lambda: cyclic(2), 2, "A1", 5),
     ("cyclic(3)", lambda: cyclic(3), 3, "A2", 5),
@@ -421,7 +417,7 @@ def mckay_table() -> Report:
         ok = g.num_classes == classes
         rep.add(f"{label}: |G_*| = {classes} ({ade}, rank {classes - 1})",
                 ok, None if ok else f"got {g.num_classes}")
-        counts = graded_dim_counts(g, depth)
+        counts = graded_dim(g, depth)
         series = euler_product(classes, depth)
         ok = all(Fraction(c) == series.coefficient(n)
                  for n, c in enumerate(counts))

@@ -1,11 +1,12 @@
 """Creation/annihilation operators on F_G and the Heisenberg relations,
 plus an abstract Z2-graded Fock model for the super (odd) case.
 
-Creation is multiplication by omega_m(V); annihilation is restriction
-followed by reading off m-cycle values and pairing with a dual functional.
-Both are computed in the type basis, with an evaluation-style restriction
-oracle as the independent cross-check.  What an operator needs apart from
-the vector it acts on (the element omega_m(V), or the weights
+In sigma coordinates F_G is the polynomial ring in the sigma_r(c).
+Creation a_m(V) is multiplication by omega_m(V), the linear form with
+coefficient V(c)/zeta_c on sigma_m(c); annihilation a_{-m}(eta) is the
+derivation sum_c m <eta, sigma_c> d/d sigma_m(c).  An evaluation-style
+restriction oracle is the independent cross-check.  What an operator needs
+apart from the vector it acts on (the element omega_m(V), or the weights
 m <eta, sigma_c>) is computed once, when the operator is built.
 """
 from __future__ import annotations
@@ -13,15 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fock import FockElement, fock_mul
+from .fock import FockElement, fock_mul, sigma_rho
 from .groups import (ClassFunction, DualFunctional, FiniteGroup, GroupError,
                      sigma_basis)
 from .lambda_ops import omega_n
 from .linalg import matrix_rank
 from .report import Report
 from .scalars import Cyclotomic, align
-from .wreath import (WreathClassFunction, WreathType, enumerate_types,
-                     n_cycle_type, sigma_rho, z_rho)
+from .wreath import WreathType, enumerate_types, n_cycle_type
 
 
 class HeisenbergError(ValueError):
@@ -50,7 +50,7 @@ class HeisenbergOp:
             raise HeisenbergError(f"payload must be a {want.__name__}")
         g, m = self.payload.group, self.mode
         if self.sign == 1:
-            data = FockElement.from_wcf(omega_n(self.payload, m))
+            data = omega_n(self.payload, m)
         else:
             data = tuple(self.payload.pair(sigma_basis(g, c)) * Fraction(m)
                          for c in range(g.num_classes))
@@ -78,47 +78,43 @@ def vacuum(group: FiniteGroup) -> FockElement:
 
 def _apply_minus(m: int, weights: tuple[Cyclotomic, ...],
                  u: FockElement) -> FockElement:
-    """On sigma^rho: sum_c (multiplicity of part m at c) weights[c]
-    sigma^{rho minus one m-part at c}, with weights[c] = m <eta, sigma_c>."""
-    g = u.group
-    out: dict[int, dict[WreathType, Cyclotomic]] = {}
-    for n, f in u.parts.items():
-        if n < m:
-            continue
-        terms = out.setdefault(n - m, {})
-        for rho, val in f.vals:
-            coeff = val / z_rho(g, rho)
-            for c, lam in rho.parts:
-                mult = lam.count(m)
-                if mult == 0:
-                    continue
-                new = rho.remove_part(m, c)
-                x, y = align(coeff, weights[c])
-                term = (x * y) * Fraction(mult * z_rho(g, new))
-                if new in terms:
-                    term, cur = align(term, terms[new])
-                    term = cur + term
-                terms[new] = term
-    return FockElement(g, {d: WreathClassFunction.build(g, d, vals)
-                           for d, vals in out.items()})
+    """The derivation sum_c weights[c] d/d sigma_m(c), with weights[c] =
+    m <eta, sigma_c>: on sigma^rho, sum_c (multiplicity of part m at c)
+    weights[c] sigma^{rho minus one m-part at c}."""
+    out: dict[WreathType, Cyclotomic] = {}
+    for rho, coeff in u.coeffs.items():
+        for c, lam in rho.parts:
+            mult = lam.count(m)
+            if mult == 0:
+                continue
+            new = rho.remove_part(m, c)
+            x, y = align(coeff, weights[c])
+            term = (x * y) * mult
+            if new in out:
+                term, cur = align(term, out[new])
+                term = cur + term
+            out[new] = term
+    return FockElement(u.group, out)
 
 
 def a_minus_oracle(m: int, eta: DualFunctional,
-                   f: WreathClassFunction) -> WreathClassFunction:
+                   f: FockElement) -> FockElement:
     """(1 tensor eta ch_m) Res, computed by evaluation: value at alpha is
-    sum_c eta_c f(alpha u (m-cycle at c))."""
+    sum_c eta_c f(alpha u (m-cycle at c)), per degree n >= m of f."""
     g = f.group
-    if f.degree < m:
-        return WreathClassFunction.zero(g, max(f.degree - m, 0))
     out = {}
-    for alpha in enumerate_types(g, f.degree - m):
-        acc = Cyclotomic.zero(g.exponent)
-        for c in range(g.num_classes):
-            x, y = align(eta.coeffs[c], f.value(alpha.union(n_cycle_type(c, m))))
-            t, acc = align(x * y, acc)
-            acc = acc + t
-        out[alpha] = acc
-    return WreathClassFunction.build(g, f.degree - m, out)
+    for n in {rho.degree for rho in f.coeffs}:
+        if n < m:
+            continue
+        for alpha in enumerate_types(g, n - m):
+            acc = Cyclotomic.zero(g.exponent)
+            for c in range(g.num_classes):
+                x, y = align(eta.coeffs[c],
+                             f.value(alpha.union(n_cycle_type(c, m))))
+                t, acc = align(x * y, acc)
+                acc = acc + t
+            out[alpha] = acc
+    return FockElement.from_values(g, out)
 
 
 # -- verification on F_G ----------------------------------------------------
@@ -128,7 +124,7 @@ def commutator_check(group: FiniteGroup, max_degree: int,
     """Eq. (24)-(26) on the sigma^rho spanning set with basis payloads."""
     g = group
     rep = Report(f"commutator_check({g.name}, N={max_degree}, M={max_mode})")
-    basis = [FockElement.from_wcf(sigma_rho(g, rho))
+    basis = [sigma_rho(g, rho)
              for n in range(max_degree + 1)
              for rho in enumerate_types(g, n)]
     etas = [DualFunctional.delta(g, c) for c in range(g.num_classes)]
@@ -204,13 +200,8 @@ def commutator_check(group: FiniteGroup, max_degree: int,
     for m in modes:
         for eta, op in zip(etas, downs[m]):
             for u in basis:
-                for n, f in u.parts.items():
-                    got = op(u).component(max(n - m, 0)) if n >= m else None
-                    want = a_minus_oracle(m, eta, f)
-                    if n >= m and not got.equals(want):
-                        ok, witness = False, f"m={m},deg={n}"
-                        break
-                if not ok:
+                if not op(u).equals(a_minus_oracle(m, eta, u)):
+                    ok, witness = False, f"m={m},deg={u.degree}"
                     break
             if not ok:
                 break
@@ -227,6 +218,7 @@ def irreducibility_check(group: FiniteGroup, max_degree: int) -> bool:
     g = group
     ups = {(r, c): a_plus(r, sigma_basis(g, c))
            for r in range(1, max_degree + 1) for c in range(g.num_classes)}
+    zero = Fraction(0)
     for n in range(max_degree + 1):
         types_n = enumerate_types(g, n)
         rows = []
@@ -235,14 +227,11 @@ def irreducibility_check(group: FiniteGroup, max_degree: int) -> bool:
             for c, lam in rho.parts:
                 for r in lam:
                     vec = ups[r, c](vec)
-            comp = vec.component(n)
-            row = []
-            for tau in types_n:
-                val = comp.value(tau)
-                if not val.is_rational():
-                    return False
-                row.append(val.as_rational())
-            rows.append(row)
+            # sigma-coefficients are the values over Z_tau: same rank
+            if not all(x.is_rational() for x in vec.coeffs.values()):
+                return False
+            rows.append([vec.coeffs[tau].as_rational() if tau in vec.coeffs
+                         else zero for tau in types_n])
         if matrix_rank(rows) != len(types_n):
             return False
     return True

@@ -2,69 +2,79 @@
 lambda operations, and the H/E generating series with their exponential
 identities.
 
-All operations are computed in the type basis.  Where the same map has two
-natural formulas (phi_n via the star formula vs. omega_n directly; the
-boxed binomial expansion vs. the exponential bilinear extension) both are
-implemented so each can serve as the other's oracle.
+Elements of F_G are `FockElement`s in sigma coordinates; outer powers,
+lambda^n and star are defined by their values and converted once.  Where
+the same map has two natural formulas (phi_n via the star formula vs.
+omega_n directly; the boxed binomial expansion vs. the exponential
+bilinear extension) both are implemented so each can serve as the other's
+oracle.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .fock import FockElement, fock_exp, fock_mul, wcf_mul
+from .fock import (FockElement, fock_exp, fock_mul, sigma_r_c, sigma_rho,
+                   sign_char)
 from .groups import ClassFunction, FiniteGroup, adams_psi, sigma_basis
 from .linalg import matrix_rank
 from .report import Report
-from .scalars import Cyclotomic, align, cyc_eq
-from .wreath import (EMPTY_TYPE, WreathClassFunction, WreathError,
-                     enumerate_types, n_cycle_type, sigma_r_c, sigma_rho,
-                     sign_char, z_rho)
+from .scalars import Cyclotomic, align
+from .wreath import WreathError, enumerate_types, n_cycle_type
 
 
-def boxtimes_power(v: ClassFunction, n: int) -> WreathClassFunction:
+def boxtimes_power(v: ClassFunction, n: int) -> FockElement:
     """Character of the n-th outer tensor power: value at rho is the
     product of V(c) over the cycles of rho (one factor per part)."""
     if n < 0:
         raise WreathError("outer power needs n >= 0")
     g = v.group
+    one = Cyclotomic.one(g.exponent)
+    # powers[c][k] = V(c)^k; a type touching a class where V vanishes has
+    # value 0 and is left out
+    powers = [[one] for _ in range(g.num_classes)]
+    for c, row in enumerate(powers):
+        for _ in range(n):
+            row.append(row[-1] * v.value(c))
+    vanishing = {c for c in range(g.num_classes) if v.value(c).is_zero()}
     out = {}
     for rho in enumerate_types(g, n):
-        val = Cyclotomic.one(g.exponent)
+        if any(c in vanishing for c, _ in rho.parts):
+            continue
+        val = one
         for c, lam in rho.parts:
-            x, y = align(val, v.value(c) ** len(lam))
+            x, y = align(val, powers[c][len(lam)])
             val = x * y
         out[rho] = val
-    return WreathClassFunction.build(g, n, out)
+    return FockElement.from_values(g, out)
 
 
-def omega_n(v: ClassFunction, n: int) -> WreathClassFunction:
-    """Supported on n-cycle types; value n * V(c) at the type over c."""
+def omega_n(v: ClassFunction, n: int) -> FockElement:
+    """sum_c V(c)/zeta_c sigma_n(c): value n V(c) at the n-cycle type
+    over c."""
     if n < 1:
         raise WreathError("omega_n needs n >= 1")
     g = v.group
-    out = {n_cycle_type(c, n): v.value(c) * Fraction(n)
-           for c in range(g.num_classes)}
-    return WreathClassFunction.build(g, n, out)
+    return FockElement(g, {n_cycle_type(c, n): v.value(c) / g.zeta(c)
+                           for c in range(g.num_classes)})
 
 
-def phi_n(v: ClassFunction, n: int) -> WreathClassFunction:
+def phi_n(v: ClassFunction, n: int) -> FockElement:
     """phi^n(V) = sum_c zeta_c^-1 V^boxtimes-n star sigma_n(c); computed
     literally from that formula (omega_n gives the closed form)."""
     if n < 1:
         raise WreathError("phi_n needs n >= 1")
     g = v.group
     power = boxtimes_power(v, n)
-    total = WreathClassFunction.zero(g, n)
+    total = FockElement.zero(g)
     for c in range(g.num_classes):
         term = power.star(sigma_r_c(g, n, c)) * Fraction(1, g.zeta(c))
         total = total + term
     return total
 
 
-def ch_n(f: WreathClassFunction, n: int) -> ClassFunction:
+def ch_n(f: FockElement, n: int) -> ClassFunction:
     """Read the n-cycle-type values off as a class function on G."""
-    if f.degree != n:
+    if any(rho.degree != n for rho in f.coeffs):
         raise WreathError(f"ch_n needs a degree-{n} class function")
     g = f.group
     return ClassFunction(g, tuple(f.value(n_cycle_type(c, n))
@@ -85,7 +95,7 @@ def psi_composite(v: ClassFunction, n: int) -> ClassFunction:
     return v * Fraction(n)
 
 
-def lambda_n(v: ClassFunction, n: int) -> WreathClassFunction:
+def lambda_n(v: ClassFunction, n: int) -> FockElement:
     """lambda^n(V) = V^boxtimes-n star (sign of S_n pulled back to G_n)."""
     if n < 1:
         raise WreathError("lambda_n needs n >= 1")
@@ -96,24 +106,24 @@ def lambda_n(v: ClassFunction, n: int) -> WreathClassFunction:
 
 def H_series(v: ClassFunction, max_degree: int) -> FockElement:
     """H(V, q) = sum_n V^boxtimes-n q^n, the degree grading playing q."""
-    g = v.group
-    return FockElement(g, {n: boxtimes_power(v, n)
-                           for n in range(max_degree + 1)})
+    out = boxtimes_power(v, 0)
+    for n in range(1, max_degree + 1):
+        out = out + boxtimes_power(v, n)
+    return out
 
 
 def E_series(v: ClassFunction, max_degree: int) -> FockElement:
     """E(V, q) = sum_n lambda^n(V) q^n."""
-    g = v.group
-    parts = {0: boxtimes_power(v, 0)}
+    out = boxtimes_power(v, 0)
     for n in range(1, max_degree + 1):
-        parts[n] = lambda_n(v, n)
-    return FockElement(g, parts)
+        out = out + lambda_n(v, n)
+    return out
 
 
 def _alternate_signs(u: FockElement) -> FockElement:
     """q -> -q on the degree grading."""
-    return FockElement(u.group, {n: f * Fraction((-1) ** n)
-                                 for n, f in u.parts.items()})
+    return FockElement(u.group, {rho: -c if rho.degree % 2 else c
+                                 for rho, c in u.coeffs.items()})
 
 
 def exp_phi_series(v: ClassFunction, max_degree: int,
@@ -123,7 +133,7 @@ def exp_phi_series(v: ClassFunction, max_degree: int,
     arg = FockElement.zero(g)
     sign = Fraction(-1) if negate else Fraction(1)
     for r in range(1, max_degree + 1):
-        arg = arg + FockElement.from_wcf(omega_n(v, r)) * (sign / r)
+        arg = arg + omega_n(v, r) * (sign / r)
     return fock_exp(arg, max_degree)
 
 
@@ -141,22 +151,22 @@ def h_virtual(pluses: list[ClassFunction], minuses: list[ClassFunction],
             acc = acc + v
         for w in minuses:
             acc = acc - w
-        arg = arg + FockElement.from_wcf(omega_n(acc, r)) * Fraction(1, r)
+        arg = arg + omega_n(acc, r) * Fraction(1, r)
     return fock_exp(arg, max_degree)
 
 
 def boxed_binomial(v: ClassFunction, w: ClassFunction,
-                   n: int) -> WreathClassFunction:
+                   n: int) -> FockElement:
     """([V] - [W])^boxtimes-n by the boxed binomial formula:
     sum_j (-1)^j Ind[V^(n-j) boxtimes (W^j star sign)]."""
     g = v.group
-    total = WreathClassFunction.zero(g, n)
+    total = FockElement.zero(g)
     for j in range(n + 1):
         left = boxtimes_power(v, n - j)
         right = boxtimes_power(w, j)
         if j >= 1:
             right = right.star(sign_char(g, j))
-        term = wcf_mul(left, right) * Fraction((-1) ** j)
+        term = fock_mul(left, right) * Fraction((-1) ** j)
         total = total + term
     return total
 
@@ -169,46 +179,11 @@ def additivity_check(v: ClassFunction, w: ClassFunction, n: int) -> bool:
     if not boxed.equals(viaexp):
         return False
     phi_diff = omega_n(v, n) - omega_n(w, n)
-    projected = WreathClassFunction.build(
-        v.group, n, {n_cycle_type(c, n): boxed.value(n_cycle_type(c, n))
-                     for c in range(v.group.num_classes)})
+    cycles = {n_cycle_type(c, n) for c in range(v.group.num_classes)}
+    projected = FockElement(v.group, {rho: x for rho, x in boxed.coeffs.items()
+                                      if rho in cycles})
     # phi^n = n * (projection of the outer power to n-cycle types)
     return (projected * Fraction(n)).equals(phi_diff)
-
-
-# -- trace oracle for outer powers ------------------------------------------
-
-def regular_representation(group: FiniteGroup) -> dict[int, tuple[tuple[Fraction, ...], ...]]:
-    """Left-regular permutation matrices, for the trace oracle."""
-    out = {}
-    n = group.order
-    for g in range(n):
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n):
-            rows[group.mul(g, j)][j] = Fraction(1)
-        out[g] = tuple(tuple(r) for r in rows)
-    return out
-
-
-def tensor_trace(rep: dict[int, tuple[tuple[Fraction, ...], ...]],
-                 gs: tuple[int, ...], perm: tuple[int, ...]) -> Fraction:
-    """Trace of (g; s) acting on the n-fold tensor power by
-    (x_1 .. x_n) -> (g_1 x_{s^-1(1)}, ...), computed entrywise on the
-    full tensor basis (no cycle-product shortcut)."""
-    n = len(gs)
-    d = len(rep[0])
-    sinv = [0] * n
-    for i, v in enumerate(perm):
-        sinv[v] = i
-    total = Fraction(0)
-    for idx in itertools.product(range(d), repeat=n):
-        term = Fraction(1)
-        for i in range(n):
-            term *= rep[gs[i]][idx[i]][idx[sinv[i]]]
-            if term == 0:
-                break
-        total += term
-    return total
 
 
 # -- structural verification ------------------------------------------------
@@ -218,23 +193,23 @@ def free_lambda_basis_check(group: FiniteGroup, n: int) -> bool:
     reproduce the sigma^rho basis (Prop. 4.3's freeness at degree n)."""
     g = group
     types_n = enumerate_types(g, n)
+    phis = {(r, c): phi_n(sigma_basis(g, c), r)
+            for r in range(1, n + 1) for c in range(g.num_classes)}
+    zero = Fraction(0)
     vectors = []
     for rho in types_n:
         prod = FockElement.unit(g)
         for c, lam in rho.parts:
             for r in lam:
-                prod = fock_mul(prod, FockElement.from_wcf(
-                    phi_n(sigma_basis(g, c), r)))
+                prod = fock_mul(prod, phis[r, c])
         got = prod.component(n)
         if not got.equals(sigma_rho(g, rho)):
             return False
-        row = []
-        for tau in types_n:
-            val = got.value(tau)
-            if not val.is_rational():
-                return False
-            row.append(val.as_rational())
-        vectors.append(row)
+        # sigma-coefficients are the values over Z_tau: same rank
+        if not all(x.is_rational() for x in got.coeffs.values()):
+            return False
+        vectors.append([got.coeffs[tau].as_rational() if tau in got.coeffs
+                        else zero for tau in types_n])
     return matrix_rank(vectors) == len(types_n)
 
 

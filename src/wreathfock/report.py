@@ -20,12 +20,11 @@ class CheckResult:
 
 @dataclass
 class Report:
-    """Deterministic run report; timing is kept in memory only so that
-    serialized output stays byte-stable across runs."""
+    """Deterministic run report: serialized output is byte-stable across
+    runs."""
 
     command: str
     checks: list[CheckResult] = field(default_factory=list)
-    elapsed_seconds: float | None = None
 
     def add(self, name: str, passed: bool, witness: str | None = None):
         self.checks.append(CheckResult(name, passed, witness))

@@ -187,14 +187,6 @@ def cyc_eq(a: Cyclotomic, b: Cyclotomic) -> bool:
     return x.coeffs == y.coeffs
 
 
-def cyc_mul(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    return a * b
-
-
-def cyc_conj(a: Cyclotomic) -> Cyclotomic:
-    return a.conj()
-
-
 @dataclass(frozen=True)
 class TruncSeries:
     """Formal power series in q truncated at order N, rational coefficients.
@@ -290,10 +282,6 @@ class TruncSeries:
         if order > self.order:
             raise ScalarError("cannot extend a truncated series")
         return TruncSeries(order, self.coeffs[:order + 1])
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a * b
 
 
 def series_exp(a: TruncSeries) -> TruncSeries:

@@ -1,7 +1,8 @@
-"""The wreath product G_n: elements, cycle products, types, sigma basis.
+"""The wreath product G_n: elements, cycle products, types and Z_rho.
 
-Class functions on G_n are stored in the type basis (one value per
-partition-valued function on the conjugacy classes of G).  The element
+A conjugacy class of G_n is a type: a partition-valued function on the
+conjugacy classes of G.  Class functions on G_n are elements of F_G in
+sigma coordinates (`fock.FockElement`), keyed by these types.  The element
 model of G_n only ever appears inside brute-force oracles, where whole
 groups up to a few tens of thousands of elements are enumerated.
 
@@ -20,15 +21,12 @@ is built.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
 from typing import Iterator, NamedTuple
 
-from .groups import FiniteGroup, GroupError
-from .scalars import Cyclotomic, align, cyc_eq
+from .groups import FiniteGroup
 
 
 class WreathError(ValueError):
@@ -246,159 +244,8 @@ def wreath_order(group: FiniteGroup, n: int) -> int:
     return group.order ** n * factorial(n)
 
 
-# -- class functions in the type basis ------------------------------------
-
-@dataclass(frozen=True)
-class WreathClassFunction:
-    """Class function on G_n stored as a sparse map type -> value."""
-
-    group: FiniteGroup
-    degree: int
-    vals: tuple[tuple[WreathType, Cyclotomic], ...]
-
-    def __post_init__(self):
-        for rho, v in self.vals:
-            if rho.degree != self.degree:
-                raise WreathError(f"type {rho} is not of degree {self.degree}")
-
-    @classmethod
-    def build(cls, group: FiniteGroup, degree: int,
-              mapping: dict[WreathType, Cyclotomic]) -> "WreathClassFunction":
-        items = tuple(sorted(((rho, v) for rho, v in mapping.items()
-                              if not v.is_zero()), key=lambda kv: kv[0]))
-        return cls(group, degree, items)
-
-    @classmethod
-    def zero(cls, group: FiniteGroup, degree: int) -> "WreathClassFunction":
-        return cls(group, degree, ())
-
-    def as_dict(self) -> dict[WreathType, Cyclotomic]:
-        return dict(self.vals)
-
-    def value(self, rho: WreathType) -> Cyclotomic:
-        for r, v in self.vals:
-            if r == rho:
-                return v
-        return Cyclotomic.zero(self.group.exponent)
-
-    def value_at_element(self, a: WreathElement) -> Cyclotomic:
-        return self.value(type_of(self.group, a))
-
-    def __add__(self, other: "WreathClassFunction") -> "WreathClassFunction":
-        self._check(other)
-        d = self.as_dict()
-        for rho, v in other.vals:
-            if rho in d:
-                a, b = align(d[rho], v)
-                d[rho] = a + b
-            else:
-                d[rho] = v
-        return WreathClassFunction.build(self.group, self.degree, d)
-
-    def _check(self, other):
-        if self.group is not other.group:
-            raise WreathError("different base groups")
-        if self.degree != other.degree:
-            raise WreathError("degree mismatch")
-
-    def __sub__(self, other):
-        return self + (other * Fraction(-1))
-
-    def __mul__(self, scalar) -> "WreathClassFunction":
-        return WreathClassFunction.build(
-            self.group, self.degree, {rho: v * scalar for rho, v in self.vals})
-
-    __rmul__ = __mul__
-
-    def star(self, other: "WreathClassFunction") -> "WreathClassFunction":
-        """Typewise product (tensor product of G_n representations)."""
-        self._check(other)
-        od = other.as_dict()
-        out = {}
-        for rho, v in self.vals:
-            if rho in od:
-                a, b = align(v, od[rho])
-                out[rho] = a * b
-        return WreathClassFunction.build(self.group, self.degree, out)
-
-    def inner(self, other: "WreathClassFunction") -> Cyclotomic:
-        """Degree-n inner product: sum over types of F1 conj(F2) / Z_rho."""
-        self._check(other)
-        od = other.as_dict()
-        total = Cyclotomic.zero(self.group.exponent)
-        for rho, v in self.vals:
-            if rho in od:
-                a, b = align(v, od[rho].conj())
-                t, total = align(a * b / z_rho(self.group, rho), total)
-                total = total + t
-        return total
-
-    def equals(self, other: "WreathClassFunction") -> bool:
-        if self.group is not other.group or self.degree != other.degree:
-            return False
-        d, od = self.as_dict(), other.as_dict()
-        for rho in set(d) | set(od):
-            a = d.get(rho, Cyclotomic.zero(self.group.exponent))
-            b = od.get(rho, Cyclotomic.zero(self.group.exponent))
-            if not cyc_eq(a, b):
-                return False
-        return True
-
-    def is_zero(self) -> bool:
-        return not self.vals
-
-    def to_json_obj(self):
-        out = []
-        for rho, v in self.vals:
-            if v.is_rational():
-                out.append([rho.to_json_obj(), str(v.as_rational())])
-            else:
-                out.append([rho.to_json_obj(), [str(c) for c in v.coeffs]])
-        return out
-
-    def __repr__(self):
-        inner = ", ".join(f"{rho!r}: {v!r}" for rho, v in self.vals)
-        return f"WCF(deg={self.degree}, {{{inner}}})"
-
-
 def n_cycle_type(c: int, n: int) -> WreathType:
     return WreathType(((c, (n,)),))
-
-
-def sigma_r_c(group: FiniteGroup, r: int, c: int) -> WreathClassFunction:
-    """Value r * zeta_c at the single r-cycle type over class c, 0 elsewhere."""
-    if r < 1:
-        raise WreathError("cycle length must be >= 1")
-    m = group.exponent
-    rho = n_cycle_type(c, r)
-    return WreathClassFunction.build(
-        group, r, {rho: Cyclotomic.rational(m, r * group.zeta(c))})
-
-
-def sigma_rho(group: FiniteGroup, rho: WreathType) -> WreathClassFunction:
-    """Value Z_rho at type rho, 0 elsewhere."""
-    m = group.exponent
-    return WreathClassFunction.build(
-        group, rho.degree, {rho: Cyclotomic.rational(m, z_rho(group, rho))})
-
-
-def trivial_char(group: FiniteGroup, n: int) -> WreathClassFunction:
-    m = group.exponent
-    return WreathClassFunction.build(
-        group, n, {rho: Cyclotomic.one(m) for rho in enumerate_types(group, n)})
-
-
-def sign_char(group: FiniteGroup, n: int) -> WreathClassFunction:
-    """(-1)^(n - length(rho)) per type: G^n acts trivially, S_n by sign."""
-    m = group.exponent
-    return WreathClassFunction.build(
-        group, n,
-        {rho: Cyclotomic.rational(m, (-1) ** (n - rho.length))
-         for rho in enumerate_types(group, n)})
-
-
-def star_wreath(f1: WreathClassFunction, f2: WreathClassFunction) -> WreathClassFunction:
-    return f1.star(f2)
 
 
 # -- brute-force element model (oracles) -----------------------------------
@@ -605,8 +452,3 @@ def wreath_cayley_group(group: FiniteGroup, n: int,
              for p in perms]
     return FiniteGroup(table, name=f"{group.name}wr{n}"), list(model.elements)
 
-
-def types_json(group: FiniteGroup, n: int) -> str:
-    rows = [{"type": rho.to_json_obj(), "z_rho": z_rho(group, rho)}
-            for rho in enumerate_types(group, n)]
-    return json.dumps(rows)

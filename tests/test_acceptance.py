@@ -11,19 +11,19 @@ from wreathfock.groups import (ClassFunction, binary_dihedral,
                                subgroup_from_elements, symmetric,
                                trivial_group)
 from wreathfock.gsets import (coset_gset, euler_series_check,
-                              graded_dim_counts, ktheory_euler_check,
-                              macdonald_check, mckay_table, point_gset,
-                              regular_gset, theorem_main_dim_check)
+                              ktheory_euler_check, macdonald_check,
+                              mckay_table, point_gset, regular_gset,
+                              theorem_main_dim_check)
 from wreathfock.heisenberg import (commutator_check, irreducibility_check,
                                    sf_commutator_check)
 from wreathfock.lambda_ops import (E_series, H_series, ch_n, exp_phi_series,
                                    h_e_identities, h_virtual, omega_n,
                                    prop_41_status)
-from wreathfock.fock import FockElement, fock_mul
+from wreathfock.fock import (FockElement, fock_mul, graded_dim, sigma_rho,
+                             sign_char, trivial_char)
 from wreathfock.scalars import euler_product
 from wreathfock.wreath import (brute_force_classes, enumerate_types,
-                               enumerate_wreath_elements, sigma_rho,
-                               sign_char, trivial_char, type_of,
+                               enumerate_wreath_elements, type_of,
                                wreath_cayley_group, wreath_order, z_rho)
 
 
@@ -139,8 +139,8 @@ def test_criterion_6_exponential_identity():
             if not H_series(v, 4).equals(exp_phi_series(v, 4)):
                 ok = False
             e_minus_q = FockElement(
-                g, {n: f * Fraction((-1) ** n)
-                    for n, f in E_series(v, 4).parts.items()})
+                g, {rho: c * Fraction((-1) ** rho.degree)
+                    for rho, c in E_series(v, 4).coeffs.items()})
             if not e_minus_q.equals(exp_phi_series(v, 4, negate=True)):
                 ok = False
             if not h_virtual([], [v], 4).equals(e_minus_q):
@@ -222,7 +222,7 @@ def test_criterion_10_mckay():
         if g.num_classes != classes:
             ok = False
         series = euler_product(classes, 6)
-        counts = graded_dim_counts(g, 6)
+        counts = graded_dim(g, 6)
         if any(Fraction(c) != series.coefficient(n)
                for n, c in enumerate(counts)):
             ok = False

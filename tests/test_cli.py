@@ -1,5 +1,6 @@
 """CLI surface: parsing, output formats, exit codes, file ingestion."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +61,17 @@ class TestCommands:
         assert main(["group", "info", "--group", "no_such_group"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "hopf", "--group", "z2", "-N", "-2"],
+        ["verify", "heisenberg", "--group", "z2", "-N", "2", "-M", "0"],
+        ["verify", "hopf", "--group", "z2", "-N", "2", "--limit", "-5"],
+    ], ids=["N", "M", "limit"])
+    def test_bad_verify_numbers_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_byte_stable_output(self, capsys):
         argv = ["verify", "lambda", "--group", "z2", "-N", "3",
                 "--format", "json"]
@@ -108,3 +120,16 @@ class TestFileIngestion:
         assert main(["verify", "euler", "--group", "z2",
                      "--gset", str(path)]) == 2
         capsys.readouterr()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("group", ["z2", "s3"])
+@pytest.mark.parametrize("fmt,suffix", [("table", "txt"), ("json", "json")])
+def test_verify_all_golden_output(group, fmt, suffix, capsys):
+    """`verify all -N 3` stdout, byte for byte, as recorded in tests/golden."""
+    assert main(["verify", "all", "--group", group, "-N", "3",
+                 "--format", fmt]) == 0
+    want = (GOLDEN / f"verify_all_{group}_N3.{suffix}").read_text()
+    assert capsys.readouterr().out == want

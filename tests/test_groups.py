@@ -1,13 +1,14 @@
 """Group layer: constructors, conjugacy, class functions, induction, Mackey."""
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from wreathfock.groups import (ClassFunction, DualFunctional, FiniteGroup,
                                GroupError, adams_psi,
                                all_subgroup_element_sets, binary_dihedral,
-                               builtin, cyclic, dihedral, group_from_cayley,
+                               binary_octahedral, builtin, cyclic, dihedral, group_from_cayley,
                                group_from_cayley_json,
                                group_from_permutations, induce_cf,
                                inner_product, mackey_verify,
@@ -160,3 +161,10 @@ class TestInductionRestriction:
     def test_mackey_sweeps(self):
         for g in (symmetric(3), dihedral(4), binary_dihedral(2)):
             assert mackey_verify(g).all_passed
+
+
+def test_binary_octahedral_table_is_recorded():
+    """The integer Z[sqrt2] construction gives the table recorded from the
+    earlier exact-Fraction construction, element numbering included."""
+    path = Path(__file__).parent / "golden" / "binary_octahedral.json"
+    assert binary_octahedral().to_json() == path.read_text()

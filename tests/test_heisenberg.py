@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from wreathfock import heisenberg
-from wreathfock.fock import FockElement, fock_mul, graded_dim
+from wreathfock.fock import (FockElement, fock_mul, graded_dim, sigma_r_c,
+                             sigma_rho)
 from wreathfock.groups import (ClassFunction, DualFunctional, GroupError,
                                cyclic, sigma_basis, symmetric, trivial_group)
 from wreathfock.heisenberg import (HeisenbergError, SuperElement,
@@ -15,8 +16,7 @@ from wreathfock.heisenberg import (HeisenbergError, SuperElement,
                                    vacuum)
 from wreathfock.lambda_ops import omega_n
 from wreathfock.scalars import Cyclotomic
-from wreathfock.wreath import (WreathType, enumerate_types, n_cycle_type,
-                               sigma_r_c, sigma_rho)
+from wreathfock.wreath import WreathType, enumerate_types
 
 
 class TestCreation:
@@ -29,8 +29,7 @@ class TestCreation:
 
     def test_creation_concatenates_types(self):
         g = cyclic(2)
-        u = a_plus(2, sigma_basis(g, 1))(
-            FockElement.from_wcf(sigma_r_c(g, 1, 0)))
+        u = a_plus(2, sigma_basis(g, 1))(sigma_r_c(g, 1, 0))
         target = WreathType.from_dict({0: (1,), 1: (2,)})
         assert u.component(3).equals(sigma_rho(g, target))
 
@@ -48,7 +47,7 @@ class TestAnnihilation:
             for cp in range(2):
                 for m in (1, 2):
                     u = a_minus(m, DualFunctional.delta(g, c))(
-                        FockElement.from_wcf(sigma_r_c(g, m, cp)))
+                        sigma_r_c(g, m, cp))
                     want = FockElement.unit(g) * \
                         (Fraction(m * g.zeta(c)) if c == cp else Fraction(0))
                     assert u.equals(want)
@@ -56,8 +55,7 @@ class TestAnnihilation:
     def test_multiplicity(self):
         g = cyclic(2)
         rho = WreathType.from_dict({0: (1, 1)})
-        u = a_minus(1, DualFunctional.delta(g, 0))(
-            FockElement.from_wcf(sigma_rho(g, rho)))
+        u = a_minus(1, DualFunctional.delta(g, 0))(sigma_rho(g, rho))
         # two removable 1-parts at c=0, each with weight 1 * zeta_0 = 2
         assert u.component(1).equals(sigma_r_c(g, 1, 0) * Fraction(4))
 
@@ -71,7 +69,7 @@ class TestAnnihilation:
             for m in (1, 2):
                 for c in range(g.num_classes):
                     eta = DualFunctional.delta(g, c)
-                    got = a_minus(m, eta)(FockElement.from_wcf(f))
+                    got = a_minus(m, eta)(f)
                     want = a_minus_oracle(m, eta, f)
                     assert got.component(rho.degree - m).equals(want)
 
@@ -98,7 +96,7 @@ def z3_payloads():
     w = Cyclotomic.root(3)
     v = ClassFunction(g, (Cyclotomic.one(3), w, w * w))
     eta = DualFunctional(g, (w, Cyclotomic.rational(3, 2), w * w - w))
-    basis = [FockElement.from_wcf(sigma_rho(g, rho))
+    basis = [sigma_rho(g, rho)
              for n in range(4) for rho in enumerate_types(g, n)]
     return v, eta, basis
 
@@ -109,16 +107,16 @@ class TestCyclotomicPayloads:
         for m in (1, 2, 3):
             op = a_minus(m, eta)
             for u in basis:
-                (n, f), = u.parts.items()
+                n = u.degree
                 if n >= m:
                     got = op(u).component(n - m)
-                    assert got.equals(a_minus_oracle(m, eta, f))
+                    assert got.equals(a_minus_oracle(m, eta, u))
 
     def test_creation_is_multiplication_by_omega(self, z3_payloads):
         v, _, basis = z3_payloads
         for m in (1, 2, 3):
             op = a_plus(m, v)
-            omega = FockElement.from_wcf(omega_n(v, m))
+            omega = omega_n(v, m)
             for u in basis:
                 assert op(u).equals(fock_mul(u, omega))
 
@@ -195,7 +193,7 @@ class TestSuperFock:
         space = SuperFockSpace(1, 0)
         got = [len(space.monomials(n)) for n in range(6)]
         want = graded_dim(trivial_group(), 5)
-        assert got == [int(c) for c in want.coeffs]
+        assert got == want
 
     def test_bad_generator(self):
         space = SuperFockSpace(1, 1)

@@ -1,4 +1,5 @@
 """Lambda operations: outer powers, phi/ch/omega/psi, generating series."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,12 +13,47 @@ from wreathfock.lambda_ops import (E_series, H_series, additivity_check,
                                    h_e_identities, h_virtual, lambda_n,
                                    lambda_verify, omega_n, phi_n,
                                    prop_41_status, psi_classical,
-                                   psi_composite, regular_representation,
-                                   tensor_trace)
-from wreathfock.fock import FockElement, fock_mul
-from wreathfock.wreath import (WreathType, enumerate_types,
-                               enumerate_wreath_elements, n_cycle_type,
-                               sigma_r_c, trivial_char)
+                                   psi_composite)
+from wreathfock.fock import FockElement, fock_mul, sigma_r_c, trivial_char
+from wreathfock.wreath import WreathType, enumerate_wreath_elements
+
+
+def regular_representation(group):
+    """Left-regular permutation matrices, for the trace oracle."""
+    out = {}
+    n = group.order
+    for g in range(n):
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for j in range(n):
+            rows[group.mul(g, j)][j] = Fraction(1)
+        out[g] = tuple(tuple(r) for r in rows)
+    return out
+
+
+def tensor_trace(rep, gs, perm):
+    """Trace of (g; s) acting on the n-fold tensor power by
+    (x_1 .. x_n) -> (g_1 x_{s^-1(1)}, ...), computed entrywise on the
+    full tensor basis (no cycle-product shortcut)."""
+    n = len(gs)
+    d = len(rep[0])
+    sinv = [0] * n
+    for i, v in enumerate(perm):
+        sinv[v] = i
+    total = Fraction(0)
+    for idx in itertools.product(range(d), repeat=n):
+        term = Fraction(1)
+        for i in range(n):
+            term *= rep[gs[i]][idx[i]][idx[sinv[i]]]
+            if term == 0:
+                break
+        total += term
+    return total
+
+
+def alternate_signs(u):
+    """q -> -q on the degree grading."""
+    return FockElement(u.group, {rho: c * Fraction((-1) ** rho.degree)
+                                 for rho, c in u.coeffs.items()})
 
 
 class TestOuterPower:
@@ -95,17 +131,13 @@ class TestLambdaSeries:
             for c in range(g.num_classes):
                 v = sigma_basis(g, c)
                 assert H_series(v, 3).equals(exp_phi_series(v, 3))
-                e_minus_q = FockElement(
-                    g, {n: f * Fraction((-1) ** n)
-                        for n, f in E_series(v, 3).parts.items()})
+                e_minus_q = alternate_signs(E_series(v, 3))
                 assert e_minus_q.equals(exp_phi_series(v, 3, negate=True))
 
     def test_h_times_e_minus_is_one(self):
         g = cyclic(3)
         v = sigma_basis(g, 1)
-        e_minus_q = FockElement(
-            g, {n: f * Fraction((-1) ** n)
-                for n, f in E_series(v, 4).parts.items()})
+        e_minus_q = alternate_signs(E_series(v, 4))
         prod = fock_mul(H_series(v, 4), e_minus_q, max_degree=4)
         assert prod.equals(FockElement.unit(g))
 

@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from wreathfock.fock import (FockElement, sigma_r_c, sigma_rho, sign_char,
+                             trivial_char)
 from wreathfock.groups import cyclic, symmetric
 from wreathfock.scalars import euler_product
-from wreathfock.wreath import (EMPTY_TYPE, WreathClassFunction, WreathElement,
-                               WreathError, WreathType, brute_force_classes,
+from wreathfock.wreath import (EMPTY_TYPE, WreathElement, WreathError,
+                               WreathType, brute_force_classes,
                                centralizer_checks, cycle_products,
                                enumerate_types, enumerate_wreath_elements,
                                n_cycle_type, partitions, representative_of_type,
-                               sigma_r_c, sigma_rho, sign_char, trivial_char,
                                type_of, wreath_cayley_group, wreath_conj,
                                wreath_identity, wreath_inv, wreath_mul,
                                wreath_order, z_partition, z_rho)
@@ -165,8 +166,8 @@ class TestSigmaBasis:
     def test_eq6_eq7_expansions(self):
         g = cyclic(2)
         for n in range(1, 4):
-            acc_t = WreathClassFunction.zero(g, n)
-            acc_s = WreathClassFunction.zero(g, n)
+            acc_t = FockElement.zero(g)
+            acc_s = FockElement.zero(g)
             for rho in enumerate_types(g, n):
                 z = z_rho(g, rho)
                 acc_t = acc_t + sigma_rho(g, rho) * Fraction(1, z)
