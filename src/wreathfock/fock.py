@@ -4,8 +4,9 @@ F_G is the polynomial ring in the sigma_r(c) (r >= 1, c a class of G), and
 sigma^rho is the monomial over the parts of rho.  A `FockElement` stores
 u = sum coeffs[rho] sigma^rho as a sparse map from `WreathType` to the
 sigma-coefficient; a class function on G_n is a homogeneous element of
-degree n, with value coeffs[rho] Z_rho at rho.  The same map keyed by
-pairs of types holds an element of F_G tensor F_G.
+degree n, with value coeffs[rho] Z_rho at rho.  The coproduct lands in
+F_G tensor F_G, held as a plain dict from pairs of types (alpha, beta) to
+the coefficient of sigma^alpha tensor sigma^beta.
 
 In these coordinates the product merges monomials,
 sigma^rho sigma^tau = sigma^(rho u tau); the coproduct splits them
@@ -22,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 
 from .groups import FiniteGroup
 from .linalg import matrix_rank
@@ -42,24 +43,20 @@ def _add(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
     return x + y
 
 
-def _union(k1, k2):
-    """Monomial product: union of types, componentwise on type pairs."""
-    if isinstance(k1, WreathType):
-        return k1.union(k2)
-    return tuple(a.union(b) for a, b in zip(k1, k2))
+def _accumulate(out: dict, key, term: Cyclotomic) -> None:
+    out[key] = _add(out[key], term) if key in out else term
 
 
-def _degree(key) -> int:
-    if isinstance(key, WreathType):
-        return key.degree
-    return sum(t.degree for t in key)
+def _coeffs_equal(a: dict, b: dict, m: int) -> bool:
+    zero = Cyclotomic.zero(m)
+    return all(cyc_eq(a.get(k, zero), b.get(k, zero))
+               for k in a.keys() | b.keys())
 
 
 @dataclass
 class FockElement:
-    """u = sum of coeffs[rho] sigma^rho, finitely supported; keys are types
-    (F_G) or pairs of types (F_G tensor F_G).  Zero coefficients are
-    dropped."""
+    """u = sum of coeffs[rho] sigma^rho over types rho, finitely supported.
+    Zero coefficients are dropped."""
 
     group: FiniteGroup
     coeffs: dict = field(default_factory=dict)
@@ -82,14 +79,12 @@ class FockElement:
         return cls(group, {rho: v / z_rho(group, rho)
                            for rho, v in values.items()})
 
-    def value(self, key) -> Cyclotomic:
-        """coeff Z_rho at a type; coeff Z_alpha Z_beta at a type pair."""
-        c = self.coeffs.get(key)
+    def value(self, rho: WreathType) -> Cyclotomic:
+        """The class-function value coeff Z_rho at a type."""
+        c = self.coeffs.get(rho)
         if c is None:
             return Cyclotomic.zero(self.group.exponent)
-        if isinstance(key, WreathType):
-            return c * z_rho(self.group, key)
-        return c * prod(z_rho(self.group, t) for t in key)
+        return c * z_rho(self.group, rho)
 
     def value_at_element(self, a: WreathElement) -> Cyclotomic:
         return self.value(type_of(self.group, a))
@@ -97,14 +92,15 @@ class FockElement:
     @property
     def degree(self) -> int:
         """The degree of a nonzero homogeneous element."""
-        degrees = {_degree(k) for k in self.coeffs}
+        degrees = {rho.degree for rho in self.coeffs}
         if len(degrees) != 1:
             raise FockError(f"not homogeneous: degrees {sorted(degrees)}")
         return degrees.pop()
 
     def component(self, n: int) -> "FockElement":
-        return FockElement(self.group, {k: v for k, v in self.coeffs.items()
-                                        if _degree(k) == n})
+        return FockElement(self.group, {rho: v
+                                        for rho, v in self.coeffs.items()
+                                        if rho.degree == n})
 
     def _check(self, other):
         if self.group is not other.group:
@@ -114,7 +110,7 @@ class FockElement:
         self._check(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = _add(out[k], v) if k in out else v
+            _accumulate(out, k, v)
         return FockElement(self.group, out)
 
     def __sub__(self, other):
@@ -148,11 +144,8 @@ class FockElement:
         return total
 
     def equals(self, other: "FockElement") -> bool:
-        if self.group is not other.group:
-            return False
-        zero = Cyclotomic.zero(self.group.exponent)
-        return all(cyc_eq(self.coeffs.get(k, zero), other.coeffs.get(k, zero))
-                   for k in self.coeffs.keys() | other.coeffs.keys())
+        return self.group is other.group and _coeffs_equal(
+            self.coeffs, other.coeffs, self.group.exponent)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -194,19 +187,16 @@ def fock_mul(u: FockElement, v: FockElement,
     max_degree."""
     u._check(v)
     by_degree: dict[int, list] = {}
-    for k, b in v.coeffs.items():
-        by_degree.setdefault(_degree(k), []).append((k, b))
+    for tau, b in v.coeffs.items():
+        by_degree.setdefault(tau.degree, []).append((tau, b))
     out: dict = {}
-    for k1, a in u.coeffs.items():
-        d1 = _degree(k1)
+    for rho, a in u.coeffs.items():
         for d2, terms in by_degree.items():
-            if max_degree is not None and d1 + d2 > max_degree:
+            if max_degree is not None and rho.degree + d2 > max_degree:
                 continue
-            for k2, b in terms:
-                key = _union(k1, k2)
+            for tau, b in terms:
                 x, y = align(a, b)
-                term = x * y
-                out[key] = _add(out[key], term) if key in out else term
+                _accumulate(out, rho.union(tau), x * y)
     return FockElement(u.group, out)
 
 
@@ -265,17 +255,28 @@ def comul_splits(rho: WreathType) -> list[tuple[WreathType, WreathType, int]]:
     return out
 
 
-def fock_comul(u: FockElement) -> FockElement:
-    """Restriction coproduct, keyed by type pairs: sigma_r(c) is primitive
-    and the coproduct is an algebra map, so sigma^rho splits over the
-    sub-multisets of its parts."""
+def fock_comul(
+        u: FockElement) -> dict[tuple[WreathType, WreathType], Cyclotomic]:
+    """Restriction coproduct as {(alpha, beta): coefficient of
+    sigma^alpha tensor sigma^beta}: sigma_r(c) is primitive and the
+    coproduct is an algebra map, so sigma^rho splits over the sub-multisets
+    of its parts.  Zero coefficients are dropped."""
     out: dict = {}
     for rho, c in u.coeffs.items():
         for alpha, beta, k in comul_splits(rho):
-            key = (alpha, beta)
-            term = c * k
-            out[key] = _add(out[key], term) if key in out else term
-    return FockElement(u.group, out)
+            _accumulate(out, (alpha, beta), c * k)
+    return {key: v for key, v in out.items() if not v.is_zero()}
+
+
+def _tensor_mul(s: dict, t: dict) -> dict:
+    """Product in F_G tensor F_G of two `fock_comul` results: unions of
+    types, componentwise."""
+    out: dict = {}
+    for (a1, b1), x in s.items():
+        for (a2, b2), y in t.items():
+            x2, y2 = align(x, y)
+            _accumulate(out, (a1.union(a2), b1.union(b2)), x2 * y2)
+    return {key: v for key, v in out.items() if not v.is_zero()}
 
 
 def counit(u: FockElement) -> Cyclotomic:
@@ -445,9 +446,9 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
             if r1.degree + r2.degree > max_degree:
                 continue
             lhs = fock_comul(fock_mul(sigma_rho(g, r1), sigma_rho(g, r2)))
-            rhs = fock_mul(fock_comul(sigma_rho(g, r1)),
-                           fock_comul(sigma_rho(g, r2)))
-            if not lhs.equals(rhs):
+            rhs = _tensor_mul(fock_comul(sigma_rho(g, r1)),
+                              fock_comul(sigma_rho(g, r2)))
+            if not _coeffs_equal(lhs, rhs, g.exponent):
                 ok, witness = False, f"{r1!r},{r2!r}"
                 break
         if not ok:
@@ -500,10 +501,11 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
     ok = True
     witness = None
     for rho in basis:
-        t = fock_comul(sigma_rho(g, rho))
-        for alpha, beta in t.coeffs:
+        for (alpha, beta), c in fock_comul(sigma_rho(g, rho)).items():
+            # the value of a tensor term is coeff Z_alpha Z_beta
+            got = c * (z_rho(g, alpha) * z_rho(g, beta))
             want = oracle_comul_value(sigma_rho(g, rho), alpha, beta)
-            if not cyc_eq(t.value((alpha, beta)), want):
+            if not cyc_eq(got, want):
                 ok, witness = False, f"{rho!r} at ({alpha!r},{beta!r})"
                 break
         if not ok:

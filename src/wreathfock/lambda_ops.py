@@ -28,21 +28,11 @@ def boxtimes_power(v: ClassFunction, n: int) -> FockElement:
     if n < 0:
         raise WreathError("outer power needs n >= 0")
     g = v.group
-    one = Cyclotomic.one(g.exponent)
-    # powers[c][k] = V(c)^k; a type touching a class where V vanishes has
-    # value 0 and is left out
-    powers = [[one] for _ in range(g.num_classes)]
-    for c, row in enumerate(powers):
-        for _ in range(n):
-            row.append(row[-1] * v.value(c))
-    vanishing = {c for c in range(g.num_classes) if v.value(c).is_zero()}
     out = {}
     for rho in enumerate_types(g, n):
-        if any(c in vanishing for c, _ in rho.parts):
-            continue
-        val = one
+        val = Cyclotomic.one(g.exponent)
         for c, lam in rho.parts:
-            x, y = align(val, powers[c][len(lam)])
+            x, y = align(val, v.value(c) ** len(lam))
             val = x * y
         out[rho] = val
     return FockElement.from_values(g, out)

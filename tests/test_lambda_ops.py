@@ -7,7 +7,8 @@ import pytest
 
 from wreathfock.groups import (ClassFunction, cyclic, sigma_basis, symmetric,
                                trivial_character)
-from wreathfock.lambda_ops import (E_series, H_series, additivity_check,
+from wreathfock.lambda_ops import (E_series, H_series, _alternate_signs,
+                                   additivity_check,
                                    boxed_binomial, boxtimes_power, ch_n,
                                    exp_phi_series, free_lambda_basis_check,
                                    h_e_identities, h_virtual, lambda_n,
@@ -48,12 +49,6 @@ def tensor_trace(rep, gs, perm):
                 break
         total += term
     return total
-
-
-def alternate_signs(u):
-    """q -> -q on the degree grading."""
-    return FockElement(u.group, {rho: c * Fraction((-1) ** rho.degree)
-                                 for rho, c in u.coeffs.items()})
 
 
 class TestOuterPower:
@@ -131,13 +126,13 @@ class TestLambdaSeries:
             for c in range(g.num_classes):
                 v = sigma_basis(g, c)
                 assert H_series(v, 3).equals(exp_phi_series(v, 3))
-                e_minus_q = alternate_signs(E_series(v, 3))
+                e_minus_q = _alternate_signs(E_series(v, 3))
                 assert e_minus_q.equals(exp_phi_series(v, 3, negate=True))
 
     def test_h_times_e_minus_is_one(self):
         g = cyclic(3)
         v = sigma_basis(g, 1)
-        e_minus_q = alternate_signs(E_series(v, 4))
+        e_minus_q = _alternate_signs(E_series(v, 4))
         prod = fock_mul(H_series(v, 4), e_minus_q, max_degree=4)
         assert prod.equals(FockElement.unit(g))
 
