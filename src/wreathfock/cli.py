@@ -59,9 +59,9 @@ def parse_group(spec: str) -> FiniteGroup:
         raise GroupError(f"unknown group {spec!r} (not a builtin or a file)")
     text = path.read_text()
     data = json.loads(text)
-    if "table" in data:
+    if isinstance(data, dict) and "table" in data:
         return group_from_cayley_json(text, name=path.stem)
-    if "generators" in data:
+    if isinstance(data, dict) and "generators" in data:
         return group_from_permutations_json(text, name=path.stem)
     raise GroupError(f"{spec}: expected 'table' or 'generators' JSON")
 

@@ -375,44 +375,38 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
     g = group
     by_degree = {n: enumerate_types(g, n) for n in range(max_degree + 1)}
     basis = [rho for n in range(1, max_degree + 1) for rho in by_degree[n]]
+    pairs = [(r1, r2) for r1 in basis for r2 in basis
+             if r1.degree + r2.degree <= max_degree]
 
-    # associativity and commutativity of the product
-    ok = True
-    witness = None
-    for r1 in basis:
-        for r2 in basis:
-            if r1.degree + r2.degree > max_degree:
-                continue
+    def product_cases():
+        # (r1, r2, None) is a commutativity case, (r1, r2, r3) an
+        # associativity case; both reuse sigma^r1 sigma^r2
+        for r1, r2 in pairs:
             p12 = fock_mul(sigma_rho(g, r1), sigma_rho(g, r2))
-            p21 = fock_mul(sigma_rho(g, r2), sigma_rho(g, r1))
-            if not p12.equals(p21):
-                ok, witness = False, f"{r1!r},{r2!r}"
-                break
+            yield r1, r2, None, p12
             for r3 in basis:
-                if r1.degree + r2.degree + r3.degree > max_degree:
-                    continue
-                left = fock_mul(p12, sigma_rho(g, r3))
-                right = fock_mul(sigma_rho(g, r1),
-                                 fock_mul(sigma_rho(g, r2), sigma_rho(g, r3)))
-                if not left.equals(right):
-                    ok, witness = False, f"{r1!r},{r2!r},{r3!r}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("product associative and commutative on basis", ok, witness)
+                if r1.degree + r2.degree + r3.degree <= max_degree:
+                    yield r1, r2, r3, p12
 
-    # unit axiom
+    def product_axiom(r1, r2, r3, p12):
+        if r3 is None:
+            return p12.equals(fock_mul(sigma_rho(g, r2), sigma_rho(g, r1)))
+        left = fock_mul(p12, sigma_rho(g, r3))
+        right = fock_mul(sigma_rho(g, r1),
+                         fock_mul(sigma_rho(g, r2), sigma_rho(g, r3)))
+        return left.equals(right)
+
+    rep.check("product associative and commutative on basis",
+              product_cases(), product_axiom,
+              lambda *case: ",".join(repr(r) for r in case[:3]
+                                     if r is not None))
+
     one = FockElement.unit(g)
-    ok = all(fock_mul(one, sigma_rho(g, r)).equals(sigma_rho(g, r))
-             for r in basis)
-    rep.add("unit axiom", ok)
+    rep.check("unit axiom", zip(basis),
+              lambda r: fock_mul(one, sigma_rho(g, r)).equals(sigma_rho(g, r)))
 
-    # coassociativity on basis (basis-coefficient computation)
-    ok = True
-    witness = None
-    for rho in basis:
+    def coassociative(rho):
+        # basis-coefficient computation
         left: Counter = Counter()
         right: Counter = Counter()
         for a1, b1, k1 in comul_splits(rho):
@@ -420,127 +414,104 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
                 left[(a2, b2, b1)] += k1 * k2
             for a2, b2, k2 in comul_splits(b1):
                 right[(a1, a2, b2)] += k1 * k2
-        if {k: v for k, v in left.items() if v} != \
-           {k: v for k, v in right.items() if v}:
-            ok, witness = False, repr(rho)
-            break
-    rep.add("coproduct coassociative on basis", ok, witness)
+        return {k: v for k, v in left.items() if v} == \
+            {k: v for k, v in right.items() if v}
 
-    # counit axiom
-    ok = True
-    for rho in basis:
+    rep.check("coproduct coassociative on basis", zip(basis), coassociative,
+              repr)
+
+    def counit_axiom(rho):
         acc: Counter = Counter()
         for a1, b1, k in comul_splits(rho):
             if a1.degree == 0:
                 acc[b1] += k
-        if dict(acc) != {rho: 1}:
-            ok = False
-            break
-    rep.add("counit axiom", ok)
+        return dict(acc) == {rho: 1}
 
-    # coproduct is an algebra map
-    ok = True
-    witness = None
-    for r1 in basis:
-        for r2 in basis:
-            if r1.degree + r2.degree > max_degree:
-                continue
-            lhs = fock_comul(fock_mul(sigma_rho(g, r1), sigma_rho(g, r2)))
-            rhs = _tensor_mul(fock_comul(sigma_rho(g, r1)),
-                              fock_comul(sigma_rho(g, r2)))
-            if not _coeffs_equal(lhs, rhs, g.exponent):
-                ok, witness = False, f"{r1!r},{r2!r}"
-                break
-        if not ok:
-            break
-    rep.add("coproduct is an algebra homomorphism", ok, witness)
+    rep.check("counit axiom", zip(basis), counit_axiom)
 
-    # antipode axiom: m (S x id) Delta = counit * unit
-    ok = True
-    witness = None
-    for rho in basis:
+    def comul_multiplicative(r1, r2):
+        lhs = fock_comul(fock_mul(sigma_rho(g, r1), sigma_rho(g, r2)))
+        rhs = _tensor_mul(fock_comul(sigma_rho(g, r1)),
+                          fock_comul(sigma_rho(g, r2)))
+        return _coeffs_equal(lhs, rhs, g.exponent)
+
+    rep.check("coproduct is an algebra homomorphism", pairs,
+              comul_multiplicative, lambda r1, r2: f"{r1!r},{r2!r}")
+
+    def antipode_axiom(rho):
+        # m (S x id) Delta = counit * unit
         acc = FockElement.zero(g)
         for alpha, beta, k in comul_splits(rho):
             term = fock_mul(antipode(sigma_rho(g, alpha)),
                             sigma_rho(g, beta))
             acc = acc + term * Fraction(k)
-        if not acc.equals(FockElement.zero(g)):
-            ok, witness = False, repr(rho)
-            break
-    rep.add("antipode axiom on basis", ok, witness)
+        return acc.equals(FockElement.zero(g))
 
-    # primitive space dimension per degree equals the class count
-    ok = True
-    witness = None
-    for n in range(1, max_degree + 1):
-        types_n = by_degree[n]
-        index = {}
-        rows = []
-        for rho in types_n:
-            row_entries = {}
-            for alpha, beta, k in comul_splits(rho):
-                if alpha.degree in (0, n):
-                    continue
-                row_entries[(alpha, beta)] = row_entries.get((alpha, beta), 0) + k
-            for key in row_entries:
-                index.setdefault(key, len(index))
-            rows.append(row_entries)
-        mat = []
-        for row_entries in rows:
-            row = [Fraction(0)] * max(len(index), 1)
-            for key, v in row_entries.items():
-                row[index[key]] = Fraction(v)
-            mat.append(row)
-        nullity = len(types_n) - matrix_rank(mat)
-        if nullity != g.num_classes:
-            ok, witness = False, f"degree {n}: nullity {nullity} != {g.num_classes}"
-            break
-    rep.add("primitive space has dimension |G_*| per degree", ok, witness)
+    rep.check("antipode axiom on basis", zip(basis), antipode_axiom, repr)
 
-    # element-level restriction oracle (full sweep, cheap)
-    ok = True
-    witness = None
-    for rho in basis:
-        for (alpha, beta), c in fock_comul(sigma_rho(g, rho)).items():
-            # the value of a tensor term is coeff Z_alpha Z_beta
-            got = c * (z_rho(g, alpha) * z_rho(g, beta))
-            want = oracle_comul_value(sigma_rho(g, rho), alpha, beta)
-            if not cyc_eq(got, want):
-                ok, witness = False, f"{rho!r} at ({alpha!r},{beta!r})"
-                break
-        if not ok:
-            break
-    rep.add("coproduct matches element-level restriction oracle", ok, witness)
+    rep.check("primitive space has dimension |G_*| per degree",
+              ((n, _primitive_dim(by_degree[n]))
+               for n in range(1, max_degree + 1)),
+              lambda n, dim: dim == g.num_classes,
+              lambda n, dim: f"degree {n}: nullity {dim} != {g.num_classes}")
+
+    # the value of a tensor term is coeff Z_alpha Z_beta
+    rep.check("coproduct matches element-level restriction oracle",
+              ((rho, alpha, beta, c) for rho in basis
+               for (alpha, beta), c in fock_comul(sigma_rho(g, rho)).items()),
+              lambda rho, alpha, beta, c: cyc_eq(
+                  c * (z_rho(g, alpha) * z_rho(g, beta)),
+                  oracle_comul_value(sigma_rho(g, rho), alpha, beta)),
+              lambda rho, alpha, beta, c: f"{rho!r} at ({alpha!r},{beta!r})")
 
     # element-level induction oracle where the wreath groups are small
-    for total in range(2, max_degree + 1):
-        if wreath_order(g, total) > oracle_limit:
-            break
-        reps_all = tuple(by_degree[total])
-        cost = len(reps_all) * wreath_order(g, total)
-        sampled = cost > oracle_full_cost
-        reps = reps_all[:5] if sampled else reps_all
-        ok = True
-        witness = None
+    def induction_cases(total, reps, sampled):
         for a in range(1, total):
-            b = total - a
-            pairs = [(r1, r2) for r1 in by_degree[a] for r2 in by_degree[b]]
-            if sampled:
-                pairs = pairs[:1]
-            for r1, r2 in pairs:
+            split = [(r1, r2) for r1 in by_degree[a]
+                     for r2 in by_degree[total - a]]
+            for r1, r2 in split[:1] if sampled else split:
                 direct = fock_mul(sigma_rho(g, r1), sigma_rho(g, r2))
                 brute = oracle_product(sigma_rho(g, r1), sigma_rho(g, r2),
                                        reps=reps, limit=oracle_limit)
                 for pi in reps:
-                    if not cyc_eq(brute.value(pi), direct.value(pi)):
-                        ok, witness = False, f"{r1!r}*{r2!r} at {pi!r}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
+                    yield r1, r2, pi, direct, brute
+
+    for total in range(2, max_degree + 1):
+        if wreath_order(g, total) > oracle_limit:
+            break
+        reps_all = tuple(by_degree[total])
+        sampled = len(reps_all) * wreath_order(g, total) > oracle_full_cost
+        reps = reps_all[:5] if sampled else reps_all
         label = "sampled" if sampled else "full"
-        rep.add(f"product matches induction oracle, degree {total} ({label})",
-                ok, witness)
+        rep.check(f"product matches induction oracle, degree {total} "
+                  f"({label})",
+                  induction_cases(total, reps, sampled),
+                  lambda r1, r2, pi, direct, brute: cyc_eq(
+                      brute.value(pi), direct.value(pi)),
+                  lambda r1, r2, pi, *_: f"{r1!r}*{r2!r} at {pi!r}")
 
     return rep
+
+
+def _primitive_dim(types_n: list[WreathType]) -> int:
+    """Nullity of the reduced coproduct on the degree-n sigma basis: the
+    dimension of the primitive space in that degree."""
+    n = types_n[0].degree
+    index = {}
+    rows = []
+    for rho in types_n:
+        row_entries = {}
+        for alpha, beta, k in comul_splits(rho):
+            if alpha.degree in (0, n):
+                continue
+            row_entries[(alpha, beta)] = row_entries.get((alpha, beta), 0) + k
+        for key in row_entries:
+            index.setdefault(key, len(index))
+        rows.append(row_entries)
+    mat = []
+    for row_entries in rows:
+        row = [Fraction(0)] * max(len(index), 1)
+        for key, v in row_entries.items():
+            row[index[key]] = Fraction(v)
+        mat.append(row)
+    return len(types_n) - matrix_rank(mat)

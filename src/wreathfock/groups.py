@@ -170,12 +170,28 @@ def group_from_cayley(table, name: str = "G") -> FiniteGroup:
     return FiniteGroup(table, name=name)
 
 
+def json_rows(value, what: str, error=GroupError) -> list[list[int]]:
+    """A JSON value that must be a list of lists of integers."""
+    if not (isinstance(value, list) and all(
+            isinstance(row, list) and all(type(v) is int for v in row)
+            for row in value)):
+        raise error(f"{what} must be a list of lists of integers")
+    return value
+
+
+def json_count(value, what: str, error=GroupError) -> int:
+    """A JSON value that must be a nonnegative integer."""
+    if type(value) is not int or value < 0:
+        raise error(f"{what} must be a nonnegative integer")
+    return value
+
+
 def group_from_cayley_json(text: str, name: str = "G") -> FiniteGroup:
     data = json.loads(text)
     if not isinstance(data, dict) or "table" not in data:
         raise GroupError("expected JSON object with 'order' and 'table'")
-    table = data["table"]
-    if "order" in data and len(table) != data["order"]:
+    table = json_rows(data["table"], "'table'")
+    if "order" in data and len(table) != json_count(data["order"], "'order'"):
         raise GroupError("declared order does not match table size")
     return FiniteGroup(table, name=name)
 
@@ -212,7 +228,9 @@ def group_from_permutations_json(text: str, name: str = "perm") -> FiniteGroup:
     data = json.loads(text)
     if not isinstance(data, dict) or "generators" not in data or "degree" not in data:
         raise GroupError("expected JSON object with 'degree' and 'generators'")
-    return group_from_permutations(data["generators"], data["degree"], name=name)
+    gens = json_rows(data["generators"], "'generators'")
+    degree = json_count(data["degree"], "'degree'")
+    return group_from_permutations(gens, degree, name=name)
 
 
 @lru_cache(maxsize=None)
@@ -716,21 +734,14 @@ def mackey_verify(g: FiniteGroup, max_subgroups: int = 40):
     if len(subs) > max_subgroups:
         raise GroupError(f"{len(subs)} subgroups exceeds cap {max_subgroups}")
     embeddings = [subgroup_from_elements(g, s) for s in subs]
-    ok, witness = True, None
-    for emb_h in embeddings:
-        for emb_l in embeddings:
-            for c in range(emb_h.source.num_classes):
-                f = sigma_basis(emb_h.source, c)
-                if not mackey_check(g, emb_h, emb_l, f):
-                    ok = False
-                    witness = (f"|H|={emb_h.source.order}, "
-                               f"|L|={emb_l.source.order}, class {c}")
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add(f"Mackey formula over {len(subs)}^2 subgroup pairs", ok, witness)
+    rep.check(f"Mackey formula over {len(subs)}^2 subgroup pairs",
+              ((emb_h, emb_l, c) for emb_h in embeddings
+               for emb_l in embeddings
+               for c in range(emb_h.source.num_classes)),
+              lambda emb_h, emb_l, c: mackey_check(
+                  g, emb_h, emb_l, sigma_basis(emb_h.source, c)),
+              lambda emb_h, emb_l, c: f"|H|={emb_h.source.order}, "
+                                      f"|L|={emb_l.source.order}, class {c}")
     return rep
 
 

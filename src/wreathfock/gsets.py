@@ -16,8 +16,8 @@ from functools import cached_property, lru_cache
 from math import comb
 
 from .fock import graded_dim
-from .groups import FiniteGroup, GroupError, binary_dihedral, \
-    binary_octahedral, cyclic, sl2_f3, sl2_f5
+from .groups import FiniteGroup, binary_dihedral, binary_octahedral, \
+    cyclic, json_count, json_rows, sl2_f3, sl2_f5
 from .report import Report
 from .scalars import TruncSeries, euler_product
 from .wreath import WreathElement, element_model, type_of, wreath_order
@@ -128,8 +128,9 @@ def gset_from_json(group: FiniteGroup, text: str, name: str = "X") -> GSet:
     data = json.loads(text)
     if not isinstance(data, dict) or "size" not in data or "action" not in data:
         raise GSetError("expected JSON object with 'size' and 'action'")
-    return GSet(group, data["size"],
-                tuple(tuple(r) for r in data["action"]), name=name)
+    action = json_rows(data["action"], "'action'", GSetError)
+    return GSet(group, json_count(data["size"], "'size'", GSetError),
+                tuple(tuple(r) for r in action), name=name)
 
 
 # -- wreath powers ----------------------------------------------------------
@@ -370,13 +371,11 @@ def theorem_main_dim_check(x: GSet, max_degree: int,
     rep = Report(f"theorem_main_dim_check({x.group.name}, {x.name}, N={max_degree})")
     d = inertia_dim(x)
     rhs = euler_product(d, max_degree)
-    ok, witness = True, None
-    for n in range(1, max_degree + 1):
-        got = power_orbifold_euler(x, n, limit)
-        if Fraction(got) != rhs.coefficient(n):
-            ok, witness = False, f"n={n}: {got}"
-            break
-    rep.add(f"Theorem 3.1 graded dimension, inertia_dim = {d}", ok, witness)
+    rep.check(f"Theorem 3.1 graded dimension, inertia_dim = {d}",
+              ((n, power_orbifold_euler(x, n, limit))
+               for n in range(1, max_degree + 1)),
+              lambda n, got: Fraction(got) == rhs.coefficient(n),
+              lambda n, got: f"n={n}: {got}")
     return rep
 
 

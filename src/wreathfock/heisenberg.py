@@ -134,81 +134,34 @@ def commutator_check(group: FiniteGroup, max_degree: int,
     downs = {m: [a_minus(m, eta) for eta in etas] for m in modes}
     ups = {m: [a_plus(m, v) for v in vees] for m in modes}
 
-    ok, witness = True, None
-    for m in modes:
-        for l in modes:
-            for ci, down in enumerate(downs[m]):
-                for cj, up in enumerate(ups[l]):
-                    expect = pairings[ci][cj] * Fraction(l if m == l else 0)
-                    for u in basis:
-                        lhs = down(up(u)) - up(down(u))
-                        rhs = u * expect
-                        if not lhs.equals(rhs):
-                            ok = False
-                            witness = f"m={m},l={l},c={ci},c'={cj}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("Eq. (24): [a_-m(eta), a_l(V)] = l delta_ml <eta,V>",
-            ok, witness)
+    pairs = [(m, l) for m in modes for l in modes]
 
-    ok, witness = True, None
-    for m in modes:
-        for l in modes:
-            for p1 in ups[m]:
-                for p2 in ups[l]:
-                    for u in basis:
-                        if not p1(p2(u)).equals(p2(p1(u))):
-                            ok, witness = False, f"m={m},l={l}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("Eq. (25): creation operators commute", ok, witness)
+    def eq24(m, l, ci, cj, down, up):
+        expect = pairings[ci][cj] * Fraction(l if m == l else 0)
+        return all((down(up(u)) - up(down(u))).equals(u * expect)
+                   for u in basis)
 
-    ok, witness = True, None
-    for m in modes:
-        for l in modes:
-            for d1 in downs[m]:
-                for d2 in downs[l]:
-                    for u in basis:
-                        if not d1(d2(u)).equals(d2(d1(u))):
-                            ok, witness = False, f"m={m},l={l}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("Eq. (26): annihilation operators commute", ok, witness)
+    rep.check("Eq. (24): [a_-m(eta), a_l(V)] = l delta_ml <eta,V>",
+              ((m, l, ci, cj, down, up) for m, l in pairs
+               for ci, down in enumerate(downs[m])
+               for cj, up in enumerate(ups[l])),
+              eq24, lambda m, l, ci, cj, *_: f"m={m},l={l},c={ci},c'={cj}")
 
-    ok, witness = True, None
-    for m in modes:
-        for eta, op in zip(etas, downs[m]):
-            for u in basis:
-                if not op(u).equals(a_minus_oracle(m, eta, u)):
-                    ok, witness = False, f"m={m},deg={u.degree}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("annihilation matches evaluation-restriction oracle",
-            ok, witness)
+    def commute(m, l, op1, op2):
+        return all(op1(op2(u)).equals(op2(op1(u))) for u in basis)
+
+    for label, ops in (("Eq. (25): creation", ups),
+                       ("Eq. (26): annihilation", downs)):
+        rep.check(f"{label} operators commute",
+                  ((m, l, op1, op2) for m, l in pairs
+                   for op1 in ops[m] for op2 in ops[l]),
+                  commute, lambda m, l, *_: f"m={m},l={l}")
+
+    rep.check("annihilation matches evaluation-restriction oracle",
+              ((m, u, eta, op) for m in modes
+               for eta, op in zip(etas, downs[m]) for u in basis),
+              lambda m, u, eta, op: op(u).equals(a_minus_oracle(m, eta, u)),
+              lambda m, u, *_: f"m={m},deg={u.degree}")
     return rep
 
 
@@ -390,71 +343,43 @@ def sf_commutator_check(d0: int, d1: int, max_degree: int,
              for mono in space.monomials(n)]
     gens = space.generators()
 
+    modes = range(1, max_mode + 1)
+    pairs = [(m, l) for m in modes for l in modes]
+    ups = {(m, w): sf_a_plus(space, w, m) for m in modes for w in gens}
+    downs = {(m, w): sf_a_minus(space, w, m) for m in modes for w in gens}
+
     def bracket(op1, par1, op2, par2, u):
         anti = par1 == 1 and par2 == 1
         second = op2(op1(u))
         first = op1(op2(u))
         return first + second if anti else first - second
 
-    ok, witness = True, None
-    for m in range(1, max_mode + 1):
-        for l in range(1, max_mode + 1):
-            for eta in gens:
-                for w in gens:
-                    down = sf_a_minus(space, eta, m)
-                    up = sf_a_plus(space, w, l)
-                    scalar = Fraction(l) if (m == l and eta == w) else Fraction(0)
-                    for u in basis:
-                        got = bracket(down, eta[0], up, w[0], u)
-                        if not got.equals(u.scale(scalar)):
-                            ok = False
-                            witness = f"m={m},l={l},eta={eta},w={w}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("super Eq. (24): [a_-m(eta), a_l(w)] = l delta delta",
-            ok, witness)
+    def eq24(m, l, eta, w):
+        scalar = Fraction(l) if (m == l and eta == w) else Fraction(0)
+        return all(bracket(downs[m, eta], eta[0], ups[l, w], w[0], u).equals(
+            u.scale(scalar)) for u in basis)
 
-    ok, witness = True, None
-    for m in range(1, max_mode + 1):
-        for l in range(1, max_mode + 1):
-            for w1 in gens:
-                for w2 in gens:
-                    up1 = sf_a_plus(space, w1, m)
-                    up2 = sf_a_plus(space, w2, l)
-                    dn1 = sf_a_minus(space, w1, m)
-                    dn2 = sf_a_minus(space, w2, l)
-                    for u in basis:
-                        if not bracket(up1, w1[0], up2, w2[0], u).equals(
-                                SuperElement()):
-                            ok, witness = False, f"create m={m},l={l}"
-                            break
-                        if not bracket(dn1, w1[0], dn2, w2[0], u).equals(
-                                SuperElement()):
-                            ok, witness = False, f"annihilate m={m},l={l}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("super Eq. (25)/(26): like operators super-commute",
-            ok, witness)
+    rep.check("super Eq. (24): [a_-m(eta), a_l(w)] = l delta delta",
+              ((m, l, eta, w) for m, l in pairs for eta in gens for w in gens),
+              eq24, lambda m, l, eta, w: f"m={m},l={l},eta={eta},w={w}")
+
+    def like_commute(kind, m, l, w1, w2, u):
+        ops = ups if kind == "create" else downs
+        return bracket(ops[m, w1], w1[0], ops[l, w2], w2[0], u).equals(
+            SuperElement())
+
+    rep.check("super Eq. (25)/(26): like operators super-commute",
+              ((kind, m, l, w1, w2, u) for m, l in pairs for w1 in gens
+               for w2 in gens for u in basis
+               for kind in ("create", "annihilate")),
+              like_commute, lambda kind, m, l, *_: f"{kind} m={m},l={l}")
 
     counts = [len(space.monomials(n)) for n in range(max_degree + 1)]
     want = graded_dim_series(d0, d1, max_degree)
-    ok = all(Fraction(c) == want.coefficient(n) for n, c in enumerate(counts))
-    rep.add("graded dimension matches (1+q^r)^d1/(1-q^r)^d0",
-            ok, None if ok else str(counts))
+    rep.check("graded dimension matches (1+q^r)^d1/(1-q^r)^d0",
+              enumerate(counts),
+              lambda n, c: Fraction(c) == want.coefficient(n),
+              lambda *_: str(counts))
     return rep
 
 

@@ -29,6 +29,17 @@ class Report:
     def add(self, name: str, passed: bool, witness: str | None = None):
         self.checks.append(CheckResult(name, passed, witness))
 
+    def check(self, name: str, cases, holds, witness=None):
+        """Record one check over `cases`, each a tuple of arguments: PASS
+        when `holds(*case)` is true for every case, else FAIL at the first
+        case that fails, with `witness(*case)` (or None) as its witness.
+        Stops at the first failure; `cases` may be a lazy generator."""
+        for case in cases:
+            if not holds(*case):
+                self.add(name, False, witness(*case) if witness else None)
+                return
+        self.add(name, True)
+
     def extend(self, results):
         self.checks.extend(results)
 

@@ -121,15 +121,52 @@ class TestFileIngestion:
                      "--gset", str(path)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag,data", [
+        ("--group", {"table": 5}),
+        ("--group", {"table": [[0, 1], [1, "0"]]}),
+        ("--group", {"order": "2", "table": [[0, 1], [1, 0]]}),
+        ("--group", {"degree": "x", "generators": [[1, 0]]}),
+        ("--group", {"degree": 2, "generators": 7}),
+        ("--group", 5),
+        ("--gset", {"size": "1", "action": [[0], [0]]}),
+        ("--gset", {"size": 1, "action": 5}),
+        ("--gset", {"size": -1, "action": [[], []]}),
+    ], ids=["table-int", "table-entry-str", "order-str", "degree-str",
+            "generators-int", "top-level-int", "size-str", "action-int",
+            "size-negative"])
+    def test_malformed_json_file_exit_2(self, flag, data, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        group, gset = (path, "pt") if flag == "--group" else ("z2", path)
+        assert main(["verify", "euler", "--group", str(group),
+                     "--gset", str(gset), "-N", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("group", ["z2", "s3"])
-@pytest.mark.parametrize("fmt,suffix", [("table", "txt"), ("json", "json")])
-def test_verify_all_golden_output(group, fmt, suffix, capsys):
-    """`verify all -N 3` stdout, byte for byte, as recorded in tests/golden."""
-    assert main(["verify", "all", "--group", group, "-N", "3",
-                 "--format", fmt]) == 0
-    want = (GOLDEN / f"verify_all_{group}_N3.{suffix}").read_text()
-    assert capsys.readouterr().out == want
+# test id -> (CLI arguments, golden file)
+GOLDEN_RUNS = {
+    "table-txt-z2": ("verify all --group z2 -N 3", "verify_all_z2_N3.txt"),
+    "json-json-z2": ("verify all --group z2 -N 3 --format json",
+                     "verify_all_z2_N3.json"),
+    "table-txt-s3": ("verify all --group s3 -N 3", "verify_all_s3_N3.txt"),
+    "json-json-s3": ("verify all --group s3 -N 3 --format json",
+                     "verify_all_s3_N3.json"),
+    "heisenberg-s3-M3": ("verify heisenberg --group s3 -N 3 -M 3",
+                         "verify_heisenberg_s3_N3_M3.txt"),
+    "hopf-z3-N4": ("verify hopf --group z3 -N 4", "verify_hopf_z3_N4.txt"),
+    "euler-s3-regular": ("verify euler --group s3 --gset regular -N 3",
+                         "verify_euler_s3_regular_N3.txt"),
+    "mackey-d4": ("verify mackey --group d4", "verify_mackey_d4.txt"),
+}
+
+
+@pytest.mark.parametrize("run", GOLDEN_RUNS)
+def test_verify_all_golden_output(run, capsys):
+    """`verify` stdout, byte for byte, as recorded in tests/golden."""
+    argv, golden = GOLDEN_RUNS[run]
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()

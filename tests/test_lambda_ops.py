@@ -16,7 +16,9 @@ from wreathfock.lambda_ops import (E_series, H_series, _alternate_signs,
                                    prop_41_status, psi_classical,
                                    psi_composite)
 from wreathfock.fock import FockElement, fock_mul, sigma_r_c, trivial_char
-from wreathfock.wreath import WreathType, enumerate_wreath_elements
+from wreathfock.linalg import matrix_rank
+from wreathfock.wreath import (WreathType, enumerate_types,
+                               enumerate_wreath_elements)
 
 
 def regular_representation(group):
@@ -155,6 +157,23 @@ class TestStructure:
     def test_free_basis(self):
         assert free_lambda_basis_check(cyclic(2), 3)
         assert free_lambda_basis_check(symmetric(3), 2)
+
+    @pytest.mark.parametrize("group", [cyclic(3), symmetric(3)])
+    def test_free_basis_by_rank(self, group):
+        """Oracle: the phi-products of each degree have full rank, read off
+        their values."""
+        g = group
+        for n in range(1, 5):
+            assert free_lambda_basis_check(g, n)
+            types_n = enumerate_types(g, n)
+            rows = []
+            for rho in types_n:
+                prod = FockElement.unit(g)
+                for c, lam in rho.parts:
+                    for r in lam:
+                        prod = fock_mul(prod, phi_n(sigma_basis(g, c), r))
+                rows.append([prod.value(tau).as_rational() for tau in types_n])
+            assert matrix_rank(rows) == len(types_n)
 
     @pytest.mark.parametrize("group,n", [(cyclic(2), 3), (symmetric(3), 2)])
     def test_lambda_verify(self, group, n):

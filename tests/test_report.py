@@ -1,0 +1,210 @@
+"""Check reports: the check runner, each verify suite's failure path, and
+the amount of work a verify suite does."""
+from collections import Counter
+
+import pytest
+
+from wreathfock import fock, gsets, groups, heisenberg, lambda_ops
+from wreathfock.fock import FockElement, hopf_verify
+from wreathfock.groups import cyclic, mackey_verify, symmetric
+from wreathfock.gsets import regular_gset, theorem_main_dim_check
+from wreathfock.heisenberg import (HeisenbergOp, commutator_check,
+                                   heisenberg_verify, sf_commutator_check)
+from wreathfock.lambda_ops import lambda_verify
+from wreathfock.report import Report
+from wreathfock.scalars import Cyclotomic
+
+
+def test_check_stops_at_first_failure():
+    seen, witnessed = [], []
+
+    def cases():
+        for n in range(10):
+            seen.append(n)
+            yield n, n * n
+
+    def witness(n, sq):
+        witnessed.append(n)
+        return f"n={n}"
+
+    rep = Report("r")
+    rep.check("squares below 10", cases(), lambda n, sq: sq < 10, witness)
+    rep.check("all squares", zip(range(3)), lambda n: n * n >= 0, witness)
+    rep.check("no witness given", [(1,)], lambda n: False)
+    assert seen == [0, 1, 2, 3, 4] and witnessed == [4]
+    assert rep.to_table() == ("[FAIL] squares below 10  (n=4)\n"
+                              "[PASS] all squares\n"
+                              "[FAIL] no witness given\n"
+                              "1/3 checks passed")
+
+
+def _antipode_identity(monkeypatch):
+    monkeypatch.setattr(fock, "antipode", lambda u: u)
+    return hopf_verify(cyclic(2), 3)
+
+
+def _comul_oracle_off_by_one(monkeypatch):
+    orig = fock.oracle_comul_value
+
+    def off(f, alpha, beta):
+        val = orig(f, alpha, beta)
+        return val + 1 if alpha.degree and beta.degree else val
+
+    monkeypatch.setattr(fock, "oracle_comul_value", off)
+    return hopf_verify(cyclic(2), 3)
+
+
+def _annihilation_oracle_zero(monkeypatch):
+    monkeypatch.setattr(heisenberg, "a_minus_oracle",
+                        lambda m, eta, f: FockElement.zero(f.group))
+    return heisenberg_verify(cyclic(2), 2, 2)
+
+
+def _insert_sign_flip(monkeypatch):
+    orig = heisenberg._insert_entry
+
+    def flipped(mono, e):
+        ins = orig(mono, e)
+        return None if ins is None else (ins[0], -ins[1])
+
+    monkeypatch.setattr(heisenberg, "_insert_entry", flipped)
+    return sf_commutator_check(1, 1, 3, 2)
+
+
+def _mackey_fails_late(monkeypatch):
+    orig = groups.mackey_check
+
+    def check(g, emb_h, emb_l, f):
+        if emb_h.source.order == 2 and emb_l.source.order == 3:
+            return False
+        return orig(g, emb_h, emb_l, f)
+
+    monkeypatch.setattr(groups, "mackey_check", check)
+    return mackey_verify(symmetric(3))
+
+
+def _orbifold_euler_off_by_one(monkeypatch):
+    orig = gsets.power_orbifold_euler
+    monkeypatch.setattr(gsets, "power_orbifold_euler",
+                        lambda x, n, limit: orig(x, n, limit) + (n >= 2))
+    return theorem_main_dim_check(regular_gset(cyclic(2)), 3)
+
+
+def _e_series_is_h_series(monkeypatch):
+    monkeypatch.setattr(lambda_ops, "E_series", lambda_ops.H_series)
+    return lambda_verify(cyclic(2), 2)
+
+
+FAULTS = {
+    "antipode-identity": (_antipode_identity, """\
+[PASS] product associative and commutative on basis
+[PASS] unit axiom
+[PASS] coproduct coassociative on basis
+[PASS] counit axiom
+[PASS] coproduct is an algebra homomorphism
+[FAIL] antipode axiom on basis  (Type({0:[1]}))
+[PASS] primitive space has dimension |G_*| per degree
+[PASS] coproduct matches element-level restriction oracle
+[PASS] product matches induction oracle, degree 2 (full)
+[PASS] product matches induction oracle, degree 3 (full)
+9/10 checks passed"""),
+    "comul-oracle-off-by-one": (_comul_oracle_off_by_one, """\
+[PASS] product associative and commutative on basis
+[PASS] unit axiom
+[PASS] coproduct coassociative on basis
+[PASS] counit axiom
+[PASS] coproduct is an algebra homomorphism
+[PASS] antipode axiom on basis
+[PASS] primitive space has dimension |G_*| per degree
+[FAIL] coproduct matches element-level restriction oracle  \
+(Type({0:[1], 1:[1]}) at (Type({1:[1]}),Type({0:[1]})))
+[PASS] product matches induction oracle, degree 2 (full)
+[PASS] product matches induction oracle, degree 3 (full)
+9/10 checks passed"""),
+    "annihilation-oracle-zero": (_annihilation_oracle_zero, """\
+[PASS] Eq. (24): [a_-m(eta), a_l(V)] = l delta_ml <eta,V>
+[PASS] Eq. (25): creation operators commute
+[PASS] Eq. (26): annihilation operators commute
+[FAIL] annihilation matches evaluation-restriction oracle  (m=1,deg=1)
+[PASS] vacuum is cyclic: rank = dim C(G_n) per degree
+[PASS] super Fock relations (d0=d1=1)
+5/6 checks passed"""),
+    "insert-sign-flip": (_insert_sign_flip, """\
+[FAIL] super Eq. (24): [a_-m(eta), a_l(w)] = l delta delta  \
+(m=1,l=1,eta=(0, 0),w=(0, 0))
+[PASS] super Eq. (25)/(26): like operators super-commute
+[PASS] graded dimension matches (1+q^r)^d1/(1-q^r)^d0
+2/3 checks passed"""),
+    "mackey-fails-late": (_mackey_fails_late, """\
+[FAIL] Mackey formula over 6^2 subgroup pairs  (|H|=2, |L|=3, class 0)
+0/1 checks passed"""),
+    "orbifold-euler-off-by-one": (_orbifold_euler_off_by_one, """\
+[FAIL] Theorem 3.1 graded dimension, inertia_dim = 1  (n=2: 3)
+0/1 checks passed"""),
+    "e-series-is-h-series": (_e_series_is_h_series, """\
+[PASS] phi^n formula agrees with omega_n closed form
+[PASS] ch_n(omega_n(V)) = n V (Prop. 4.1)
+[PASS] phi^n is additive on honest classes
+[PASS] lambda^1 = Id
+[FAIL] Eq. (21): H = exp(sum phi^r q^r/r), E(-q) = exp(-sum)
+[FAIL] H(-V,q) = E(V,-q) and H(V+W) = H(V)H(W)
+[PASS] boxed binomial formula = bilinear extension
+[PASS] free lambda-ring basis (Prop. 4.3) per degree
+[PASS] Prop. 4.1 psi-candidate status recorded (informational)  \
+(ch_n(omega_n(V)) = n V: holds; omega_n(psi^n(V)) = n phi^n(V) \
+[classical]: fails; ch_n(phi^n(V)) = n psi^n(V) [classical]: fails; \
+omega_n(psi^n(V)) = n phi^n(V) [composite]: holds; \
+ch_n(phi^n(V)) = n psi^n(V) [composite]: fails)
+7/9 checks passed"""),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_failure_report(fault, monkeypatch):
+    """A planted fault shows as a FAIL line with its first witness; the
+    other checks of the suite are unchanged."""
+    run, want = FAULTS[fault]
+    assert run(monkeypatch).to_table() == want
+
+
+def _count_calls(monkeypatch, counts, owner, name, key):
+    orig = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        counts[key] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+# calls made by one warm run of each suite
+WORK = {
+    "commutator_check": (lambda: commutator_check(cyclic(2), 3, 2), {
+        "HeisenbergOp.__call__": 3528, "fock_mul": 1728,
+        "Cyclotomic.__mul__": 4382, "_insert_entry": 0}),
+    "hopf_verify": (lambda: hopf_verify(cyclic(2), 3), {
+        "HeisenbergOp.__call__": 0, "fock_mul": 195,
+        "Cyclotomic.__mul__": 1361, "_insert_entry": 0}),
+    "sf_commutator_check": (lambda: sf_commutator_check(1, 1, 3, 2), {
+        "HeisenbergOp.__call__": 0, "fock_mul": 0,
+        "Cyclotomic.__mul__": 0, "_insert_entry": 1208}),
+}
+
+
+@pytest.mark.parametrize("suite", WORK)
+def test_verify_work_is_pinned(suite, monkeypatch):
+    """Each case is evaluated once: the call counts of a passing run are
+    fixed."""
+    run, want = WORK[suite]
+    assert run().all_passed          # warm the process-level caches
+    counts = Counter()
+    _count_calls(monkeypatch, counts, HeisenbergOp, "__call__",
+                 "HeisenbergOp.__call__")
+    _count_calls(monkeypatch, counts, Cyclotomic, "__mul__",
+                 "Cyclotomic.__mul__")
+    _count_calls(monkeypatch, counts, heisenberg, "_insert_entry",
+                 "_insert_entry")
+    _count_calls(monkeypatch, counts, fock, "fock_mul", "fock_mul")
+    monkeypatch.setattr(heisenberg, "fock_mul", fock.fock_mul)
+    assert run().all_passed
+    assert {k: counts[k] for k in want} == want
