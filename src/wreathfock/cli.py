@@ -21,8 +21,8 @@ from .heisenberg import heisenberg_verify
 from .lambda_ops import lambda_verify
 from .report import Report
 from .scalars import ScalarError, euler_product, graded_dim_series
-from .wreath import (WreathError, brute_force_classes, enumerate_types,
-                     type_of, z_rho)
+from .wreath import (WreathError, brute_force_classes, count_types,
+                     enumerate_types, type_of, z_rho)
 
 _ERRORS = (GroupError, GSetError, WreathError, ScalarError, ValueError,
            OSError, json.JSONDecodeError)
@@ -116,6 +116,7 @@ def cmd_wreath(args) -> int:
     g = parse_group(args.group)
     n = args.max_degree
     if args.what in ("types", "zrho"):
+        count_types(g, n, args.limit)  # raises above --limit, before listing
         rows = []
         for rho in enumerate_types(g, n):
             row = {"type": rho.to_json_obj()}
@@ -206,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "<name>:<param>, or a JSON file")
         p.add_argument("-N", "--max-degree", type=int, default=3)
         p.add_argument("--limit", type=int, default=50_000,
-                       help="size cap for brute-force oracles")
+                       help="size cap for brute-force oracles; also "
+                            "caps the types that wreath types/zrho list")
         p.add_argument("--format", choices=("table", "json"),
                        default="table")
 

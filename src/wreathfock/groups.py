@@ -2,7 +2,8 @@
 
 Groups are closed multiplication tables over element ids 0..n-1 with 0 the
 identity.  Conjugacy classes are found by brute-force orbit closure, which
-is fine at the scales this library targets (|G| up to a few thousand).
+is fine at the scales this library targets (|G| up to a few thousand);
+`closure` and `orbits` are that one search, shared with the G-set code.
 Class functions are stored per conjugacy class with cyclotomic values.
 """
 from __future__ import annotations
@@ -19,6 +20,35 @@ from .scalars import Cyclotomic, align, cyc_eq
 
 class GroupError(ValueError):
     pass
+
+
+def closure(seeds, moves, limit: int | None = None) -> set:
+    """The set reached from the seeds by applying the moves (functions of
+    one point) again and again.  Raises GroupError as soon as the set would
+    grow past limit."""
+    reached = set(seeds)
+    stack = list(reached)
+    while stack:
+        x = stack.pop()
+        for move in moves:
+            y = move(x)
+            if y not in reached:
+                if limit is not None and len(reached) >= limit:
+                    raise GroupError(f"closure exceeds limit {limit}")
+                reached.add(y)
+                stack.append(y)
+    return reached
+
+
+def orbits(points, moves) -> list[set]:
+    """The orbits of the points under the moves, as sets, in order of
+    their first point."""
+    out, seen = [], set()
+    for x in points:
+        if x not in seen:
+            out.append(closure((x,), moves))
+            seen |= out[-1]
+    return out
 
 
 class FiniteGroup:
@@ -48,35 +78,22 @@ class FiniteGroup:
                     break
             if inv[i] is None:
                 raise GroupError(f"element {i} has no two-sided inverse")
-        _check_associative(table)
+        gens = _check_associative(table)
         self.order = n
         self.table = table
         self.inverse = tuple(inv)
         self.name = name
-        self._init_conjugacy()
+        self._init_conjugacy(gens)
         self._init_exponent()
 
-    def _init_conjugacy(self):
-        n = self.order
-        seen = [False] * n
-        classes = []
-        for g in range(n):
-            if seen[g]:
-                continue
-            orbit = {g}
-            frontier = [g]
-            while frontier:
-                x = frontier.pop()
-                for y in range(n):
-                    z = self.table[self.table[y][x]][self.inverse[y]]
-                    if z not in orbit:
-                        orbit.add(z)
-                        frontier.append(z)
-            cls = tuple(sorted(orbit))
-            for x in cls:
-                seen[x] = True
-            classes.append(cls)
-        classes.sort(key=lambda c: c[0])
+    def _init_conjugacy(self, gens):
+        n, t = self.order, self.table
+        # conjugating by generators reaches every conjugate; row a maps
+        # x to a x a^-1
+        conj = [tuple(t[t[a][x]][self.inverse[a]] for x in range(n))
+                for a in gens]
+        classes = [tuple(sorted(orbit)) for orbit in
+                   orbits(range(n), [row.__getitem__ for row in conj])]
         self.classes = tuple(classes)
         self.num_classes = len(classes)
         class_of = [0] * n
@@ -139,24 +156,19 @@ class FiniteGroup:
 
 # -- constructors ----------------------------------------------------------
 
-def _check_associative(table) -> None:
+def _check_associative(table) -> list[int]:
     """Light's test: (x a) y == x (a y) for all x, y and every a in a set A
     whose left-normed products cover the table.  The a passing the test
-    are closed under the product, so this is associativity everywhere."""
+    are closed under the product, so this is associativity everywhere.
+    Returns A, a generating set of the group."""
     n = len(table)
     covered = {0}  # (x 0) y == x (0 y) holds for the identity
     gens = []
     for g in range(n):
-        if g in covered:
-            continue
-        gens.append(g)
-        frontier = list(covered)
-        for x in frontier:
-            for a in gens:
-                y = table[x][a]
-                if y not in covered:
-                    covered.add(y)
-                    frontier.append(y)
+        if g not in covered:
+            gens.append(g)
+            covered = closure(covered, [lambda x, a=a: table[x][a]
+                                        for a in gens])
     for a in gens:
         row_a = table[a]
         for x in range(n):
@@ -164,6 +176,7 @@ def _check_associative(table) -> None:
             if row_xa != tuple([row_x[v] for v in row_a]):
                 y = next(y for y in range(n) if row_xa[y] != row_x[row_a[y]])
                 raise GroupError(f"table is not associative at ({x},{a},{y})")
+    return gens
 
 
 def group_from_cayley(table, name: str = "G") -> FiniteGroup:
@@ -206,17 +219,8 @@ def group_from_permutations(generators, degree: int, limit: int = 100_000,
             raise GroupError(f"not a permutation of 0..{degree - 1}: {g}")
         gens.append(p)
     ident = tuple(range(degree))
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = tuple(p[g[i]] for i in range(degree))
-            if q not in elems:
-                if len(elems) >= limit:
-                    raise GroupError(f"closure exceeds limit {limit}")
-                elems.add(q)
-                frontier.append(q)
+    elems = closure([ident], [lambda p, g=g: tuple(p[i] for i in g)
+                              for g in gens], limit)
     ordered = [ident] + sorted(elems - {ident})
     index = {p: i for i, p in enumerate(ordered)}
     table = [[index[tuple(a[b[i]] for i in range(degree))] for b in ordered]
@@ -365,15 +369,7 @@ def binary_octahedral() -> FiniteGroup:
     s = ((0, 1), (0, 1), zero, zero)
     gens = [i, omega, s]
     ident = ((2, 0), zero, zero, zero)
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        q = frontier.pop()
-        for g in gens:
-            r = qmul(q, g)
-            if r not in elems:
-                elems.add(r)
-                frontier.append(r)
+    elems = closure([ident], [lambda q, g=g: qmul(q, g) for g in gens])
     if len(elems) != 48:
         raise GroupError(f"binary octahedral closure has size {len(elems)}")
     ordered = [ident] + sorted(elems - {ident})
@@ -480,33 +476,16 @@ def full_embedding(g: FiniteGroup) -> SubgroupEmbedding:
 
 
 def all_subgroup_element_sets(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """All subgroups as sorted element tuples, by iterated generator growth."""
-    def closure(seed):
-        elems = {0}
-        frontier = list(seed)
-        for x in seed:
-            elems.add(x)
-        while frontier:
-            x = frontier.pop()
-            for y in list(elems):
-                for z in (g.mul(x, y), g.mul(y, x), g.inv(x)):
-                    if z not in elems:
-                        elems.add(z)
-                        frontier.append(z)
-        return tuple(sorted(elems))
+    """All subgroups as sorted element tuples, by iterated generator growth.
+    A finite seed generates its closure under right multiplication by the
+    seed elements."""
+    def generated(seed):
+        return tuple(sorted(closure(
+            [0], [lambda y, s=s: g.table[y][s] for s in seed])))
 
-    found = {(0,)}
-    frontier = [(0,)]
-    while frontier:
-        sub = frontier.pop()
-        sset = set(sub)
-        for x in range(g.order):
-            if x in sset:
-                continue
-            new = closure(sub + (x,))
-            if new not in found:
-                found.add(new)
-                frontier.append(new)
+    found = closure([(0,)], [lambda sub, x=x: sub if x in sub
+                             else generated(sub + (x,))
+                             for x in range(g.order)])
     return sorted(found, key=lambda s: (len(s), s))
 
 

@@ -12,12 +12,12 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import comb
 
 from .fock import graded_dim
 from .groups import FiniteGroup, binary_dihedral, binary_octahedral, \
-    cyclic, json_count, json_rows, sl2_f3, sl2_f5
+    cyclic, json_count, json_rows, orbits, sl2_f3, sl2_f5
 from .report import Report
 from .scalars import TruncSeries, euler_product
 from .wreath import WreathElement, element_model, type_of, wreath_order
@@ -63,23 +63,8 @@ class GSet:
         """Number of orbits under the given subgroup elements (default G)."""
         if elements is None:
             elements = range(self.group.order)
-        elements = list(elements)
-        seen = [False] * self.size
-        count = 0
-        for x in range(self.size):
-            if seen[x]:
-                continue
-            count += 1
-            stack = [x]
-            seen[x] = True
-            while stack:
-                y = stack.pop()
-                for g in elements:
-                    z = self.action[g][y]
-                    if not seen[z]:
-                        seen[z] = True
-                        stack.append(z)
-        return count
+        return len(orbits(range(self.size),
+                          [self.action[g].__getitem__ for g in elements]))
 
     def to_json(self) -> str:
         return json.dumps({"size": self.size,
@@ -178,14 +163,6 @@ def gset_power(x: GSet, n: int, limit: int = 1_000_000) -> PowerGSet:
     return PowerGSet(x, n)
 
 
-def fixed_points(x, a):
-    """Fixed set: x a GSet with a a group element id, or a PowerGSet with
-    a WreathElement."""
-    if isinstance(x, GSet):
-        return x.fixed(a)
-    return tuple(x.fixed(a))
-
-
 # -- orbifold Euler characteristics ----------------------------------------
 
 @lru_cache(maxsize=32)
@@ -210,27 +187,14 @@ def power_orbifold_euler(x: GSet, n: int, limit: int = 50_000) -> int:
         raise GSetError("commuting-pair sum is not divisible by |G_n|")
     e_pairs = total // len(model)
 
-    moves = list(zip(model.generators, model.generator_conj))
-    seen = set()
-    orbits = 0
-    for i in range(len(model)):
-        for p in fixed[i]:
-            if (i, p) in seen:
-                continue
-            orbits += 1
-            stack = [(i, p)]
-            seen.add((i, p))
-            while stack:
-                ii, pp = stack.pop()
-                for h, conj in moves:
-                    jj = conj[ii]
-                    qq = power.act(h, pp)
-                    if (jj, qq) not in seen:
-                        seen.add((jj, qq))
-                        stack.append((jj, qq))
-    if e_pairs != orbits:
+    # a generator h moves the inertia point (a, p) to (h a h^-1, h p)
+    moves = [lambda ip, h=h, conj=conj: (conj[ip[0]], power.act(h, ip[1]))
+             for h, conj in zip(model.generators, model.generator_conj)]
+    count = len(orbits([(i, p) for i in range(len(model)) for p in fixed[i]],
+                       moves))
+    if e_pairs != count:
         raise GSetError(
-            f"orbifold Euler forms disagree: pairs {e_pairs}, orbits {orbits}")
+            f"orbifold Euler forms disagree: pairs {e_pairs}, orbits {count}")
     return e_pairs
 
 
@@ -246,23 +210,12 @@ def inertia_basis(x: GSet) -> list[tuple[int, tuple[int, ...]]]:
     out = []
     for c in range(g.num_classes):
         rep = g.class_reps[c]
-        cent = [z for z in range(g.order)
+        cent = [x.action[z].__getitem__ for z in range(g.order)
                 if g.mul(z, rep) == g.mul(rep, z)]
-        remaining = set(x.fixed(rep))
-        while remaining:
-            seed = min(remaining)
-            orbit = {seed}
-            stack = [seed]
-            while stack:
-                y = stack.pop()
-                for z in cent:
-                    w = x.act(z, y)
-                    if w not in orbit:
-                        orbit.add(w)
-                        stack.append(w)
-            if not orbit <= remaining:
+        fixed = x.fixed(rep)
+        for orbit in orbits(fixed, cent):
+            if not orbit <= set(fixed):
                 raise GSetError("centralizer orbit leaves the fixed set")
-            remaining -= orbit
             out.append((c, tuple(sorted(orbit))))
     return out
 
@@ -300,24 +253,8 @@ def lemma_16_check(x: GSet, n: int, limit: int = 50_000) -> bool:
     model = element_model(x.group, n, limit)
     power = gset_power(x, n)
     for a, row in zip(model.elements, model.centralizers):
-        fixed = power.fixed(a)
-        cent = [model.elements[j] for j in row]
-        remaining = set(fixed)
-        orbits = 0
-        while remaining:
-            seed = remaining.pop()
-            orbit = {seed}
-            stack = [seed]
-            while stack:
-                y = stack.pop()
-                for z in cent:
-                    w = power.act(z, y)
-                    if w not in orbit:
-                        orbit.add(w)
-                        stack.append(w)
-            remaining -= orbit
-            orbits += 1
-        if orbits != symmetric_orbit_count(x, a):
+        cent = [partial(power.act, model.elements[j]) for j in row]
+        if len(orbits(power.fixed(a), cent)) != symmetric_orbit_count(x, a):
             return False
     return True
 
@@ -326,23 +263,10 @@ def burnside_check(x: GSet) -> bool:
     """sum_c |X^c/Z(c)| equals the number of G-orbits on the inertia set
     {(g, x): g x = x}."""
     g = x.group
-    pairs = {(h, p) for h in range(g.order) for p in x.fixed(h)}
-    seen = set()
-    orbits = 0
-    for pair in sorted(pairs):
-        if pair in seen:
-            continue
-        orbits += 1
-        stack = [pair]
-        seen.add(pair)
-        while stack:
-            h, p = stack.pop()
-            for z in range(g.order):
-                q = (g.conj(z, h), x.act(z, p))
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-    return orbits == inertia_dim(x)
+    pairs = [(h, p) for h in range(g.order) for p in x.fixed(h)]
+    moves = [lambda hp, z=z: (g.conj(z, hp[0]), x.act(z, hp[1]))
+             for z in range(g.order)]
+    return len(orbits(pairs, moves)) == inertia_dim(x)
 
 
 def ktheory_euler_check(x: GSet) -> bool:

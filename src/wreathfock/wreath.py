@@ -222,6 +222,24 @@ def enumerate_types(group: FiniteGroup, n: int) -> list[WreathType]:
     return sorted(results)
 
 
+def count_types(group: FiniteGroup, n: int, limit: int) -> int:
+    """The number of degree-n types over G: the q^n coefficient a_n of
+    prod (1 - q^r)^(-k), k the number of classes.  The recurrence
+    d a_d = k sum_j sigma(j) a_{d-j} (sigma(j) the divisor sum) gives one
+    degree at a time in integers; a_d never decreases with d, so the count
+    stops with a WreathError at the first degree past the limit."""
+    counts, sigma = [1], [0]
+    for d in range(n + 1):
+        if d:
+            sigma.append(sum(i for i in range(1, d + 1) if d % i == 0))
+            counts.append(group.num_classes * sum(
+                sigma[j] * counts[d - j] for j in range(1, d + 1)) // d)
+        if counts[d] > limit:
+            raise WreathError(f"degree-{n} types exceed limit {limit} "
+                              f"({counts[d]} at degree {d})")
+    return counts[n]
+
+
 @lru_cache(maxsize=None)
 def z_partition(lam: tuple[int, ...]) -> int:
     """z_lambda = prod r^{m_r} m_r!, the S_n centralizer order."""

@@ -47,6 +47,17 @@ class TestCommands:
         assert main(["wreath", "types", "--group", "z2", "-N", "2"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 5
 
+    @pytest.mark.parametrize("what", ["types", "zrho"])
+    def test_wreath_listing_above_limit_exit_2(self, what, capsys):
+        """S3 has 16,790,136 types of degree 30: refused before listing."""
+        assert main(["wreath", what, "--group", "s3", "-N", "30"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: degree-30 types exceed limit 50000 "
+                       "(57222 at degree 16)\n")
+        assert main(["wreath", what, "--group", "z2", "-N", "2",
+                     "--limit", "4"]) == 2
+
     def test_verify_hopf_json(self, capsys):
         assert main(["verify", "hopf", "--group", "z2", "-N", "3",
                      "--format", "json"]) == 0
@@ -161,12 +172,18 @@ GOLDEN_RUNS = {
     "euler-s3-regular": ("verify euler --group s3 --gset regular -N 3",
                          "verify_euler_s3_regular_N3.txt"),
     "mackey-d4": ("verify mackey --group d4", "verify_mackey_d4.txt"),
+    "classes-sl2_f5": ("group classes --group sl2_f5",
+                       "group_classes_sl2_f5.txt"),
+    "classes-binary_octahedral": ("group classes --group binary_octahedral",
+                                  "group_classes_binary_octahedral.txt"),
+    "classes-q8": ("group classes --group q8", "group_classes_q8.txt"),
+    "classes-d4": ("group classes --group d4", "group_classes_d4.txt"),
 }
 
 
 @pytest.mark.parametrize("run", GOLDEN_RUNS)
 def test_verify_all_golden_output(run, capsys):
-    """`verify` stdout, byte for byte, as recorded in tests/golden."""
+    """CLI stdout, byte for byte, as recorded in tests/golden."""
     argv, golden = GOLDEN_RUNS[run]
     assert main(argv.split()) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()

@@ -4,14 +4,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathfock.groups import (ClassFunction, DualFunctional, FiniteGroup,
                                GroupError, adams_psi,
                                all_subgroup_element_sets, binary_dihedral,
-                               binary_octahedral, builtin, cyclic, dihedral, group_from_cayley,
+                               binary_octahedral, builtin, closure, cyclic,
+                               dihedral, group_from_cayley,
                                group_from_cayley_json,
                                group_from_permutations, induce_cf,
-                               inner_product, mackey_verify,
+                               inner_product, mackey_verify, orbits,
                                regular_character, restrict_cf, sigma_basis,
                                subgroup_from_elements, symmetric,
                                trivial_character, trivial_group)
@@ -168,3 +171,45 @@ def test_binary_octahedral_table_is_recorded():
     earlier exact-Fraction construction, element numbering included."""
     path = Path(__file__).parent / "golden" / "binary_octahedral.json"
     assert binary_octahedral().to_json() == path.read_text()
+
+
+@st.composite
+def permutation_actions(draw):
+    """A point order of 0..n-1 and a few permutations of the points."""
+    n = draw(st.integers(1, 9))
+    points = draw(st.permutations(range(n)))
+    perms = draw(st.lists(st.permutations(range(n)), max_size=3))
+    return points, perms
+
+
+class TestOrbitHelper:
+    @settings(max_examples=60, deadline=None)
+    @given(permutation_actions())
+    def test_orbits_match_union_find(self, action):
+        """orbits partitions the points as a union-find oracle does, in
+        order of first point."""
+        points, perms = action
+        parent = list(range(len(points)))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for p in perms:
+            for x, y in enumerate(p):
+                parent[find(x)] = find(y)
+        want = {}
+        for x in points:
+            want.setdefault(find(x), set()).add(x)
+        got = orbits(points, [p.__getitem__ for p in perms])
+        assert got == list(want.values())
+
+    def test_closure_limit(self):
+        step = [lambda x: (x + 1) % 10]
+        assert closure([0], step, limit=10) == set(range(10))
+        with pytest.raises(GroupError, match="closure exceeds limit 9"):
+            closure([0], step, limit=9)
+        # checked while the set grows: an unbounded search still stops
+        with pytest.raises(GroupError, match="closure exceeds limit 5"):
+            closure([0], [lambda x: x + 1], limit=5)

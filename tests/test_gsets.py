@@ -7,7 +7,7 @@ from wreathfock.groups import (all_subgroup_element_sets, cyclic, sl2_f3,
                                symmetric, trivial_group)
 from wreathfock.fock import graded_dim
 from wreathfock.gsets import (GSet, GSetError, burnside_check, coset_gset,
-                              euler_series_check, euler_verify, fixed_points,
+                              PowerGSet, euler_series_check, euler_verify,
                               gset_from_json, gset_power, inertia_dim,
                               ktheory_euler_check, lemma_16_check,
                               macdonald_check, mckay_table, orbifold_euler,
@@ -52,8 +52,7 @@ class TestGSet:
         assert p.size == 4
         a = WreathElement((1, 0), (1, 0))  # (g, e) with the swap
         assert p.act(a, (0, 1)) == (g.mul(1, 1), 0)
-        assert list(fixed_points(p, a)) == [x for x in p.points()
-                                            if p.act(a, x) == x]
+        assert p.fixed(a) == [x for x in p.points() if p.act(a, x) == x]
 
 
 class TestEuler:
@@ -137,3 +136,21 @@ class TestMcKay:
         g = cyclic(2)
         rep = euler_verify(point_gset(g), 3)
         assert rep.all_passed, rep.to_json()
+
+
+def test_power_orbit_work_is_pinned(monkeypatch):
+    """The inertia-orbit count and Lemma 1.6 act once per (point, move):
+    the PowerGSet.act calls on the regular S3-set at n = 2 are fixed."""
+    calls = []
+    act = PowerGSet.act
+
+    def counting(self, a, x):
+        calls.append(1)
+        return act(self, a, x)
+
+    monkeypatch.setattr(PowerGSet, "act", counting)
+    x = regular_gset(symmetric(3))
+    power_orbifold_euler.cache_clear()
+    assert power_orbifold_euler(x, 2) == 2 and len(calls) == 504
+    calls.clear()
+    assert lemma_16_check(x, 2) and len(calls) == 3024

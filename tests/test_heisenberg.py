@@ -15,6 +15,7 @@ from wreathfock.heisenberg import (HeisenbergError, SuperElement,
                                    sf_a_minus, sf_a_plus, sf_commutator_check,
                                    vacuum)
 from wreathfock.lambda_ops import omega_n
+from wreathfock.linalg import matrix_rank
 from wreathfock.scalars import Cyclotomic
 from wreathfock.wreath import WreathType, enumerate_types
 
@@ -163,6 +164,23 @@ class TestRelations:
     def test_irreducibility(self):
         assert irreducibility_check(cyclic(2), 2)
         assert irreducibility_check(symmetric(3), 3)
+
+    @pytest.mark.parametrize("group", [cyclic(2), cyclic(3), symmetric(3)])
+    def test_vacuum_cyclic_by_rank(self, group):
+        """Oracle: the creation monomials applied to the vacuum have full
+        rank in each degree, read off their values."""
+        g = group
+        assert irreducibility_check(g, 4)
+        for n in range(5):
+            types_n = enumerate_types(g, n)
+            rows = []
+            for rho in types_n:
+                vec = vacuum(g)
+                for c, lam in rho.parts:
+                    for r in lam:
+                        vec = a_plus(r, sigma_basis(g, c))(vec)
+                rows.append([vec.value(tau).as_rational() for tau in types_n])
+            assert matrix_rank(rows) == len(types_n)
 
     def test_heisenberg_verify(self):
         rep = heisenberg_verify(cyclic(2), 3, 2)

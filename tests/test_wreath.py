@@ -11,8 +11,8 @@ from wreathfock.groups import cyclic, symmetric
 from wreathfock.scalars import euler_product
 from wreathfock.wreath import (EMPTY_TYPE, WreathElement, WreathError,
                                WreathType, brute_force_classes,
-                               centralizer_checks, cycle_products,
-                               enumerate_types, enumerate_wreath_elements,
+                               centralizer_checks, count_types,
+                               cycle_products, enumerate_types, enumerate_wreath_elements,
                                n_cycle_type, partitions, representative_of_type,
                                type_of, wreath_cayley_group, wreath_conj,
                                wreath_identity, wreath_inv, wreath_mul,
@@ -93,6 +93,20 @@ class TestTypes:
             series = euler_product(k, 6)
             for n in range(7):
                 assert len(enumerate_types(g, n)) == series.coefficient(n)
+
+    def test_count_types(self):
+        """The integer recurrence against the euler_product coefficient."""
+        for k in (1, 2, 3, 9):
+            series = euler_product(k, 12)
+            for n in range(13):
+                assert count_types(cyclic(k), n, 10 ** 9) == \
+                    series.coefficient(n)
+        assert count_types(symmetric(3), 30, 10 ** 9) == 16_790_136
+        assert count_types(cyclic(2), 2, 5) == 5
+        with pytest.raises(WreathError, match="57222 at degree 16"):
+            count_types(symmetric(3), 30, 50_000)
+        with pytest.raises(WreathError):
+            count_types(cyclic(2), 0, 0)
 
     def test_representative_realizes_type(self):
         g = symmetric(3)
