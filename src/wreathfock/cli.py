@@ -24,6 +24,8 @@ from .scalars import ScalarError, euler_product, graded_dim_series
 from .wreath import (WreathError, brute_force_classes, count_types,
                      enumerate_types, type_of, z_rho)
 
+LIMIT = 50_000  # default --limit; also bounds series graded-dim
+
 _ERRORS = (GroupError, GSetError, WreathError, ScalarError, ValueError,
            OSError, json.JSONDecodeError)
 
@@ -150,7 +152,9 @@ def cmd_series(args) -> int:
         return 0
     if args.what == "graded-dim":
         if args.group is not None:
-            counts = graded_dim(parse_group(args.group), args.max_degree)
+            g = parse_group(args.group)
+            count_types(g, args.max_degree, LIMIT)  # raises before listing
+            counts = graded_dim(g, args.max_degree)
             print(" ".join(str(c) for c in counts))
             return 0
         print(_series_line(graded_dim_series(args.d0, args.d1,
@@ -206,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="builtin:<name>, z2/s3/d4/q8/bd3 shorthand, "
                             "<name>:<param>, or a JSON file")
         p.add_argument("-N", "--max-degree", type=int, default=3)
-        p.add_argument("--limit", type=int, default=50_000,
+        p.add_argument("--limit", type=int, default=LIMIT,
                        help="size cap for brute-force oracles; also "
                             "caps the types that wreath types/zrho list")
         p.add_argument("--format", choices=("table", "json"),

@@ -28,7 +28,7 @@ from math import comb
 from .groups import FiniteGroup
 from .linalg import matrix_rank
 from .report import Report
-from .scalars import Cyclotomic, align, cyc_eq
+from .scalars import Scalar, conj
 from .wreath import (EMPTY_TYPE, WreathElement, WreathError, WreathType,
                      element_model, enumerate_types, n_cycle_type,
                      representative_of_type, type_of, wreath_order, z_rho)
@@ -36,21 +36,6 @@ from .wreath import (EMPTY_TYPE, WreathElement, WreathError, WreathType,
 
 class FockError(ValueError):
     pass
-
-
-def _add(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    x, y = align(a, b)
-    return x + y
-
-
-def _accumulate(out: dict, key, term: Cyclotomic) -> None:
-    out[key] = _add(out[key], term) if key in out else term
-
-
-def _coeffs_equal(a: dict, b: dict, m: int) -> bool:
-    zero = Cyclotomic.zero(m)
-    return all(cyc_eq(a.get(k, zero), b.get(k, zero))
-               for k in a.keys() | b.keys())
 
 
 @dataclass
@@ -62,11 +47,11 @@ class FockElement:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.coeffs = {k: v for k, v in self.coeffs.items() if not v.is_zero()}
+        self.coeffs = {k: v for k, v in self.coeffs.items() if v}
 
     @classmethod
     def unit(cls, group: FiniteGroup) -> "FockElement":
-        return cls(group, {EMPTY_TYPE: Cyclotomic.one(group.exponent)})
+        return cls(group, {EMPTY_TYPE: Fraction(1)})
 
     @classmethod
     def zero(cls, group: FiniteGroup) -> "FockElement":
@@ -74,19 +59,19 @@ class FockElement:
 
     @classmethod
     def from_values(cls, group: FiniteGroup,
-                    values: dict[WreathType, Cyclotomic]) -> "FockElement":
+                    values: dict[WreathType, Scalar]) -> "FockElement":
         """The class function with the given value at each type."""
         return cls(group, {rho: v / z_rho(group, rho)
                            for rho, v in values.items()})
 
-    def value(self, rho: WreathType) -> Cyclotomic:
+    def value(self, rho: WreathType) -> Scalar:
         """The class-function value coeff Z_rho at a type."""
         c = self.coeffs.get(rho)
         if c is None:
-            return Cyclotomic.zero(self.group.exponent)
+            return Fraction(0)
         return c * z_rho(self.group, rho)
 
-    def value_at_element(self, a: WreathElement) -> Cyclotomic:
+    def value_at_element(self, a: WreathElement) -> Scalar:
         return self.value(type_of(self.group, a))
 
     @property
@@ -110,7 +95,7 @@ class FockElement:
         self._check(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            _accumulate(out, k, v)
+            out[k] = out.get(k, 0) + v
         return FockElement(self.group, out)
 
     def __sub__(self, other):
@@ -126,26 +111,20 @@ class FockElement:
         """Typewise product of values (tensor product of G_n
         representations)."""
         self._check(other)
-        out = {}
-        for rho, v in self.coeffs.items():
-            if rho in other.coeffs:
-                a, b = align(v, other.coeffs[rho])
-                out[rho] = (a * b) * z_rho(self.group, rho)
-        return FockElement(self.group, out)
+        return FockElement(self.group, {
+            rho: v * other.coeffs[rho] * z_rho(self.group, rho)
+            for rho, v in self.coeffs.items() if rho in other.coeffs})
 
-    def inner(self, other: "FockElement") -> Cyclotomic:
+    def inner(self, other: "FockElement") -> Scalar:
         """Sum over types of F1 conj(F2) / Z_rho, F1 and F2 the values."""
         self._check(other)
-        total = Cyclotomic.zero(self.group.exponent)
-        for rho in self.coeffs:
-            if rho in other.coeffs:
-                a, b = align(self.value(rho), other.value(rho).conj())
-                total = _add(total, a * b / z_rho(self.group, rho))
-        return total
+        return sum((self.value(rho) * conj(other.value(rho))
+                    / z_rho(self.group, rho)
+                    for rho in self.coeffs if rho in other.coeffs),
+                   Fraction(0))
 
     def equals(self, other: "FockElement") -> bool:
-        return self.group is other.group and _coeffs_equal(
-            self.coeffs, other.coeffs, self.group.exponent)
+        return self.group is other.group and self.coeffs == other.coeffs
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -157,7 +136,7 @@ class FockElement:
 
 def sigma_rho(group: FiniteGroup, rho: WreathType) -> FockElement:
     """The monomial sigma^rho: value Z_rho at rho, 0 elsewhere."""
-    return FockElement(group, {rho: Cyclotomic.one(group.exponent)})
+    return FockElement(group, {rho: Fraction(1)})
 
 
 def sigma_r_c(group: FiniteGroup, r: int, c: int) -> FockElement:
@@ -168,16 +147,14 @@ def sigma_r_c(group: FiniteGroup, r: int, c: int) -> FockElement:
 
 
 def trivial_char(group: FiniteGroup, n: int) -> FockElement:
-    m = group.exponent
     return FockElement.from_values(
-        group, {rho: Cyclotomic.one(m) for rho in enumerate_types(group, n)})
+        group, {rho: Fraction(1) for rho in enumerate_types(group, n)})
 
 
 def sign_char(group: FiniteGroup, n: int) -> FockElement:
     """(-1)^(n - length(rho)) per type: G^n acts trivially, S_n by sign."""
-    m = group.exponent
     return FockElement.from_values(
-        group, {rho: Cyclotomic.rational(m, (-1) ** (n - rho.length))
+        group, {rho: Fraction((-1) ** (n - rho.length))
                 for rho in enumerate_types(group, n)})
 
 
@@ -195,8 +172,8 @@ def fock_mul(u: FockElement, v: FockElement,
             if max_degree is not None and rho.degree + d2 > max_degree:
                 continue
             for tau, b in terms:
-                x, y = align(a, b)
-                _accumulate(out, rho.union(tau), x * y)
+                key = rho.union(tau)
+                out[key] = out.get(key, 0) + a * b
     return FockElement(u.group, out)
 
 
@@ -256,7 +233,7 @@ def comul_splits(rho: WreathType) -> list[tuple[WreathType, WreathType, int]]:
 
 
 def fock_comul(
-        u: FockElement) -> dict[tuple[WreathType, WreathType], Cyclotomic]:
+        u: FockElement) -> dict[tuple[WreathType, WreathType], Scalar]:
     """Restriction coproduct as {(alpha, beta): coefficient of
     sigma^alpha tensor sigma^beta}: sigma_r(c) is primitive and the
     coproduct is an algebra map, so sigma^rho splits over the sub-multisets
@@ -264,8 +241,8 @@ def fock_comul(
     out: dict = {}
     for rho, c in u.coeffs.items():
         for alpha, beta, k in comul_splits(rho):
-            _accumulate(out, (alpha, beta), c * k)
-    return {key: v for key, v in out.items() if not v.is_zero()}
+            out[alpha, beta] = out.get((alpha, beta), 0) + c * k
+    return {key: v for key, v in out.items() if v}
 
 
 def _tensor_mul(s: dict, t: dict) -> dict:
@@ -274,13 +251,13 @@ def _tensor_mul(s: dict, t: dict) -> dict:
     out: dict = {}
     for (a1, b1), x in s.items():
         for (a2, b2), y in t.items():
-            x2, y2 = align(x, y)
-            _accumulate(out, (a1.union(a2), b1.union(b2)), x2 * y2)
-    return {key: v for key, v in out.items() if not v.is_zero()}
+            key = (a1.union(a2), b1.union(b2))
+            out[key] = out.get(key, 0) + x * y
+    return {key: v for key, v in out.items() if v}
 
 
-def counit(u: FockElement) -> Cyclotomic:
-    return u.coeffs.get(EMPTY_TYPE, Cyclotomic.zero(u.group.exponent))
+def counit(u: FockElement) -> Scalar:
+    return u.coeffs.get(EMPTY_TYPE, Fraction(0))
 
 
 def antipode(u: FockElement) -> FockElement:
@@ -337,22 +314,18 @@ def oracle_product(f1: FockElement, f2: FockElement,
         reps = tuple(enumerate_types(g, a + b))
     bags = _induction_bags(g, a, b, tuple(reps), limit)
     sub_order = wreath_order(g, a) * wreath_order(g, b)
-    m = g.exponent
     out = {}
     for pi, bag in bags.items():
-        acc = Cyclotomic.zero(m)
+        acc = Fraction(0)
         for (t1, t2), count in bag.items():
-            if t1 not in f1.coeffs or t2 not in f2.coeffs:
-                continue
-            x, y = align(f1.value(t1).rescale(m), f2.value(t2).rescale(m))
-            t, acc = align((x * y) * count, acc)
-            acc = acc + t
+            if t1 in f1.coeffs and t2 in f2.coeffs:
+                acc = acc + f1.value(t1) * f2.value(t2) * count
         out[pi] = acc / sub_order
     return FockElement.from_values(g, out)
 
 
 def oracle_comul_value(f: FockElement, alpha: WreathType,
-                       beta: WreathType) -> Cyclotomic:
+                       beta: WreathType) -> Scalar:
     """Element-level restriction: the value of Res f at the embedded pair
     of canonical representatives of (alpha, beta)."""
     g = f.group
@@ -433,7 +406,7 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
         lhs = fock_comul(fock_mul(sigma_rho(g, r1), sigma_rho(g, r2)))
         rhs = _tensor_mul(fock_comul(sigma_rho(g, r1)),
                           fock_comul(sigma_rho(g, r2)))
-        return _coeffs_equal(lhs, rhs, g.exponent)
+        return lhs == rhs
 
     rep.check("coproduct is an algebra homomorphism", pairs,
               comul_multiplicative, lambda r1, r2: f"{r1!r},{r2!r}")
@@ -459,9 +432,9 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
     rep.check("coproduct matches element-level restriction oracle",
               ((rho, alpha, beta, c) for rho in basis
                for (alpha, beta), c in fock_comul(sigma_rho(g, rho)).items()),
-              lambda rho, alpha, beta, c: cyc_eq(
-                  c * (z_rho(g, alpha) * z_rho(g, beta)),
-                  oracle_comul_value(sigma_rho(g, rho), alpha, beta)),
+              lambda rho, alpha, beta, c:
+                  c * (z_rho(g, alpha) * z_rho(g, beta))
+                  == oracle_comul_value(sigma_rho(g, rho), alpha, beta),
               lambda rho, alpha, beta, c: f"{rho!r} at ({alpha!r},{beta!r})")
 
     # element-level induction oracle where the wreath groups are small
@@ -486,8 +459,8 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
         rep.check(f"product matches induction oracle, degree {total} "
                   f"({label})",
                   induction_cases(total, reps, sampled),
-                  lambda r1, r2, pi, direct, brute: cyc_eq(
-                      brute.value(pi), direct.value(pi)),
+                  lambda r1, r2, pi, direct, brute:
+                      brute.value(pi) == direct.value(pi),
                   lambda r1, r2, pi, *_: f"{r1!r}*{r2!r} at {pi!r}")
 
     return rep

@@ -4,7 +4,8 @@ Groups are closed multiplication tables over element ids 0..n-1 with 0 the
 identity.  Conjugacy classes are found by brute-force orbit closure, which
 is fine at the scales this library targets (|G| up to a few thousand);
 `closure` and `orbits` are that one search, shared with the G-set code.
-Class functions are stored per conjugacy class with cyclotomic values.
+Class functions are stored per conjugacy class, with exact values in
+Q(zeta_e) (`scalars`): rational values are `Fraction`s.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .scalars import Cyclotomic, align, cyc_eq
+from .scalars import Scalar, conj
 
 
 class GroupError(ValueError):
@@ -475,17 +476,19 @@ def full_embedding(g: FiniteGroup) -> SubgroupEmbedding:
     return subgroup_from_elements(g, range(g.order))
 
 
-def all_subgroup_element_sets(g: FiniteGroup) -> list[tuple[int, ...]]:
+def all_subgroup_element_sets(g: FiniteGroup, limit: int | None = None
+                              ) -> list[tuple[int, ...]]:
     """All subgroups as sorted element tuples, by iterated generator growth.
     A finite seed generates its closure under right multiplication by the
-    seed elements."""
+    seed elements.  Raises GroupError as soon as there are more than limit
+    subgroups."""
     def generated(seed):
         return tuple(sorted(closure(
             [0], [lambda y, s=s: g.table[y][s] for s in seed])))
 
     found = closure([(0,)], [lambda sub, x=x: sub if x in sub
                              else generated(sub + (x,))
-                             for x in range(g.order)])
+                             for x in range(g.order)], limit)
     return sorted(found, key=lambda s: (len(s), s))
 
 
@@ -493,10 +496,10 @@ def all_subgroup_element_sets(g: FiniteGroup) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """One cyclotomic value per conjugacy class of a finite group."""
+    """One exact value per conjugacy class of a finite group."""
 
     group: FiniteGroup
-    values: tuple[Cyclotomic, ...]
+    values: tuple[Scalar, ...]
 
     def __post_init__(self):
         if len(self.values) != self.group.num_classes:
@@ -504,26 +507,22 @@ class ClassFunction:
 
     @classmethod
     def from_rationals(cls, group: FiniteGroup, values) -> "ClassFunction":
-        m = group.exponent
-        return cls(group, tuple(Cyclotomic.rational(m, v) for v in values))
+        return cls(group, tuple(Fraction(v) for v in values))
 
     @classmethod
     def zero(cls, group: FiniteGroup) -> "ClassFunction":
         return cls.from_rationals(group, [0] * group.num_classes)
 
-    def value(self, c: int) -> Cyclotomic:
+    def value(self, c: int) -> Scalar:
         return self.values[c]
 
-    def value_at_element(self, g_elem: int) -> Cyclotomic:
+    def value_at_element(self, g_elem: int) -> Scalar:
         return self.values[self.group.class_of[g_elem]]
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         self._check(other)
-        vals = []
-        for a, b in zip(self.values, other.values):
-            x, y = align(a, b)
-            vals.append(x + y)
-        return ClassFunction(self.group, tuple(vals))
+        return ClassFunction(self.group, tuple(
+            a + b for a, b in zip(self.values, other.values)))
 
     def _check(self, other):
         if self.group is not other.group:
@@ -540,19 +539,11 @@ class ClassFunction:
     def star(self, other: "ClassFunction") -> "ClassFunction":
         """Pointwise product; corresponds to the tensor product."""
         self._check(other)
-        vals = []
-        for a, b in zip(self.values, other.values):
-            x, y = align(a, b)
-            vals.append(x * y)
-        return ClassFunction(self.group, tuple(vals))
+        return ClassFunction(self.group, tuple(
+            a * b for a, b in zip(self.values, other.values)))
 
     def equals(self, other: "ClassFunction") -> bool:
-        if self.group is not other.group:
-            return False
-        return all(cyc_eq(a, b) for a, b in zip(self.values, other.values))
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
+        return self.group is other.group and self.values == other.values
 
     def __repr__(self):
         return f"ClassFunction({self.group.name}, {list(self.values)})"
@@ -575,18 +566,14 @@ def regular_character(group: FiniteGroup) -> ClassFunction:
     return ClassFunction.from_rationals(group, vals)
 
 
-def inner_product(chi: ClassFunction, psi: ClassFunction) -> Cyclotomic:
+def inner_product(chi: ClassFunction, psi: ClassFunction) -> Scalar:
     """(chi | psi) = (1/|G|) sum_g chi(g) conj(psi(g)), computed classwise."""
     if chi.group is not psi.group:
         raise GroupError("inner product needs a common group")
     g = chi.group
-    total = Cyclotomic.zero(g.exponent)
-    for c in range(g.num_classes):
-        a, b = align(chi.values[c], psi.values[c].conj())
-        term = (a * b) * Fraction(g.class_size(c), g.order)
-        t, total = align(term, total)
-        total = total + t
-    return total
+    return sum((chi.values[c] * conj(psi.values[c])
+                * Fraction(g.class_size(c), g.order)
+                for c in range(g.num_classes)), Fraction(0))
 
 
 def adams_psi(n: int, chi: ClassFunction) -> ClassFunction:
@@ -602,7 +589,7 @@ class DualFunctional:
     """Linear functional on class functions: <eta, V> = sum_c eta_c V(c)."""
 
     group: FiniteGroup
-    coeffs: tuple[Cyclotomic, ...]
+    coeffs: tuple[Scalar, ...]
 
     def __post_init__(self):
         if len(self.coeffs) != self.group.num_classes:
@@ -610,20 +597,14 @@ class DualFunctional:
 
     @classmethod
     def delta(cls, group: FiniteGroup, c: int) -> "DualFunctional":
-        m = group.exponent
-        coeffs = [Cyclotomic.zero(m)] * group.num_classes
-        coeffs[c] = Cyclotomic.one(m)
-        return cls(group, tuple(coeffs))
+        return cls(group, tuple(Fraction(1 if d == c else 0)
+                                for d in range(group.num_classes)))
 
-    def pair(self, v: ClassFunction) -> Cyclotomic:
+    def pair(self, v: ClassFunction) -> Scalar:
         if v.group is not self.group:
             raise GroupError("pairing needs a common group")
-        total = Cyclotomic.zero(self.group.exponent)
-        for e, x in zip(self.coeffs, v.values):
-            a, b = align(e, x)
-            t, total = align(a * b, total)
-            total = total + t
-        return total
+        return sum((e * x for e, x in zip(self.coeffs, v.values)),
+                   Fraction(0))
 
 
 # -- induction / restriction / Mackey --------------------------------------
@@ -650,12 +631,11 @@ def induce_cf(emb: SubgroupEmbedding, f: ClassFunction) -> ClassFunction:
     vals = []
     for c in range(g.num_classes):
         z = g.class_reps[c]
-        acc = Cyclotomic.zero(g.exponent)
+        acc = Fraction(0)
         for x in range(g.order):
             y = g.mul(g.mul(g.inv(x), z), x)
             if y in image:
-                v, acc = align(f.value_at_element(pre[y]), acc)
-                acc = acc + v
+                acc = acc + f.value_at_element(pre[y])
         vals.append(acc / h.order)
     return ClassFunction(g, tuple(vals))
 
@@ -709,9 +689,11 @@ def mackey_verify(g: FiniteGroup, max_subgroups: int = 40):
     each H as test functions.  Returns a Report."""
     from .report import Report
     rep = Report(f"mackey_verify({g.name})")
-    subs = all_subgroup_element_sets(g)
-    if len(subs) > max_subgroups:
-        raise GroupError(f"{len(subs)} subgroups exceeds cap {max_subgroups}")
+    try:
+        subs = all_subgroup_element_sets(g, max_subgroups)
+    except GroupError:
+        raise GroupError(f"subgroup lattice exceeds cap {max_subgroups}"
+                         ) from None
     embeddings = [subgroup_from_elements(g, s) for s in subs]
     rep.check(f"Mackey formula over {len(subs)}^2 subgroup pairs",
               ((emb_h, emb_l, c) for emb_h in embeddings
@@ -732,10 +714,5 @@ def mackey_check(g: FiniteGroup, emb_h: SubgroupEmbedding,
     rhs = ClassFunction.zero(l)
     for s in double_cosets(g, emb_h, emb_l):
         emb_hs, transport = conjugate_subgroup_data(g, emb_h, emb_l, s)
-        term = induce_cf(emb_hs, transport(f))
-        vals = []
-        for a, b in zip(rhs.values, term.values):
-            x, y = align(a, b)
-            vals.append(x + y)
-        rhs = ClassFunction(l, tuple(vals))
+        rhs = rhs + induce_cf(emb_hs, transport(f))
     return lhs.equals(rhs)

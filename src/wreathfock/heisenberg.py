@@ -19,7 +19,7 @@ from .groups import (ClassFunction, DualFunctional, FiniteGroup, GroupError,
                      sigma_basis)
 from .lambda_ops import omega_n
 from .report import Report
-from .scalars import Cyclotomic, align
+from .scalars import Scalar
 from .wreath import WreathType, enumerate_types, n_cycle_type
 
 
@@ -75,24 +75,19 @@ def vacuum(group: FiniteGroup) -> FockElement:
     return FockElement.unit(group)
 
 
-def _apply_minus(m: int, weights: tuple[Cyclotomic, ...],
+def _apply_minus(m: int, weights: tuple[Scalar, ...],
                  u: FockElement) -> FockElement:
     """The derivation sum_c weights[c] d/d sigma_m(c), with weights[c] =
     m <eta, sigma_c>: on sigma^rho, sum_c (multiplicity of part m at c)
     weights[c] sigma^{rho minus one m-part at c}."""
-    out: dict[WreathType, Cyclotomic] = {}
+    out: dict[WreathType, Scalar] = {}
     for rho, coeff in u.coeffs.items():
         for c, lam in rho.parts:
             mult = lam.count(m)
             if mult == 0:
                 continue
             new = rho.remove_part(m, c)
-            x, y = align(coeff, weights[c])
-            term = (x * y) * mult
-            if new in out:
-                term, cur = align(term, out[new])
-                term = cur + term
-            out[new] = term
+            out[new] = out.get(new, 0) + coeff * weights[c] * mult
     return FockElement(u.group, out)
 
 
@@ -106,13 +101,9 @@ def a_minus_oracle(m: int, eta: DualFunctional,
         if n < m:
             continue
         for alpha in enumerate_types(g, n - m):
-            acc = Cyclotomic.zero(g.exponent)
-            for c in range(g.num_classes):
-                x, y = align(eta.coeffs[c],
-                             f.value(alpha.union(n_cycle_type(c, m))))
-                t, acc = align(x * y, acc)
-                acc = acc + t
-            out[alpha] = acc
+            out[alpha] = sum((eta.coeffs[c]
+                              * f.value(alpha.union(n_cycle_type(c, m)))
+                              for c in range(g.num_classes)), Fraction(0))
     return FockElement.from_values(g, out)
 
 

@@ -18,7 +18,6 @@ from .fock import (FockElement, fock_exp, fock_mul, sigma_r_c, sigma_rho,
                    sign_char)
 from .groups import ClassFunction, FiniteGroup, adams_psi, sigma_basis
 from .report import Report
-from .scalars import Cyclotomic, align
 from .wreath import WreathError, enumerate_types, n_cycle_type
 
 
@@ -30,10 +29,9 @@ def boxtimes_power(v: ClassFunction, n: int) -> FockElement:
     g = v.group
     out = {}
     for rho in enumerate_types(g, n):
-        val = Cyclotomic.one(g.exponent)
+        val = Fraction(1)
         for c, lam in rho.parts:
-            x, y = align(val, v.value(c) ** len(lam))
-            val = x * y
+            val = val * v.value(c) ** len(lam)
         out[rho] = val
     return FockElement.from_values(g, out)
 

@@ -1,18 +1,22 @@
-"""Exact scalars (rationals, cyclotomic values) and truncated power series.
+"""Exact scalars (rationals, cyclotomic numbers) and truncated power series.
 
-Every coefficient in this library is an exact ``fractions.Fraction``;
-nothing is ever rounded.  Cyclotomic values live in the quotient ring
-Q[z]/(z^m - 1) so that equality is plain coefficient comparison and the
-only divisions ever needed are by rational integers.
+Every value in this library is exact; nothing is ever rounded.  A rational
+value is a bare ``fractions.Fraction``.  An irrational value is a
+`Cyclotomic`, an element of the field Q(zeta_m) stored as its phi(m)
+power-basis coefficients reduced modulo the cyclotomic polynomial Phi_m.
+Any result that reduces to a rational comes back as a ``Fraction``, so a
+number has one representation per modulus: ``==`` is equality of numbers
+and ``bool`` is "nonzero".  Values of different moduli meet in
+Q(zeta_lcm) through one private lift.  The only divisions ever needed are
+by nonzero rationals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, lcm
 from typing import Union
-
-Rational = Fraction
 
 RatLike = Union[int, Fraction]
 
@@ -29,100 +33,152 @@ def _frac(x: RatLike) -> Fraction:
     raise ScalarError(f"not an exact rational: {x!r}")
 
 
-@dataclass(frozen=True)
-class Cyclotomic:
-    """Element of Q[z]/(z^m - 1), stored as m coefficients of degree < m.
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_m, constant term first: z^m - 1 divided
+    exactly by Phi_d for every proper divisor d of m."""
+    num = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            den = cyclotomic_polynomial(d)
+            k = len(den) - 1
+            quot = [0] * (len(num) - k)
+            for i in range(len(quot) - 1, -1, -1):
+                quot[i] = q = num[i + k]
+                for j, c in enumerate(den):
+                    num[i + j] -= q * c
+            num = quot
+    return tuple(num)
 
-    z is a primitive m-th root of unity; conjugation sends z^k to
-    z^(m-k mod m).  The quotient by z^m - 1 (not the cyclotomic
-    polynomial) keeps reduction trivial and equality canonical.
+
+@lru_cache(maxsize=None)
+def _powers(m: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_m^k in the power basis 1, zeta_m, ..., zeta_m^(phi(m)-1), for
+    k = 0..m-1: multiply by z and replace z^phi(m) using Phi_m."""
+    phi = cyclotomic_polynomial(m)
+    cur = [1] + [0] * (len(phi) - 2)
+    rows = []
+    for _ in range(m):
+        rows.append(tuple(cur))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [c - top * p for c, p in zip(cur, phi)]
+    return tuple(rows)
+
+
+def _reduce(m: int, poly) -> list[Fraction]:
+    """Power-basis coefficients of sum_k poly[k] zeta_m^k (any length)."""
+    rows = _powers(m)
+    out = [Fraction(0)] * len(rows[0])
+    for k, a in enumerate(poly):
+        if a:
+            for j, p in enumerate(rows[k % m]):
+                if p:
+                    out[j] += a * p
+    return out
+
+
+def _make(m: int, coeffs) -> "Scalar":
+    """The number with reduced coefficients coeffs in Q(zeta_m): a
+    Fraction when it is rational."""
+    if not any(coeffs[1:]):
+        return coeffs[0]
+    x = object.__new__(Cyclotomic)
+    object.__setattr__(x, "modulus", m)
+    object.__setattr__(x, "coeffs", tuple(coeffs))
+    return x
+
+
+def _lift(x: "Cyclotomic", m: int) -> tuple[Fraction, ...]:
+    """Coefficients of x in Q(zeta_m), for modulus(x) dividing m:
+    zeta_n^k = zeta_m^(k m/n), reduced modulo Phi_m."""
+    if x.modulus == m:
+        return x.coeffs
+    poly = [0] * m
+    step = m // x.modulus
+    for k, a in enumerate(x.coeffs):
+        poly[k * step] = a
+    return tuple(_reduce(m, poly))
+
+
+def _common(x: "Cyclotomic", y: "Cyclotomic"):
+    """A common modulus and the coefficients of x and y there."""
+    m = lcm(x.modulus, y.modulus)
+    return m, _lift(x, m), _lift(y, m)
+
+
+class Cyclotomic:
+    """An irrational element of Q(zeta_m): the coefficients of the power
+    basis 1, zeta_m, ..., zeta_m^(phi(m)-1), reduced modulo Phi_m.
+
+    ``Cyclotomic(m, coeffs)`` is the number sum_k coeffs[k] zeta_m^k for a
+    coefficient list of any length; it returns a ``Fraction`` when that
+    number is rational, so an instance is never rational and never zero.
+    Equal numbers of different moduli compare equal but may hash apart,
+    so instances are unhashable.
     """
 
-    modulus: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("modulus", "coeffs")
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __new__(cls, m: int, coeffs) -> "Scalar":
+        if m < 1:
             raise ScalarError("modulus must be >= 1")
-        if len(self.coeffs) != self.modulus:
-            raise ScalarError("coefficient vector length must equal modulus")
+        return _make(m, _reduce(m, [_frac(a) for a in coeffs]))
 
-    @classmethod
-    def zero(cls, m: int) -> "Cyclotomic":
-        return cls(m, (Fraction(0),) * m)
+    def __setattr__(self, name, value):
+        raise AttributeError("Cyclotomic is immutable")
 
-    @classmethod
-    def rational(cls, m: int, value: RatLike) -> "Cyclotomic":
-        c = [Fraction(0)] * m
-        c[0] = _frac(value)
-        return cls(m, tuple(c))
+    @staticmethod
+    def root(m: int, k: int = 1) -> "Scalar":
+        """zeta_m^k."""
+        return Cyclotomic(m, [0] * (k % m) + [1])
 
-    @classmethod
-    def one(cls, m: int) -> "Cyclotomic":
-        return cls.rational(m, 1)
-
-    @classmethod
-    def root(cls, m: int, k: int = 1) -> "Cyclotomic":
-        c = [Fraction(0)] * m
-        c[k % m] = Fraction(1)
-        return cls(m, tuple(c))
-
-    # -- ring structure ----------------------------------------------------
-
-    def _coerce(self, other) -> "Cyclotomic":
+    def __add__(self, other) -> "Scalar":
         if isinstance(other, Cyclotomic):
-            if other.modulus != self.modulus:
-                raise ScalarError(
-                    f"modulus mismatch: {self.modulus} vs {other.modulus}")
-            return other
-        return Cyclotomic.rational(self.modulus, other)
-
-    def __add__(self, other) -> "Cyclotomic":
-        o = self._coerce(other)
-        return Cyclotomic(self.modulus,
-                          tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+            m, a, b = _common(self, other)
+            return _make(m, [x + y for x, y in zip(a, b)])
+        return _make(self.modulus,
+                     (self.coeffs[0] + _frac(other),) + self.coeffs[1:])
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.modulus, tuple(-a for a in self.coeffs))
+        return _make(self.modulus, [-a for a in self.coeffs])
 
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
+    def __sub__(self, other) -> "Scalar":
+        return self + (-other)
 
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+    def __rsub__(self, other) -> "Scalar":
+        return -self + other
 
-    def __mul__(self, other) -> "Cyclotomic":
+    def __mul__(self, other) -> "Scalar":
         if not isinstance(other, Cyclotomic):
             x = _frac(other)
-            return Cyclotomic(self.modulus,
-                             tuple(a * x if a else a for a in self.coeffs))
-        o = self._coerce(other)
-        m = self.modulus
-        out = [Fraction(0)] * m
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    out[(i + j) % m] += a * b
-        return Cyclotomic(m, tuple(out))
+            return _make(self.modulus, [a * x for a in self.coeffs])
+        m, a, b = _common(self, other)
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        return _make(m, _reduce(m, prod))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Cyclotomic":
+    def __truediv__(self, other) -> "Scalar":
         # only division by nonzero rationals is ever needed
         x = _frac(other)
         if x == 0:
             raise ZeroDivisionError("division by zero")
-        return self * (Fraction(1) / x)
+        return self * (1 / x)
 
-    def __pow__(self, n: int) -> "Cyclotomic":
+    def __pow__(self, n: int) -> "Scalar":
         if n < 0:
             raise ScalarError("negative cyclotomic powers are not supported")
-        out = Cyclotomic.one(self.modulus)
-        base = self
+        out, base = Fraction(1), self
         while n:
             if n & 1:
                 out = out * base
@@ -130,61 +186,32 @@ class Cyclotomic:
             n >>= 1
         return out
 
-    def conj(self) -> "Cyclotomic":
-        m = self.modulus
-        out = [Fraction(0)] * m
-        for k, a in enumerate(self.coeffs):
-            out[(m - k) % m] += a
-        return Cyclotomic(m, tuple(out))
-
-    # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def is_rational(self) -> bool:
-        return all(a == 0 for a in self.coeffs[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ScalarError(f"not a rational value: {self!r}")
-        return self.coeffs[0]
-
-    def rescale(self, new_m: int) -> "Cyclotomic":
-        """Reinterpret in Q[z]/(z^new_m - 1); requires modulus | new_m."""
-        if new_m == self.modulus:
-            return self
-        if new_m % self.modulus != 0:
-            raise ScalarError(
-                f"cannot rescale modulus {self.modulus} to {new_m}")
-        d = new_m // self.modulus
-        out = [Fraction(0)] * new_m
-        for k, a in enumerate(self.coeffs):
-            out[k * d] += a
-        return Cyclotomic(new_m, tuple(out))
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Cyclotomic):
+            _, a, b = _common(self, other)
+            return a == b
+        if isinstance(other, (int, Fraction)):
+            return False
+        return NotImplemented
 
     def __repr__(self):
-        if self.is_rational():
-            return f"Cyc({self.coeffs[0]}; m={self.modulus})"
         terms = [f"{a}*z^{k}" for k, a in enumerate(self.coeffs) if a]
         return f"Cyc({' + '.join(terms)}; m={self.modulus})"
 
 
-def align(a: Cyclotomic, b: Cyclotomic) -> tuple[Cyclotomic, Cyclotomic]:
-    """Bring two cyclotomics to the lcm modulus (each must divide it)."""
-    if a.modulus == b.modulus:
-        return a, b
-    from math import lcm
-    m = lcm(a.modulus, b.modulus)
-    return a.rescale(m), b.rescale(m)
+Scalar = Union[Fraction, Cyclotomic]
 
 
-def cyc_eq(a: Cyclotomic, b: Cyclotomic) -> bool:
-    x, y = align(a, b)
-    return x.coeffs == y.coeffs
+def conj(x: Scalar) -> Scalar:
+    """Complex conjugate: zeta_m^k goes to zeta_m^-k.  The identity on
+    rationals."""
+    if not isinstance(x, Cyclotomic):
+        return x
+    m = x.modulus
+    poly = [0] * m
+    for k, a in enumerate(x.coeffs):
+        poly[-k % m] = a
+    return _make(m, _reduce(m, poly))
 
 
 @dataclass(frozen=True)

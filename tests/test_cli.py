@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from wreathfock import groups
 from wreathfock.cli import main, parse_group, parse_gset
 from wreathfock.groups import GroupError, symmetric
 
@@ -57,6 +58,26 @@ class TestCommands:
                        "(57222 at degree 16)\n")
         assert main(["wreath", what, "--group", "z2", "-N", "2",
                      "--limit", "4"]) == 2
+
+    def test_graded_dim_above_limit_exit_2(self, capsys):
+        """series graded-dim takes no --limit; it is bounded by the same
+        default before any type is listed."""
+        assert main(["series", "graded-dim", "--group", "s3", "-N", "30"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: degree-30 types exceed limit 50000 "
+                       "(57222 at degree 16)\n")
+
+    def test_mackey_lattice_cap_before_embeddings(self, capsys, monkeypatch):
+        """sl2_f5 has 76 subgroups: refused while the lattice grows, before
+        any subgroup is built."""
+        built = []
+        monkeypatch.setattr(groups, "subgroup_from_elements",
+                            lambda *args: built.append(args))
+        assert main(["verify", "mackey", "--group", "sl2_f5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and built == []
+        assert err == "error: subgroup lattice exceeds cap 40\n"
 
     def test_verify_hopf_json(self, capsys):
         assert main(["verify", "hopf", "--group", "z2", "-N", "3",

@@ -24,7 +24,7 @@ class TestProduct:
         sq = fock_mul(f, f)
         # sigma_c * sigma_c = sigma^{(1,1)@c}, whose value is Z_rho = 8
         rho = WreathType.from_dict({0: (1, 1)})
-        assert sq.value(rho).as_rational() == 8
+        assert sq.value(rho) == 8
         assert z_rho(g, rho) == 8
 
     def test_product_is_type_union(self):
@@ -77,13 +77,12 @@ class TestCoproduct:
                 # the element-level oracle computes
                 v = c * (z_rho(g, alpha) * z_rho(g, beta))
                 want = oracle_comul_value(sigma_rho(g, rho), alpha, beta)
-                x, y = v.rescale(g.exponent), want.rescale(g.exponent)
-                assert (x - y).is_zero()
+                assert v == want
 
     def test_counit(self):
         g = cyclic(2)
         u = FockElement.unit(g) * Fraction(5) + sigma_r_c(g, 1, 1)
-        assert counit(u).as_rational() == 5
+        assert counit(u) == 5
 
 
 @lru_cache(maxsize=None)
@@ -160,7 +159,7 @@ class TestFockElement:
         u = sigma_r_c(g, 1, 0)
         e = fock_exp(u, 3)
         sq = fock_mul(sigma_r_c(g, 1, 0), sigma_r_c(g, 1, 0))
-        assert e.component(0).value(EMPTY_TYPE).as_rational() == 1
+        assert e.component(0).value(EMPTY_TYPE) == 1
         assert e.component(1).equals(sigma_r_c(g, 1, 0))
         assert e.component(2).equals(sq * Fraction(1, 2))
 

@@ -16,6 +16,7 @@ from wreathfock.heisenberg import (HeisenbergError, SuperElement,
                                    vacuum)
 from wreathfock.lambda_ops import omega_n
 from wreathfock.linalg import matrix_rank
+from wreathfock.report import Report
 from wreathfock.scalars import Cyclotomic
 from wreathfock.wreath import WreathType, enumerate_types
 
@@ -89,17 +90,37 @@ class TestGroupMismatch:
             op(vacuum(symmetric(3)))
 
 
-@pytest.fixture
-def z3_payloads():
+def z3_payload_data():
     """Z3 with V the character k -> w^k and eta with w coefficients, so the
     operator data is not rational; basis is sigma^rho up to degree 3."""
     g = cyclic(3)
     w = Cyclotomic.root(3)
-    v = ClassFunction(g, (Cyclotomic.one(3), w, w * w))
-    eta = DualFunctional(g, (w, Cyclotomic.rational(3, 2), w * w - w))
+    v = ClassFunction(g, (Fraction(1), w, w * w))
+    eta = DualFunctional(g, (w, Fraction(2), w * w - w))
     basis = [sigma_rho(g, rho)
              for n in range(4) for rho in enumerate_types(g, n)]
     return v, eta, basis
+
+
+@pytest.fixture
+def z3_payloads():
+    return z3_payload_data()
+
+
+def z3_commutators() -> Report:
+    """Eq. (24) on the Z3 payloads, for modes 1..3: every operator datum
+    and the pairing <eta, V> lie in Q(w)."""
+    v, eta, basis = z3_payload_data()
+    pairing = eta.pair(v)
+    ops = [(m, l, a_minus(m, eta), a_plus(l, v))
+           for m in (1, 2, 3) for l in (1, 2, 3)]
+    rep = Report("z3_commutators")
+    rep.check("[a_-m(eta), a_l(V)] = l delta_ml <eta, V>",
+              ((m, l, down, up, u) for m, l, down, up in ops for u in basis),
+              lambda m, l, down, up, u: (down(up(u)) - up(down(u))).equals(
+                  u * (pairing * (l if m == l else 0))),
+              lambda m, l, down, up, u: f"m={m}, l={l}, {u!r}")
+    return rep
 
 
 class TestCyclotomicPayloads:
@@ -122,16 +143,10 @@ class TestCyclotomicPayloads:
                 assert op(u).equals(fock_mul(u, omega))
 
     def test_commutator(self, z3_payloads):
-        v, eta, basis = z3_payloads
-        pairing = eta.pair(v)
-        assert not pairing.is_rational()
-        for m in (1, 2, 3):
-            for l in (1, 2, 3):
-                down, up = a_minus(m, eta), a_plus(l, v)
-                expect = pairing * Fraction(l if m == l else 0)
-                for u in basis:
-                    lhs = down(up(u)) - up(down(u))
-                    assert lhs.equals(u * expect), (m, l, u)
+        v, eta, _ = z3_payloads
+        assert isinstance(eta.pair(v), Cyclotomic)  # never a rational
+        rep = z3_commutators()
+        assert rep.all_passed, rep.to_table()
 
 
 class TestRelations:
@@ -179,7 +194,7 @@ class TestRelations:
                 for c, lam in rho.parts:
                     for r in lam:
                         vec = a_plus(r, sigma_basis(g, c))(vec)
-                rows.append([vec.value(tau).as_rational() for tau in types_n])
+                rows.append([vec.value(tau) for tau in types_n])
             assert matrix_rank(rows) == len(types_n)
 
     def test_heisenberg_verify(self):

@@ -67,7 +67,7 @@ class TestOuterPower:
         for n in (1, 2, 3):
             f = boxtimes_power(sign_cf, n)
             for a in enumerate_wreath_elements(g, n):
-                assert f.value_at_element(a).as_rational() == \
+                assert f.value_at_element(a) == \
                     tensor_trace(sign_rep, a.gs, a.perm)
 
     def test_regular_rep_trace_oracle(self):
@@ -79,7 +79,7 @@ class TestOuterPower:
         rng = random.Random(3)
         elems = enumerate_wreath_elements(g, 2)
         for a in rng.sample(elems, 12):
-            assert f.value_at_element(a).as_rational() == \
+            assert f.value_at_element(a) == \
                 tensor_trace(rep, a.gs, a.perm)
 
 
@@ -120,8 +120,8 @@ class TestLambdaSeries:
     def test_lambda2_of_trivial(self):
         g = cyclic(2)
         f = lambda_n(trivial_character(g), 2)
-        assert f.value(WreathType.from_dict({0: (2,)})).as_rational() == -1
-        assert f.value(WreathType.from_dict({0: (1, 1)})).as_rational() == 1
+        assert f.value(WreathType.from_dict({0: (2,)})) == -1
+        assert f.value(WreathType.from_dict({0: (1, 1)})) == 1
 
     def test_eq21_exponential_form(self):
         for g in (cyclic(2), symmetric(3)):
@@ -172,7 +172,7 @@ class TestStructure:
                 for c, lam in rho.parts:
                     for r in lam:
                         prod = fock_mul(prod, phi_n(sigma_basis(g, c), r))
-                rows.append([prod.value(tau).as_rational() for tau in types_n])
+                rows.append([prod.value(tau) for tau in types_n])
             assert matrix_rank(rows) == len(types_n)
 
     @pytest.mark.parametrize("group,n", [(cyclic(2), 3), (symmetric(3), 2)])

@@ -151,7 +151,7 @@ class TestSigmaBasis:
             for r1 in types:
                 for r2 in types:
                     f1, f2 = sigma_rho(g, r1), sigma_rho(g, r2)
-                    got = f1.inner(f2).as_rational()
+                    got = f1.inner(f2)
                     want = Fraction(z_rho(g, r1)) if r1 == r2 else Fraction(0)
                     assert got == want
                     prod = f1.star(f2)
@@ -163,7 +163,7 @@ class TestSigmaBasis:
     def test_sigma_n_c_value(self):
         g = symmetric(3)
         f = sigma_r_c(g, 3, 1)
-        assert f.value(n_cycle_type(1, 3)).as_rational() == 3 * g.zeta(1)
+        assert f.value(n_cycle_type(1, 3)) == 3 * g.zeta(1)
 
     def test_trivial_and_sign_elementwise(self):
         for g in (cyclic(2), symmetric(3)):
@@ -173,8 +173,8 @@ class TestSigmaBasis:
                 triv = trivial_char(g, n)
                 sgn = sign_char(g, n)
                 for a in enumerate_wreath_elements(g, n):
-                    assert triv.value_at_element(a).as_rational() == 1
-                    assert sgn.value_at_element(a).as_rational() == \
+                    assert triv.value_at_element(a) == 1
+                    assert sgn.value_at_element(a) == \
                         perm_sign(a.perm)
 
     def test_eq6_eq7_expansions(self):
