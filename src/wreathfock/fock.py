@@ -213,6 +213,11 @@ def _partition_submultisets(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...]
 def comul_splits(rho: WreathType) -> list[tuple[WreathType, WreathType, int]]:
     """All (alpha, beta, coefficient) with alpha u beta = rho in the
     basis expansion of the coproduct of sigma^rho."""
+    return list(_comul_splits(rho))
+
+
+@lru_cache(maxsize=None)
+def _comul_splits(rho: WreathType) -> tuple[tuple[WreathType, WreathType, int], ...]:
     choices = []
     for c, lam in rho.parts:
         per_class = [(c, sub, rest, coef)
@@ -229,7 +234,7 @@ def comul_splits(rho: WreathType) -> list[tuple[WreathType, WreathType, int]]:
                 db[c] = rest
             coef *= k
         out.append((WreathType.from_dict(da), WreathType.from_dict(db), coef))
-    return out
+    return tuple(out)
 
 
 def fock_comul(

@@ -27,11 +27,13 @@ def boxtimes_power(v: ClassFunction, n: int) -> FockElement:
     if n < 0:
         raise WreathError("outer power needs n >= 0")
     g = v.group
+    powers = [[v.value(c) ** k for k in range(n + 1)]
+              for c in range(g.num_classes)]
     out = {}
     for rho in enumerate_types(g, n):
         val = Fraction(1)
         for c, lam in rho.parts:
-            val = val * v.value(c) ** len(lam)
+            val = val * powers[c][len(lam)]
         out[rho] = val
     return FockElement.from_values(g, out)
 

@@ -5,29 +5,28 @@ from fractions import Fraction
 
 
 def matrix_rank(rows: list[list[Fraction]]) -> int:
-    """Gaussian elimination over Q; destructive on a copy."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    col = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                pivot = r
+    """Gaussian elimination over Q on sparse rows.
+
+    Each row is held as a dict of its nonzero entries and reduced against
+    the pivot rows kept so far, always at its leftmost entry.  A pivot row
+    has no entry left of its pivot column, so each reduction strictly moves
+    the leftmost entry right; a row that empties is dependent, and one that
+    does not becomes the pivot row of its leftmost column."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        r = {j: x for j, x in enumerate(row) if x != 0}
+        while r:
+            col = min(r)
+            p = pivots.get(col)
+            if p is None:
+                pv = r[col]
+                pivots[col] = {j: x / pv for j, x in r.items()}
                 break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+            factor = r[col]
+            for j, x in p.items():
+                y = r.get(j, 0) - factor * x
+                if y != 0:
+                    r[j] = y
+                else:
+                    del r[j]
+    return len(pivots)

@@ -21,7 +21,7 @@ is built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import factorial
 from typing import Iterator, NamedTuple
@@ -95,24 +95,40 @@ def cycle_products(group: FiniteGroup, a: WreathElement) -> list[tuple[int, int]
     return out
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class WreathType:
     """Partition-valued function on the classes of G; the conjugacy
     invariant of G_n.  Stored canonically: nonempty partitions only,
-    sorted by class id, parts weakly decreasing."""
+    sorted by class id, parts weakly decreasing.
+
+    Degree, length and hash are computed once, at construction; equality,
+    order and repr depend on `parts` alone."""
 
     parts: tuple[tuple[int, tuple[int, ...]], ...]
+    degree: int = field(init=False, compare=False, repr=False)
+    length: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         last = -1
+        degree = length = 0
         for c, lam in self.parts:
             if c <= last:
                 raise WreathError("class ids must be strictly increasing")
             last = c
             if not lam:
                 raise WreathError("empty partitions must be omitted")
-            if any(p < 1 for p in lam) or list(lam) != sorted(lam, reverse=True):
+            # weakly decreasing with a positive last part: all parts positive
+            if list(lam) != sorted(lam, reverse=True) or lam[-1] < 1:
                 raise WreathError("partitions must be weakly decreasing, positive")
+            degree += sum(lam)
+            length += len(lam)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "_hash", hash((self.parts,)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_dict(cls, d: dict[int, tuple[int, ...]]) -> "WreathType":
@@ -122,14 +138,6 @@ class WreathType:
             if lam:
                 items.append((c, lam))
         return cls(tuple(items))
-
-    @property
-    def degree(self) -> int:
-        return sum(sum(lam) for _, lam in self.parts)
-
-    @property
-    def length(self) -> int:
-        return sum(len(lam) for _, lam in self.parts)
 
     def partition(self, c: int) -> tuple[int, ...]:
         for cc, lam in self.parts:
@@ -141,12 +149,8 @@ class WreathType:
         return self.partition(c).count(r)
 
     def union(self, other: "WreathType") -> "WreathType":
-        d: dict[int, list[int]] = {}
-        for c, lam in self.parts:
-            d.setdefault(c, []).extend(lam)
-        for c, lam in other.parts:
-            d.setdefault(c, []).extend(lam)
-        return WreathType.from_dict({c: tuple(v) for c, v in d.items()})
+        """The type whose parts at each class are those of both."""
+        return _union(self, other)
 
     def remove_part(self, r: int, c: int) -> "WreathType":
         lam = list(self.partition(c))
@@ -161,6 +165,19 @@ class WreathType:
     def __repr__(self):
         inner = ", ".join(f"{c}:{list(lam)}" for c, lam in self.parts)
         return f"Type({{{inner}}})"
+
+
+@lru_cache(maxsize=None)
+def _union(a: WreathType, b: WreathType) -> WreathType:
+    """The union of two types, memoized on the pair: a class in both gets
+    the merged partition."""
+    merged = dict(a.parts)
+    for c, lam in b.parts:
+        if c in merged:
+            merged[c] = tuple(sorted(merged[c] + lam, reverse=True))
+        else:
+            merged[c] = lam
+    return WreathType(tuple(sorted(merged.items())))
 
 
 EMPTY_TYPE = WreathType(())
@@ -197,6 +214,19 @@ def enumerate_types(group: FiniteGroup, n: int) -> list[WreathType]:
     """All degree-n types over G, duplicate-free, canonical order."""
     if n < 0:
         raise WreathError("degree must be >= 0")
+    table = _type_table(group)
+    if n not in table:
+        table[n] = _build_types(group, n)
+    return list(table[n])
+
+
+@lru_cache(maxsize=8)
+def _type_table(group: FiniteGroup) -> dict[int, tuple[WreathType, ...]]:
+    """Per group, filled on demand: degree -> its types."""
+    return {}
+
+
+def _build_types(group: FiniteGroup, n: int) -> tuple[WreathType, ...]:
     k = group.num_classes
     results: list[WreathType] = []
 
@@ -219,7 +249,7 @@ def enumerate_types(group: FiniteGroup, n: int) -> list[WreathType]:
                     rec(c + 1, remaining - size, acc)
 
     rec(0, n, [])
-    return sorted(results)
+    return tuple(sorted(results))
 
 
 def count_types(group: FiniteGroup, n: int, limit: int) -> int:
@@ -252,10 +282,20 @@ def z_partition(lam: tuple[int, ...]) -> int:
 
 def z_rho(group: FiniteGroup, rho: WreathType) -> int:
     """Centralizer order in G_n of an element of type rho."""
-    out = 1
-    for c, lam in rho.parts:
-        out *= z_partition(lam) * group.zeta(c) ** len(lam)
-    return out
+    table = _z_table(group)
+    z = table.get(rho)
+    if z is None:
+        z = 1
+        for c, lam in rho.parts:
+            z *= z_partition(lam) * group.zeta(c) ** len(lam)
+        table[rho] = z
+    return z
+
+
+@lru_cache(maxsize=8)
+def _z_table(group: FiniteGroup) -> dict[WreathType, int]:
+    """Per group, filled on demand: type -> Z_rho."""
+    return {}
 
 
 def wreath_order(group: FiniteGroup, n: int) -> int:

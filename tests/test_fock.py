@@ -1,8 +1,12 @@
 """Fock space layer: product, coproduct, antipode, oracles, graded dims."""
+import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import pytest
+from hypothesis import given, settings
 
 from wreathfock import fock, heisenberg, lambda_ops, wreath
 from wreathfock.fock import (FockElement, FockError, antipode, comul_splits,
@@ -15,6 +19,8 @@ from wreathfock.heisenberg import a_minus, a_plus
 from wreathfock.scalars import euler_product
 from wreathfock.wreath import (EMPTY_TYPE, WreathType, enumerate_types,
                                n_cycle_type, z_rho)
+
+from test_wreath import types
 
 
 class TestProduct:
@@ -49,7 +55,48 @@ class TestProduct:
         assert fock_mul(FockElement.unit(g), u).equals(u)
 
 
+def splits_rebuilt(rho):
+    """Uncached coproduct splits: every choice of a sub-multiset of each
+    class's partition, weighted by the product of binomials of the part
+    multiplicities."""
+    per_class = []
+    for c, lam in rho.parts:
+        counts = sorted(Counter(lam).items(), reverse=True)
+        options = []
+        for take in itertools.product(*(range(m + 1) for _, m in counts)):
+            sub = tuple(r for (r, _), a in zip(counts, take) for _ in range(a))
+            rest = tuple(r for (r, m), a in zip(counts, take)
+                         for _ in range(m - a))
+            coef = 1
+            for (_, m), a in zip(counts, take):
+                coef *= comb(m, a)
+            options.append((c, sub, rest, coef))
+        per_class.append(options)
+    out = Counter()
+    for combo in itertools.product(*per_class):
+        alpha = WreathType.from_dict({c: sub for c, sub, _, _ in combo})
+        beta = WreathType.from_dict({c: rest for c, _, rest, _ in combo})
+        coef = 1
+        for *_, k in combo:
+            coef *= k
+        out[alpha, beta] += coef
+    return out
+
+
 class TestCoproduct:
+    @settings(max_examples=150, deadline=None)
+    @given(types)
+    def test_splits_match_rebuild(self, rho):
+        """The memoized splits against an uncached rebuild; each (alpha,
+        beta) appears once, and a returned list is the caller's own."""
+        splits = comul_splits(rho)
+        assert len({(a, b) for a, b, _ in splits}) == len(splits)
+        assert Counter({(a, b): k for a, b, k in splits}) == \
+            splits_rebuilt(rho)
+        assert all(a.union(b) == rho for a, b, _ in splits)
+        splits.clear()
+        assert len(comul_splits(rho)) == len(splits_rebuilt(rho))
+
     def test_splits_coefficients(self):
         rho = WreathType.from_dict({0: (1, 1)})
         splits = {(a, b): k for a, b, k in comul_splits(rho)}

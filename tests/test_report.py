@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from wreathfock import fock, gsets, groups, heisenberg, lambda_ops
+from wreathfock import fock, gsets, groups, heisenberg, lambda_ops, wreath
 from wreathfock.fock import FockElement, hopf_verify
 from wreathfock.groups import cyclic, mackey_verify, symmetric
 from wreathfock.gsets import regular_gset, theorem_main_dim_check
@@ -214,3 +214,26 @@ def test_verify_work_is_pinned(suite, monkeypatch):
     monkeypatch.setattr(heisenberg, "fock_mul", fock.fock_mul)
     assert run().all_passed
     assert {k: counts[k] for k in want} == want
+
+
+# WreathType constructions in one cold run: type tables, unions, coproduct
+# splits and the induction bags start empty.  Each type a suite needs is
+# built about once (the parent version of the type code built 2147 and
+# 2745 in a fresh process).
+COLD_TYPES = {
+    "hopf_verify": (lambda: hopf_verify(cyclic(2), 3), 325),
+    "lambda_verify": (lambda: lambda_verify(cyclic(3), 3), 667),
+}
+
+
+@pytest.mark.parametrize("suite", COLD_TYPES)
+def test_cold_run_builds_each_type_once(suite, monkeypatch):
+    run, want = COLD_TYPES[suite]
+    for cache in (wreath._type_table, wreath._z_table, wreath._union,
+                  fock._comul_splits, fock._induction_bags):
+        cache.cache_clear()
+    counts = Counter()
+    _count_calls(monkeypatch, counts, wreath.WreathType, "__post_init__",
+                 "__post_init__")
+    assert run().all_passed
+    assert counts["__post_init__"] == want

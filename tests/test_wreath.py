@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wreathfock import wreath
 from wreathfock.fock import (FockElement, sigma_r_c, sigma_rho, sign_char,
                              trivial_char)
 from wreathfock.groups import cyclic, symmetric
@@ -68,7 +71,56 @@ class TestElements:
             enumerate_wreath_elements(symmetric(3), 4, limit=1000)
 
 
+def union_from_dict(a, b):
+    """The union by concatenating partitions and re-canonicalizing: the
+    reference for the memoized `WreathType.union`."""
+    d = {}
+    for c, lam in a.parts + b.parts:
+        d.setdefault(c, []).extend(lam)
+    return WreathType.from_dict({c: tuple(v) for c, v in d.items()})
+
+
+types = st.builds(WreathType.from_dict, st.dictionaries(
+    st.integers(0, 3), st.lists(st.integers(1, 4), max_size=3).map(tuple),
+    max_size=3))
+
+
 class TestTypes:
+    @settings(max_examples=200, deadline=None)
+    @given(types, types)
+    def test_cached_fields_and_union(self, a, b):
+        """degree, length and hash are fixed at construction and agree
+        with a recomputation from the parts; union agrees with the
+        from_dict union."""
+        for t in (a, b):
+            assert t.degree == sum(sum(lam) for _, lam in t.parts)
+            assert t.length == sum(len(lam) for _, lam in t.parts)
+            assert hash(t) == hash(WreathType(t.parts)) == hash((t.parts,))
+            assert repr(t) == repr(WreathType(t.parts))
+        u = a.union(b)
+        assert u == union_from_dict(a, b) == b.union(a)
+        assert u.degree == a.degree + b.degree
+        assert u.length == a.length + b.length
+        assert a.union(b) is u          # memoized
+
+    def test_equality_and_order_ignore_cached_fields(self):
+        a = WreathType(((0, (2, 1)),))
+        b = WreathType(((0, (2, 1)),))
+        c = WreathType(((0, (3,)),))
+        assert a == b and a is not b and len({a, b}) == 1
+        assert (a < c) == (a.parts < c.parts)
+        assert a.to_json_obj() == [[0, [2, 1]]]
+        with pytest.raises(AttributeError):
+            a.degree = 5
+
+    def test_type_table_is_copied(self):
+        g = cyclic(2)
+        first = enumerate_types(g, 3)
+        first.clear()
+        again = enumerate_types(g, 3)
+        assert len(again) == 10 and again == sorted(again)
+        assert again is not enumerate_types(g, 3)
+
     def test_partitions(self):
         assert len(partitions(6)) == 11
         assert partitions(3) == ((3,), (2, 1), (1, 1, 1))
