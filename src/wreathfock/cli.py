@@ -203,9 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wreathfock",
         description="Wreath-product Fock space computations and checks")
-    parser.add_argument("--profile", metavar="FILE",
-                        help="run the command under cProfile and write "
-                             "pstats data to FILE")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, group_required=True):
@@ -253,20 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.profile is None:
-        return _run(args)
-    import cProfile  # only here: importing it costs every other run
-    profiler = cProfile.Profile()
-    rc = profiler.runcall(_run, args)
-    try:
-        profiler.dump_stats(args.profile)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return rc
-
-
-def _run(args) -> int:
     try:
         return args.func(args)
     except _ERRORS as exc:

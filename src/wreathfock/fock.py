@@ -210,14 +210,10 @@ def _partition_submultisets(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...]
     return tuple(out)
 
 
-def comul_splits(rho: WreathType) -> list[tuple[WreathType, WreathType, int]]:
-    """All (alpha, beta, coefficient) with alpha u beta = rho in the
-    basis expansion of the coproduct of sigma^rho."""
-    return list(_comul_splits(rho))
-
-
 @lru_cache(maxsize=None)
-def _comul_splits(rho: WreathType) -> tuple[tuple[WreathType, WreathType, int], ...]:
+def comul_splits(rho: WreathType) -> tuple[tuple[WreathType, WreathType, int], ...]:
+    """All (alpha, beta, coefficient) with alpha u beta = rho in the
+    basis expansion of the coproduct of sigma^rho; memoized on rho."""
     choices = []
     for c, lam in rho.parts:
         per_class = [(c, sub, rest, coef)

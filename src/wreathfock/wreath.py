@@ -148,9 +148,16 @@ class WreathType:
     def multiplicity(self, r: int, c: int) -> int:
         return self.partition(c).count(r)
 
+    @lru_cache(maxsize=None)
     def union(self, other: "WreathType") -> "WreathType":
-        """The type whose parts at each class are those of both."""
-        return _union(self, other)
+        """The type whose parts at each class are those of both; memoized
+        on the pair."""
+        d: dict[int, list[int]] = {}
+        for c, lam in self.parts:
+            d.setdefault(c, []).extend(lam)
+        for c, lam in other.parts:
+            d.setdefault(c, []).extend(lam)
+        return WreathType.from_dict({c: tuple(v) for c, v in d.items()})
 
     def remove_part(self, r: int, c: int) -> "WreathType":
         lam = list(self.partition(c))
@@ -165,19 +172,6 @@ class WreathType:
     def __repr__(self):
         inner = ", ".join(f"{c}:{list(lam)}" for c, lam in self.parts)
         return f"Type({{{inner}}})"
-
-
-@lru_cache(maxsize=None)
-def _union(a: WreathType, b: WreathType) -> WreathType:
-    """The union of two types, memoized on the pair: a class in both gets
-    the merged partition."""
-    merged = dict(a.parts)
-    for c, lam in b.parts:
-        if c in merged:
-            merged[c] = tuple(sorted(merged[c] + lam, reverse=True))
-        else:
-            merged[c] = lam
-    return WreathType(tuple(sorted(merged.items())))
 
 
 EMPTY_TYPE = WreathType(())

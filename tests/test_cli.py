@@ -1,6 +1,5 @@
 """CLI surface: parsing, output formats, exit codes, file ingestion."""
 import json
-import pstats
 from pathlib import Path
 
 import pytest
@@ -112,26 +111,6 @@ class TestCommands:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
-
-
-    def test_profile_writes_pstats(self, tmp_path, capsys):
-        """--profile leaves stdout, stderr and the exit code as they are
-        and writes loadable pstats data."""
-        argv = ["verify", "hopf", "--group", "z2", "-N", "2"]
-        assert main(argv) == 0
-        plain = capsys.readouterr()
-        prof = tmp_path / "run.prof"
-        assert main(["--profile", str(prof), *argv]) == 0
-        assert capsys.readouterr() == plain
-        stats = pstats.Stats(str(prof))
-        assert any(fn == "hopf_verify" for _, _, fn in stats.stats)
-        assert main(["--profile", str(prof), "verify", "hopf",
-                     "--group", "nope"]) == 2
-        assert pstats.Stats(str(prof)).stats
-        assert main(["--profile", str(tmp_path / "no" / "such.prof"),
-                     *argv]) == 2
-        out, err = capsys.readouterr()
-        assert err.splitlines()[-1].startswith("error: ")
 
 
 class TestFileIngestion:

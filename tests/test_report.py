@@ -229,8 +229,9 @@ COLD_TYPES = {
 @pytest.mark.parametrize("suite", COLD_TYPES)
 def test_cold_run_builds_each_type_once(suite, monkeypatch):
     run, want = COLD_TYPES[suite]
-    for cache in (wreath._type_table, wreath._z_table, wreath._union,
-                  fock._comul_splits, fock._induction_bags):
+    for cache in (wreath._type_table, wreath._z_table,
+                  wreath.WreathType.union, fock.comul_splits,
+                  fock._induction_bags):
         cache.cache_clear()
     counts = Counter()
     _count_calls(monkeypatch, counts, wreath.WreathType, "__post_init__",
