@@ -12,7 +12,7 @@ import re
 import sys
 from pathlib import Path
 
-from .fock import graded_dim, hopf_verify
+from .fock import hopf_verify
 from .groups import (FiniteGroup, GroupError, builtin, group_from_cayley_json,
                      group_from_permutations_json, mackey_verify)
 from .gsets import (GSet, GSetError, euler_verify, gset_from_json,
@@ -22,7 +22,7 @@ from .lambda_ops import lambda_verify
 from .report import Report
 from .scalars import ScalarError, euler_product, graded_dim_series
 from .wreath import (WreathError, brute_force_classes, count_types,
-                     enumerate_types, type_of, z_rho)
+                     enumerate_types, type_counts, type_of, z_rho)
 
 LIMIT = 50_000  # default --limit; also bounds series graded-dim
 
@@ -153,8 +153,7 @@ def cmd_series(args) -> int:
     if args.what == "graded-dim":
         if args.group is not None:
             g = parse_group(args.group)
-            count_types(g, args.max_degree, LIMIT)  # raises before listing
-            counts = graded_dim(g, args.max_degree)
+            counts = type_counts(g, args.max_degree, LIMIT)  # exit 2 above LIMIT
             print(" ".join(str(c) for c in counts))
             return 0
         print(_series_line(graded_dim_series(args.d0, args.d1,

@@ -159,7 +159,9 @@ class WreathType:
             d.setdefault(c, []).extend(lam)
         return WreathType.from_dict({c: tuple(v) for c, v in d.items()})
 
+    @lru_cache(maxsize=None)
     def remove_part(self, r: int, c: int) -> "WreathType":
+        """The type with one part r removed at class c; memoized."""
         lam = list(self.partition(c))
         lam.remove(r)
         d = {cc: list(l) for cc, l in self.parts}
@@ -246,12 +248,14 @@ def _build_types(group: FiniteGroup, n: int) -> tuple[WreathType, ...]:
     return tuple(sorted(results))
 
 
-def count_types(group: FiniteGroup, n: int, limit: int) -> int:
-    """The number of degree-n types over G: the q^n coefficient a_n of
+def type_counts(group: FiniteGroup, n: int, limit: int) -> list[int]:
+    """The numbers of types over G of degrees 0..n: the coefficients a_d of
     prod (1 - q^r)^(-k), k the number of classes.  The recurrence
     d a_d = k sum_j sigma(j) a_{d-j} (sigma(j) the divisor sum) gives one
     degree at a time in integers; a_d never decreases with d, so the count
     stops with a WreathError at the first degree past the limit."""
+    if n < 0:
+        raise WreathError("degree must be >= 0")
     counts, sigma = [1], [0]
     for d in range(n + 1):
         if d:
@@ -261,7 +265,12 @@ def count_types(group: FiniteGroup, n: int, limit: int) -> int:
         if counts[d] > limit:
             raise WreathError(f"degree-{n} types exceed limit {limit} "
                               f"({counts[d]} at degree {d})")
-    return counts[n]
+    return counts
+
+
+def count_types(group: FiniteGroup, n: int, limit: int) -> int:
+    """The number of degree-n types over G, bounded as in `type_counts`."""
+    return type_counts(group, n, limit)[n]
 
 
 @lru_cache(maxsize=None)
@@ -296,6 +305,7 @@ def wreath_order(group: FiniteGroup, n: int) -> int:
     return group.order ** n * factorial(n)
 
 
+@lru_cache(maxsize=None)
 def n_cycle_type(c: int, n: int) -> WreathType:
     return WreathType(((c, (n,)),))
 

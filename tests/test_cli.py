@@ -6,6 +6,7 @@ import pytest
 
 from wreathfock import groups
 from wreathfock.cli import main, parse_group, parse_gset
+from wreathfock.fock import graded_dim
 from wreathfock.groups import GroupError, symmetric
 
 
@@ -38,6 +39,16 @@ class TestCommands:
         assert main(["series", "graded-dim", "--group", "z2", "-N", "4"]) == 0
         assert capsys.readouterr().out.strip() == "1 2 5 10 20"
 
+    @pytest.mark.parametrize("group", ["z2", "s3", "q8"])
+    def test_series_graded_dim_counts_types(self, group, capsys):
+        """The CLI counts by the integer recurrence; graded_dim lists the
+        types of each degree."""
+        for n in range(7):
+            assert main(["series", "graded-dim", "--group", group,
+                         "-N", str(n)]) == 0
+            want = " ".join(map(str, graded_dim(parse_group(group), n)))
+            assert capsys.readouterr().out == want + "\n"
+
     def test_group_info_json(self, capsys):
         assert main(["group", "info", "--group", "s3",
                      "--format", "json"]) == 0
@@ -67,6 +78,10 @@ class TestCommands:
         assert out == ""
         assert err == ("error: degree-30 types exceed limit 50000 "
                        "(57222 at degree 16)\n")
+
+    def test_graded_dim_negative_degree_exit_2(self, capsys):
+        assert main(["series", "graded-dim", "--group", "z2", "-N", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: degree must be >= 0\n")
 
     def test_mackey_lattice_cap_before_embeddings(self, capsys, monkeypatch):
         """sl2_f5 has 76 subgroups: refused while the lattice grows, before

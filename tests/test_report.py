@@ -1,6 +1,7 @@
 """Check reports: the check runner, each verify suite's failure path, and
 the amount of work a verify suite does."""
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -73,6 +74,70 @@ def _insert_sign_flip(monkeypatch):
     return sf_commutator_check(1, 1, 3, 2)
 
 
+def _scaled_op(monkeypatch, sign, mode, factor, big):
+    """The F_G operator of this sign and mode multiplies its result by
+    `factor` on inputs with a type for which `big` holds."""
+    orig = HeisenbergOp.__call__
+
+    def call(self, u):
+        out = orig(self, u)
+        if (self.sign, self.mode) == (sign, mode) and any(map(big, u.coeffs)):
+            return out * factor
+        return out
+
+    monkeypatch.setattr(HeisenbergOp, "__call__", call)
+    return commutator_check(cyclic(2), 3, 2)
+
+
+def _creation_2_doubled(monkeypatch):
+    return _scaled_op(monkeypatch, 1, 2, 2, lambda rho: rho.degree >= 2)
+
+
+def _annihilation_1_tripled(monkeypatch):
+    return _scaled_op(monkeypatch, -1, 1, 3, lambda rho: rho.length >= 2)
+
+
+def _super_scaled(monkeypatch, build, mode, factor, big):
+    """The super operators `build` makes at this mode multiply their result
+    by `factor` on inputs with a monomial for which `big` holds."""
+    orig = getattr(heisenberg, build)
+
+    def scaled(space, w, m):
+        op = orig(space, w, m)
+        if m != mode:
+            return op
+        return lambda u: op(u).scale(Fraction(factor)) if any(map(big, u)) \
+            else op(u)
+
+    monkeypatch.setattr(heisenberg, build, scaled)
+    return sf_commutator_check(1, 1, 3, 2)
+
+
+def _super_creation_2_doubled(monkeypatch):
+    return _super_scaled(monkeypatch, "sf_a_plus", 2, 2,
+                         lambda mono: sum(e[0] for e in mono) >= 2)
+
+
+def _super_annihilation_1_tripled(monkeypatch):
+    return _super_scaled(monkeypatch, "sf_a_minus", 1, 3,
+                         lambda mono: len(mono) >= 2)
+
+
+def _odd_square_nonzero(monkeypatch):
+    """Creation inserts a repeated odd entry instead of giving zero, so
+    a(w)^2 = 0 fails for the odd generator w."""
+    orig = heisenberg._insert_entry
+
+    def lax(mono, e):
+        if e[1] == 1 and e in mono:
+            pos = mono.index(e)
+            return mono[:pos] + (e,) + mono[pos:], 1
+        return orig(mono, e)
+
+    monkeypatch.setattr(heisenberg, "_insert_entry", lax)
+    return sf_commutator_check(1, 1, 3, 2)
+
+
 def _mackey_fails_late(monkeypatch):
     orig = groups.mackey_check
 
@@ -137,6 +202,39 @@ FAULTS = {
 [PASS] super Eq. (25)/(26): like operators super-commute
 [PASS] graded dimension matches (1+q^r)^d1/(1-q^r)^d0
 2/3 checks passed"""),
+    # the commute checks visit each unordered pair of operators once; these
+    # reports are the ones recorded when they visited both orders
+    "creation-2-doubled": (_creation_2_doubled, """\
+[FAIL] Eq. (24): [a_-m(eta), a_l(V)] = l delta_ml <eta,V>  (m=1,l=2,c=0,c'=0)
+[FAIL] Eq. (25): creation operators commute  (m=1,l=2)
+[PASS] Eq. (26): annihilation operators commute
+[PASS] annihilation matches evaluation-restriction oracle
+2/4 checks passed"""),
+    "annihilation-1-tripled": (_annihilation_1_tripled, """\
+[FAIL] Eq. (24): [a_-m(eta), a_l(V)] = l delta_ml <eta,V>  (m=1,l=1,c=0,c'=0)
+[PASS] Eq. (25): creation operators commute
+[FAIL] Eq. (26): annihilation operators commute  (m=1,l=2)
+[FAIL] annihilation matches evaluation-restriction oracle  (m=1,deg=2)
+1/4 checks passed"""),
+    "super-creation-2-doubled": (_super_creation_2_doubled, """\
+[FAIL] super Eq. (24): [a_-m(eta), a_l(w)] = l delta delta  \
+(m=1,l=2,eta=(0, 0),w=(0, 0))
+[FAIL] super Eq. (25)/(26): like operators super-commute  (create m=1,l=2)
+[PASS] graded dimension matches (1+q^r)^d1/(1-q^r)^d0
+1/3 checks passed"""),
+    "super-annihilation-1-tripled": (_super_annihilation_1_tripled, """\
+[FAIL] super Eq. (24): [a_-m(eta), a_l(w)] = l delta delta  \
+(m=1,l=1,eta=(0, 0),w=(0, 0))
+[FAIL] super Eq. (25)/(26): like operators super-commute  \
+(annihilate m=1,l=2)
+[PASS] graded dimension matches (1+q^r)^d1/(1-q^r)^d0
+1/3 checks passed"""),
+    "odd-square-nonzero": (_odd_square_nonzero, """\
+[FAIL] super Eq. (24): [a_-m(eta), a_l(w)] = l delta delta  \
+(m=1,l=2,eta=(1, 0),w=(1, 0))
+[FAIL] super Eq. (25)/(26): like operators super-commute  (create m=1,l=1)
+[PASS] graded dimension matches (1+q^r)^d1/(1-q^r)^d0
+1/3 checks passed"""),
     "mackey-fails-late": (_mackey_fails_late, """\
 [FAIL] Mackey formula over 6^2 subgroup pairs  (|H|=2, |L|=3, class 0)
 0/1 checks passed"""),
@@ -183,7 +281,7 @@ def _count_calls(monkeypatch, counts, owner, name, key):
 # so they build no Cyclotomic
 WORK = {
     "commutator_check": (lambda: commutator_check(cyclic(2), 3, 2), {
-        "HeisenbergOp.__call__": 3528, "fock_mul": 1728,
+        "HeisenbergOp.__call__": 1152, "fock_mul": 576,
         "Cyclotomic.__mul__": 0, "_insert_entry": 0}),
     "hopf_verify": (lambda: hopf_verify(cyclic(2), 3), {
         "HeisenbergOp.__call__": 0, "fock_mul": 195,
@@ -193,7 +291,7 @@ WORK = {
         "Cyclotomic.__mul__": 2345, "_insert_entry": 0}),
     "sf_commutator_check": (lambda: sf_commutator_check(1, 1, 3, 2), {
         "HeisenbergOp.__call__": 0, "fock_mul": 0,
-        "Cyclotomic.__mul__": 0, "_insert_entry": 1208}),
+        "Cyclotomic.__mul__": 0, "_insert_entry": 392}),
 }
 
 
@@ -216,13 +314,14 @@ def test_verify_work_is_pinned(suite, monkeypatch):
     assert {k: counts[k] for k in want} == want
 
 
-# WreathType constructions in one cold run: type tables, unions, coproduct
-# splits and the induction bags start empty.  Each type a suite needs is
-# built about once (the parent version of the type code built 2147 and
-# 2745 in a fresh process).
+# WreathType constructions in one cold run: type tables, unions, part
+# removals, n-cycle types, coproduct splits and the induction bags start
+# empty.  Each type a suite needs is built about once (before the type
+# caches, a fresh process built 2147 and 2745; before n-cycle types and
+# part removals were memoized, lambda_verify built 667).
 COLD_TYPES = {
     "hopf_verify": (lambda: hopf_verify(cyclic(2), 3), 325),
-    "lambda_verify": (lambda: lambda_verify(cyclic(3), 3), 667),
+    "lambda_verify": (lambda: lambda_verify(cyclic(3), 3), 133),
 }
 
 
@@ -230,7 +329,8 @@ COLD_TYPES = {
 def test_cold_run_builds_each_type_once(suite, monkeypatch):
     run, want = COLD_TYPES[suite]
     for cache in (wreath._type_table, wreath._z_table,
-                  wreath.WreathType.union, fock.comul_splits,
+                  wreath.WreathType.union, wreath.WreathType.remove_part,
+                  wreath.n_cycle_type, fock.comul_splits,
                   fock._induction_bags):
         cache.cache_clear()
     counts = Counter()

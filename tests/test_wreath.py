@@ -18,7 +18,7 @@ from wreathfock.wreath import (EMPTY_TYPE, WreathElement, WreathError,
                                centralizer_checks, count_types,
                                cycle_products, enumerate_types, enumerate_wreath_elements,
                                n_cycle_type, partitions, representative_of_type,
-                               type_of, wreath_cayley_group, wreath_conj,
+                               type_counts, type_of, wreath_cayley_group, wreath_conj,
                                wreath_identity, wreath_inv, wreath_mul,
                                wreath_order, z_partition, z_rho)
 
@@ -98,6 +98,19 @@ class TestTypes:
         assert u.length == a.length + b.length
         assert a.union(b) is u          # memoized
 
+    @settings(max_examples=100, deadline=None)
+    @given(types)
+    def test_remove_part_inverts_union(self, t):
+        """Removing one part r at class c and adding the r-cycle type back
+        gives t again; both are memoized."""
+        for c, lam in t.parts:
+            for r in set(lam):
+                smaller = t.remove_part(r, c)
+                assert smaller.union(n_cycle_type(c, r)) == t
+                assert smaller.degree == t.degree - r
+                assert t.remove_part(r, c) is smaller
+                assert n_cycle_type(c, r) is n_cycle_type(c, r)
+
     def test_equality_and_order_ignore_cached_fields(self):
         a = WreathType(((0, (2, 1)),))
         b = WreathType(((0, (2, 1)),))
@@ -154,6 +167,10 @@ class TestTypes:
             count_types(symmetric(3), 30, 50_000)
         with pytest.raises(WreathError):
             count_types(cyclic(2), 0, 0)
+        assert type_counts(symmetric(3), 6, 10 ** 9) == \
+            [count_types(symmetric(3), n, 10 ** 9) for n in range(7)]
+        with pytest.raises(WreathError, match="degree must be >= 0"):
+            type_counts(cyclic(2), -1, 10 ** 9)
 
     def test_representative_realizes_type(self):
         g = symmetric(3)
