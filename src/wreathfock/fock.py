@@ -41,7 +41,8 @@ class FockError(ValueError):
 @dataclass
 class FockElement:
     """u = sum of coeffs[rho] sigma^rho over types rho, finitely supported.
-    Zero coefficients are dropped."""
+    Zero coefficients are dropped.  `group` is G, or for the super Fock
+    model the `heisenberg.SuperFockSpace` whose labels the types use."""
 
     group: FiniteGroup
     coeffs: dict = field(default_factory=dict)
@@ -98,8 +99,12 @@ class FockElement:
             out[k] = out.get(k, 0) + v
         return FockElement(self.group, out)
 
-    def __sub__(self, other):
-        return self + (other * Fraction(-1))
+    def __sub__(self, other: "FockElement") -> "FockElement":
+        self._check(other)
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, 0) - v
+        return FockElement(self.group, out)
 
     def __mul__(self, scalar) -> "FockElement":
         return FockElement(self.group,

@@ -1,32 +1,100 @@
-"""Creation/annihilation operators on F_G and the Heisenberg relations,
-plus an abstract Z2-graded Fock model for the super (odd) case.
+"""Creation/annihilation operators on one graded-commutative sigma engine,
+and the Heisenberg relations on F_G and on the (d0|d1) super Fock model.
 
-In sigma coordinates F_G is the polynomial ring in the sigma_r(c).
-Creation a_m(V) is multiplication by omega_m(V), the linear form with
-coefficient V(c)/zeta_c on sigma_m(c); annihilation a_{-m}(eta) is the
-derivation sum_c m <eta, sigma_c> d/d sigma_m(c).  An evaluation-style
-restriction oracle is the independent cross-check.  What an operator needs
-apart from the vector it acts on (the element omega_m(V), or the weights
-m <eta, sigma_c>) is computed once, when the operator is built, and the
-relation checks compute the image of every basis vector under every
-operator once per check.
+The engine is the polynomial ring in generators sigma_r(c), r >= 1, over a
+finite set of labels c, each even or odd; a monomial sigma^rho is a
+`WreathType` rho and a vector is a `FockElement`.  Odd generators
+anticommute, so an odd label takes distinct parts (Macdonald, Ch. I,
+App. B), and the monomial is ordered canonically: labels ascending, parts
+descending at each label.  F_G has the classes of G as labels, all even.
+The super model `SuperFockSpace(d0, d1)` has labels 0..d0-1 even and
+d0..d0+d1-1 odd, generator (parity, index) at label index + parity d0.
+
+Creation a_m multiplies from the left by a linear form sum_c x_c sigma_m(c)
+(for F_G, omega_m(V), with x_c = V(c)/zeta_c; for the super model one
+generator); annihilation a_{-m} is the derivation sum_c x_c d/d sigma_m(c)
+(for F_G, x_c = m <eta, sigma_c>; for the super model x_c = m at the
+generator's label).  Both carry the Koszul sign of `_sign`.  An
+evaluation-style restriction oracle is the independent cross-check on F_G.
+What an operator needs apart from the vector it acts on, its form, is
+computed once, when the operator is built, and the relation checks compute
+the image of every basis vector under every operator once per check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fock import FockElement, fock_mul, sigma_rho
+from .fock import FockElement, sigma_rho
 from .groups import (ClassFunction, DualFunctional, FiniteGroup, GroupError,
                      sigma_basis)
 from .lambda_ops import omega_n
 from .report import Report
 from .scalars import Scalar
-from .wreath import WreathType, enumerate_types, n_cycle_type
+from .wreath import WreathType, enumerate_types, label_types, n_cycle_type
 
 
 class HeisenbergError(ValueError):
     pass
+
+
+# the nonzero terms (label c, the type of sigma_m(c), coefficient x_c) of a
+# linear form in the mode-m generators
+Form = tuple[tuple[int, WreathType, Scalar], ...]
+
+
+def _sign(rho: WreathType, m: int, c: int, odd: int) -> int:
+    """The Koszul sign in sigma_m(c) sigma^rho = sign sigma^(rho u m at c),
+    the labels >= odd being odd.  It is +1 for an even label c; for an odd
+    one it is (-1) to the number of odd parts of rho before (m, c) in
+    canonical order, and 0 when rho already has the part m at c."""
+    if c < odd:
+        return 1
+    crossed = 0
+    for cc, lam in rho.parts:
+        if cc > c:
+            break
+        if cc < odd:
+            continue
+        if cc < c:
+            crossed += len(lam)
+        elif m in lam:
+            return 0
+        else:
+            crossed += sum(1 for r in lam if r > m)
+    return -1 if crossed % 2 else 1
+
+
+def _create(m: int, form: Form, odd: int, u: FockElement) -> FockElement:
+    """Left multiplication by the form's sum_c x_c sigma_m(c)."""
+    out: dict[WreathType, Scalar] = {}
+    for rho, a in u.coeffs.items():
+        for c, tau, x in form:
+            if c >= odd:
+                sign = _sign(rho, m, c, odd)
+                if not sign:
+                    continue
+                x = x * sign
+            key = rho.union(tau)
+            out[key] = out.get(key, 0) + a * x
+    return FockElement(u.group, out)
+
+
+def _annihilate(m: int, form: Form, odd: int,
+                u: FockElement) -> FockElement:
+    """The derivation sum_c x_c d/d sigma_m(c): on sigma^rho, per label c,
+    x_c times (the multiplicity of part m at c, or for an odd label the
+    sign of moving sigma_m(c) to the front) sigma^{rho minus that part}."""
+    out: dict[WreathType, Scalar] = {}
+    for rho, a in u.coeffs.items():
+        for c, _, x in form:
+            mult = rho.multiplicity(m, c)
+            if not mult:
+                continue
+            new = rho.remove_part(m, c)
+            k = _sign(new, m, c, odd) if c >= odd else mult
+            out[new] = out.get(new, 0) + a * x * k
+    return FockElement(u.group, out)
 
 
 @dataclass(frozen=True)
@@ -37,9 +105,9 @@ class HeisenbergOp:
     sign: int
     mode: int
     payload: object
-    # a_m(V): the FockElement omega_m(V); a_{-m}(eta): the tuple of
-    # weights m <eta, sigma_c> indexed by class c
-    _data: object = field(init=False, repr=False, compare=False)
+    # the form: for a_m(V) the coefficients of omega_m(V), for a_{-m}(eta)
+    # the weights m <eta, sigma_c>, both indexed by class c
+    _form: Form = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode < 1:
@@ -51,18 +119,21 @@ class HeisenbergOp:
             raise HeisenbergError(f"payload must be a {want.__name__}")
         g, m = self.payload.group, self.mode
         if self.sign == 1:
-            data = omega_n(self.payload, m)
+            omega = omega_n(self.payload, m).coeffs
+            coeffs = (omega.get(n_cycle_type(c, m), 0)
+                      for c in range(g.num_classes))
         else:
-            data = tuple(self.payload.pair(sigma_basis(g, c)) * Fraction(m)
-                         for c in range(g.num_classes))
-        object.__setattr__(self, "_data", data)
+            coeffs = (self.payload.pair(sigma_basis(g, c)) * Fraction(m)
+                      for c in range(g.num_classes))
+        object.__setattr__(self, "_form", tuple(
+            (c, n_cycle_type(c, m), x) for c, x in enumerate(coeffs) if x))
 
     def __call__(self, u: FockElement) -> FockElement:
-        if u.group is not self.payload.group:
+        g = self.payload.group
+        if u.group is not g:
             raise GroupError("operator and vector need a common group")
-        if self.sign == 1:
-            return fock_mul(u, self._data)
-        return _apply_minus(self.mode, self._data, u)
+        apply = _create if self.sign == 1 else _annihilate
+        return apply(self.mode, self._form, g.num_classes, u)
 
 
 def a_plus(m: int, v: ClassFunction) -> HeisenbergOp:
@@ -75,22 +146,6 @@ def a_minus(m: int, eta: DualFunctional) -> HeisenbergOp:
 
 def vacuum(group: FiniteGroup) -> FockElement:
     return FockElement.unit(group)
-
-
-def _apply_minus(m: int, weights: tuple[Scalar, ...],
-                 u: FockElement) -> FockElement:
-    """The derivation sum_c weights[c] d/d sigma_m(c), with weights[c] =
-    m <eta, sigma_c>: on sigma^rho, sum_c (multiplicity of part m at c)
-    weights[c] sigma^{rho minus one m-part at c}."""
-    out: dict[WreathType, Scalar] = {}
-    for rho, coeff in u.coeffs.items():
-        for c, lam in rho.parts:
-            mult = lam.count(m)
-            if mult == 0:
-                continue
-            new = rho.remove_part(m, c)
-            out[new] = out.get(new, 0) + coeff * weights[c] * mult
-    return FockElement(u.group, out)
 
 
 def a_minus_oracle(m: int, eta: DualFunctional,
@@ -139,8 +194,11 @@ def commutator_check(group: FiniteGroup, max_degree: int,
 
     def eq24(m, l, ci, cj, down, up):
         expect = pairings[ci][cj] * Fraction(l if m == l else 0)
-        return all((down(up_img[l][cj][i]) - up(down_img[m][ci][i])).equals(
-            u * expect) for i, u in enumerate(basis))
+        brackets = (down(up_img[l][cj][i]) - up(down_img[m][ci][i])
+                    for i in range(len(basis)))
+        if not expect:
+            return all(b.is_zero() for b in brackets)
+        return all(b.equals(u * expect) for b, u in zip(brackets, basis))
 
     rep.check("Eq. (24): [a_-m(eta), a_l(V)] = l delta_ml <eta,V>",
               ((m, l, ci, cj, down, up) for m, l in pairs
@@ -188,16 +246,16 @@ def irreducibility_check(group: FiniteGroup, max_degree: int) -> bool:
     return True
 
 
-# -- abstract super Fock model ----------------------------------------------
+# -- the (d0|d1) super Fock model -------------------------------------------
 
 Generator = tuple[int, int]          # (parity, index); parity 0 even, 1 odd
-Entry = tuple[int, int, int]         # (mode, parity, index)
-Monomial = tuple[Entry, ...]         # sorted; odd entries pairwise distinct
 
 
 @dataclass(frozen=True)
 class SuperFockSpace:
-    """S(direct sum over r >= 1 of W[r]) for W of dimension (d0 | d1)."""
+    """S(direct sum over r >= 1 of W[r]) for W of dimension (d0 | d1): the
+    sigma engine on labels 0..d0-1 (even) and d0..d0+d1-1 (odd).  Its
+    vectors are `FockElement`s with this space as their group."""
 
     d0: int
     d1: int
@@ -206,126 +264,33 @@ class SuperFockSpace:
         return [(0, i) for i in range(self.d0)] + \
                [(1, i) for i in range(self.d1)]
 
-    def check_generator(self, w: Generator):
+    def form(self, w: Generator, m: int, x: Scalar) -> Form:
+        """x sigma_m(w) as a form; refuses a bad generator or mode."""
         parity, idx = w
         bound = self.d0 if parity == 0 else self.d1
         if not (parity in (0, 1) and 0 <= idx < bound):
             raise HeisenbergError(f"no generator {w} in ({self.d0}|{self.d1})")
+        if m < 1:
+            raise HeisenbergError("mode must be >= 1")
+        c = idx + parity * self.d0
+        return ((c, n_cycle_type(c, m), x),)
 
-    def monomials(self, degree: int) -> list[Monomial]:
-        """All basis monomials of the given total degree (sum of modes)."""
-        entries = [(r, p, i) for r in range(1, degree + 1)
-                   for (p, i) in self.generators()]
-
-        out: list[Monomial] = []
-
-        def rec(start, remaining, acc):
-            if remaining == 0:
-                out.append(tuple(acc))
-                return
-            for k in range(start, len(entries)):
-                e = entries[k]
-                if e[0] > remaining:
-                    continue
-                if e[1] == 1 and acc and acc[-1] == e:
-                    continue
-                acc.append(e)
-                rec(k if e[1] == 0 else k + 1, remaining - e[0], acc)
-                acc.pop()
-
-        rec(0, degree, [])
-        return sorted(out)
-
-
-class SuperElement(dict):
-    """Sparse linear combination monomial -> Fraction."""
-
-    @classmethod
-    def vac(cls) -> "SuperElement":
-        return cls({(): Fraction(1)})
-
-    def __add__(self, other: "SuperElement") -> "SuperElement":
-        out = SuperElement(self)
-        for k, v in other.items():
-            out[k] = out.get(k, Fraction(0)) + v
-            if out[k] == 0:
-                del out[k]
-        return out
-
-    def __sub__(self, other: "SuperElement") -> "SuperElement":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, x: Fraction) -> "SuperElement":
-        return SuperElement({k: v * x for k, v in self.items() if v * x != 0})
-
-    def equals(self, other: "SuperElement") -> bool:
-        return {k: v for k, v in self.items() if v} == \
-               {k: v for k, v in other.items() if v}
-
-
-def _insert_entry(mono: Monomial, e: Entry) -> tuple[Monomial, int] | None:
-    """Sorted insertion with Koszul sign; None if an odd entry repeats."""
-    pos = 0
-    while pos < len(mono) and mono[pos] < e:
-        pos += 1
-    if e[1] == 1:
-        if e in mono:
-            return None
-        crossed = sum(1 for x in mono[:pos] if x[1] == 1)
-        sign = -1 if crossed % 2 else 1
-    else:
-        sign = 1
-    return mono[:pos] + (e,) + mono[pos:], sign
+    def types(self, degree: int) -> tuple[WreathType, ...]:
+        """The basis monomials of the given total degree (sum of modes)."""
+        return label_types(self.d0 + self.d1, degree, odd=self.d0)
 
 
 def sf_a_plus(space: SuperFockSpace, w: Generator, m: int):
     """Creation: supersymmetric multiplication by the mode-m copy of w."""
-    space.check_generator(w)
-    if m < 1:
-        raise HeisenbergError("mode must be >= 1")
-    e: Entry = (m, w[0], w[1])
-
-    def apply(u: SuperElement) -> SuperElement:
-        out = SuperElement()
-        for mono, coeff in u.items():
-            ins = _insert_entry(mono, e)
-            if ins is None:
-                continue
-            new, sign = ins
-            out[new] = out.get(new, Fraction(0)) + coeff * sign
-            if out[new] == 0:
-                del out[new]
-        return out
-
-    return apply
+    form = space.form(w, m, 1)
+    return lambda u: _create(m, form, space.d0, u)
 
 
 def sf_a_minus(space: SuperFockSpace, eta: Generator, m: int):
     """Annihilation: superderivation contracting mode-m copies of the
     generator dual to eta, with coefficient m <eta, w> = m."""
-    space.check_generator(eta)
-    if m < 1:
-        raise HeisenbergError("mode must be >= 1")
-    e: Entry = (m, eta[0], eta[1])
-
-    def apply(u: SuperElement) -> SuperElement:
-        out = SuperElement()
-        for mono, coeff in u.items():
-            for pos, entry in enumerate(mono):
-                if entry != e:
-                    continue
-                if e[1] == 1:
-                    crossed = sum(1 for x in mono[:pos] if x[1] == 1)
-                    sign = -1 if crossed % 2 else 1
-                else:
-                    sign = 1
-                new = mono[:pos] + mono[pos + 1:]
-                out[new] = out.get(new, Fraction(0)) + coeff * sign * m
-                if out[new] == 0:
-                    del out[new]
-        return out
-
-    return apply
+    form = space.form(eta, m, m)
+    return lambda u: _annihilate(m, form, space.d0, u)
 
 
 def sf_commutator_check(d0: int, d1: int, max_degree: int,
@@ -336,9 +301,10 @@ def sf_commutator_check(d0: int, d1: int, max_degree: int,
 
     space = SuperFockSpace(d0, d1)
     rep = Report(f"sf_commutator_check({d0},{d1}, N={max_degree}, M={max_mode})")
-    basis = [SuperElement({mono: Fraction(1)})
-             for n in range(max_degree + 1)
-             for mono in space.monomials(n)]
+    by_degree = [space.types(n) for n in range(max_degree + 1)]
+    # the super operators have integer coefficients
+    basis = [FockElement(space, {rho: 1})
+             for types in by_degree for rho in types]
     gens = space.generators()
 
     modes = range(1, max_mode + 1)
@@ -362,10 +328,11 @@ def sf_commutator_check(d0: int, d1: int, max_degree: int,
         return first + second if par1 == par2 == 1 else first - second
 
     def eq24(m, l, eta, w):
-        scalar = Fraction(l) if (m == l and eta == w) else Fraction(0)
-        return all(bracket(ops["annihilate"][m, eta], ops["create"][l, w],
-                           i).equals(u.scale(scalar))
-                   for i, u in enumerate(basis))
+        brackets = (bracket(ops["annihilate"][m, eta], ops["create"][l, w], i)
+                    for i in range(len(basis)))
+        if not (m == l and eta == w):
+            return all(b.is_zero() for b in brackets)
+        return all(b.equals(u * l) for b, u in zip(brackets, basis))
 
     rep.check("super Eq. (24): [a_-m(eta), a_l(w)] = l delta delta",
               ((m, l, eta, w) for m, l in pairs for eta in gens for w in gens),
@@ -379,10 +346,10 @@ def sf_commutator_check(d0: int, d1: int, max_degree: int,
                for i in range(len(basis))
                for kind in ("create", "annihilate")),
               lambda kind, m, l, w1, w2, i: bracket(
-                  ops[kind][m, w1], ops[kind][l, w2], i).equals(SuperElement()),
+                  ops[kind][m, w1], ops[kind][l, w2], i).is_zero(),
               lambda kind, m, l, *_: f"{kind} m={m},l={l}")
 
-    counts = [len(space.monomials(n)) for n in range(max_degree + 1)]
+    counts = [len(types) for types in by_degree]
     want = graded_dim_series(d0, d1, max_degree)
     rep.check("graded dimension matches (1+q^r)^d1/(1-q^r)^d0",
               enumerate(counts),

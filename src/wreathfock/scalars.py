@@ -305,11 +305,6 @@ class TruncSeries:
             e >>= 1
         return out
 
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise ScalarError("cannot extend a truncated series")
-        return TruncSeries(order, self.coeffs[:order + 1])
-
 
 def series_exp(a: TruncSeries) -> TruncSeries:
     """exp of a series with zero constant term, truncated at a.order."""

@@ -212,7 +212,8 @@ def enumerate_types(group: FiniteGroup, n: int) -> list[WreathType]:
         raise WreathError("degree must be >= 0")
     table = _type_table(group)
     if n not in table:
-        table[n] = _build_types(group, n)
+        k = group.num_classes
+        table[n] = label_types(k, n, odd=k)
     return list(table[n])
 
 
@@ -222,21 +223,25 @@ def _type_table(group: FiniteGroup) -> dict[int, tuple[WreathType, ...]]:
     return {}
 
 
-def _build_types(group: FiniteGroup, n: int) -> tuple[WreathType, ...]:
-    k = group.num_classes
+def label_types(labels: int, n: int, odd: int) -> tuple[WreathType, ...]:
+    """All degree-n types over the labels 0..labels-1, canonical order;
+    a label >= odd takes distinct parts.  Over G the labels are the
+    classes, all even; `enumerate_types` keeps them per group."""
     results: list[WreathType] = []
 
     def rec(c, remaining, acc):
-        if c == k:
+        if c == labels:
             if remaining == 0:
                 results.append(WreathType(tuple(acc)))
             return
-        if c == k - 1:
+        if c == labels - 1:
             sizes = [remaining]
         else:
             sizes = range(remaining + 1)
         for size in sizes:
             for lam in partitions(size):
+                if c >= odd and len(set(lam)) < len(lam):
+                    continue
                 if lam:
                     acc.append((c, lam))
                     rec(c + 1, remaining - size, acc)

@@ -204,6 +204,8 @@ GOLDEN_RUNS = {
                      "verify_all_s3_N3.json"),
     "heisenberg-s3-M3": ("verify heisenberg --group s3 -N 3 -M 3",
                          "verify_heisenberg_s3_N3_M3.txt"),
+    "heisenberg-z3-json": ("verify heisenberg --group z3 -N 3 -M 2 "
+                           "--format json", "verify_heisenberg_z3_N3_M2.json"),
     "hopf-z3-N4": ("verify hopf --group z3 -N 4", "verify_hopf_z3_N4.txt"),
     "euler-s3-regular": ("verify euler --group s3 --gset regular -N 3",
                          "verify_euler_s3_regular_N3.txt"),

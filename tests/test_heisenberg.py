@@ -2,15 +2,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathfock import heisenberg
 from wreathfock.fock import (FockElement, fock_mul, graded_dim, sigma_r_c,
                              sigma_rho)
 from wreathfock.groups import (ClassFunction, DualFunctional, GroupError,
                                cyclic, sigma_basis, symmetric, trivial_group)
-from wreathfock.heisenberg import (HeisenbergError, SuperElement,
-                                   SuperFockSpace, a_minus, a_minus_oracle,
-                                   a_plus, commutator_check,
+from wreathfock.heisenberg import (HeisenbergError, SuperFockSpace, a_minus,
+                                   a_minus_oracle, a_plus, commutator_check,
                                    heisenberg_verify, irreducibility_check,
                                    sf_a_minus, sf_a_plus, sf_commutator_check,
                                    vacuum)
@@ -206,25 +207,25 @@ class TestSuperFock:
     def test_odd_square_is_zero(self):
         space = SuperFockSpace(0, 1)
         op = sf_a_plus(space, (1, 0), 1)
-        assert op(op(SuperElement.vac())).equals(SuperElement())
+        assert op(op(vacuum(space))).equals(FockElement.zero(space))
 
     def test_odd_anticommutator(self):
         space = SuperFockSpace(0, 1)
         for m in (1, 2, 3):
             up = sf_a_plus(space, (1, 0), m)
             dn = sf_a_minus(space, (1, 0), m)
-            u = SuperElement.vac()
+            u = vacuum(space)
             got = dn(up(u)) + up(dn(u))
-            assert got.equals(u.scale(Fraction(m)))
+            assert got.equals(u * Fraction(m))
 
     def test_distinct_part_dimensions(self):
         space = SuperFockSpace(0, 1)
-        dims = [len(space.monomials(n)) for n in range(7)]
+        dims = [len(space.types(n)) for n in range(7)]
         assert dims == [1, 1, 1, 2, 2, 3, 4]
 
     def test_pure_even_matches_fock(self):
         space = SuperFockSpace(1, 0)
-        got = [len(space.monomials(n)) for n in range(6)]
+        got = [len(space.types(n)) for n in range(6)]
         want = graded_dim(trivial_group(), 5)
         assert got == want
 
@@ -238,3 +239,78 @@ class TestSuperFock:
     def test_sf_commutator_check(self):
         assert sf_commutator_check(1, 1, 4, 2).all_passed
         assert sf_commutator_check(2, 2, 3, 2).all_passed
+
+
+# -- Koszul-sign oracle: words of generators, sorted by bubble sort ---------
+
+def _generator(space, k):
+    """The k-th generator (parity, index) and its label."""
+    w = space.generators()[k]
+    return w, w[1] + w[0] * space.d0
+
+
+def _word_product(space, word):
+    """The product of the word's generators (mode, label), left to right,
+    as a vector: bubble-sort into canonical order (labels ascending, modes
+    descending), one sign per swap of two odd generators; 0 when an odd
+    generator repeats."""
+    odd = space.d0
+    if any(c >= odd and word.count((m, c)) > 1 for m, c in word):
+        return FockElement.zero(space)
+    w, sign = list(word), 1
+    for end in range(len(w) - 1, 0, -1):
+        for j in range(end):
+            (m1, c1), (m2, c2) = w[j], w[j + 1]
+            if (c1, -m1) > (c2, -m2):
+                w[j], w[j + 1] = w[j + 1], w[j]
+                if c1 >= odd and c2 >= odd:
+                    sign = -sign
+    parts = {}
+    for m, c in w:
+        parts.setdefault(c, []).append(m)
+    rho = WreathType.from_dict({c: tuple(ms) for c, ms in parts.items()})
+    return FockElement(space, {rho: Fraction(sign)})
+
+
+@st.composite
+def super_words(draw):
+    d0, d1 = draw(st.sampled_from(
+        [(d0, d1) for d0 in range(3) for d1 in range(3) if d0 + d1]))
+    space = SuperFockSpace(d0, d1)
+    step = st.tuples(st.integers(1, 3), st.integers(0, d0 + d1 - 1))
+    return space, draw(st.lists(step, max_size=6)), draw(step)
+
+
+class TestKoszulOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(super_words())
+    def test_creation_word_on_vacuum(self, case):
+        """a(p_k) ... a(p_1) |0> is the product p_k ... p_1."""
+        space, word, _ = case
+        u = vacuum(space)
+        product = []
+        for m, k in word:
+            w, c = _generator(space, k)
+            u = sf_a_plus(space, w, m)(u)
+            product.insert(0, (m, c))
+        assert u.equals(_word_product(space, product))
+
+    @settings(max_examples=200, deadline=None)
+    @given(super_words())
+    def test_annihilation_removes_one_generator(self, case):
+        """a_-m(w) on the product p_1 ... p_k is m times the sum over the
+        positions j with p_j = (m, w) of the product without p_j, signed
+        by the odd generators before p_j when w is odd."""
+        space, word, (m, k) = case
+        w, c = _generator(space, k)
+        product = [(r, _generator(space, j)[1]) for r, j in word]
+        want = FockElement.zero(space)
+        odd_before = 0
+        for j, p in enumerate(product):
+            if p == (m, c):
+                sign = -1 if c >= space.d0 and odd_before % 2 else 1
+                rest = _word_product(space, product[:j] + product[j + 1:])
+                want = want + rest * Fraction(m * sign)
+            odd_before += p[1] >= space.d0
+        got = sf_a_minus(space, w, m)(_word_product(space, product))
+        assert got.equals(want)
