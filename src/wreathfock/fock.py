@@ -15,6 +15,12 @@ sigma^rho sigma^tau = sigma^(rho u tau); the coproduct splits them
 where they are the definition or the comparison: `value`, `inner`,
 `star`, `from_values` and the element-level induction and restriction
 oracles, which pin the conventions down.
+
+A coefficient is an ``int`` where it is an integer, a ``Fraction`` after a
+division, and a ``Cyclotomic`` when it is irrational.  The structure
+constants are integers (merged monomials, binomial counts, signs), so
+sigma^rho, the unit and everything the Hopf operations make of them stay
+``int``; every division goes through `scalars.div`, so none is a float.
 """
 from __future__ import annotations
 
@@ -28,7 +34,7 @@ from math import comb
 from .groups import FiniteGroup
 from .linalg import matrix_rank
 from .report import Report
-from .scalars import Scalar, conj
+from .scalars import Scalar, conj, div
 from .wreath import (EMPTY_TYPE, WreathElement, WreathError, WreathType,
                      element_model, enumerate_types, n_cycle_type,
                      representative_of_type, type_of, wreath_order, z_rho)
@@ -52,7 +58,7 @@ class FockElement:
 
     @classmethod
     def unit(cls, group: FiniteGroup) -> "FockElement":
-        return cls(group, {EMPTY_TYPE: Fraction(1)})
+        return cls(group, {EMPTY_TYPE: 1})
 
     @classmethod
     def zero(cls, group: FiniteGroup) -> "FockElement":
@@ -62,7 +68,7 @@ class FockElement:
     def from_values(cls, group: FiniteGroup,
                     values: dict[WreathType, Scalar]) -> "FockElement":
         """The class function with the given value at each type."""
-        return cls(group, {rho: v / z_rho(group, rho)
+        return cls(group, {rho: div(v, z_rho(group, rho))
                            for rho, v in values.items()})
 
     def value(self, rho: WreathType) -> Scalar:
@@ -123,8 +129,8 @@ class FockElement:
     def inner(self, other: "FockElement") -> Scalar:
         """Sum over types of F1 conj(F2) / Z_rho, F1 and F2 the values."""
         self._check(other)
-        return sum((self.value(rho) * conj(other.value(rho))
-                    / z_rho(self.group, rho)
+        return sum((div(self.value(rho) * conj(other.value(rho)),
+                        z_rho(self.group, rho))
                     for rho in self.coeffs if rho in other.coeffs),
                    Fraction(0))
 
@@ -141,7 +147,7 @@ class FockElement:
 
 def sigma_rho(group: FiniteGroup, rho: WreathType) -> FockElement:
     """The monomial sigma^rho: value Z_rho at rho, 0 elsewhere."""
-    return FockElement(group, {rho: Fraction(1)})
+    return FockElement(group, {rho: 1})
 
 
 def sigma_r_c(group: FiniteGroup, r: int, c: int) -> FockElement:
@@ -153,13 +159,13 @@ def sigma_r_c(group: FiniteGroup, r: int, c: int) -> FockElement:
 
 def trivial_char(group: FiniteGroup, n: int) -> FockElement:
     return FockElement.from_values(
-        group, {rho: Fraction(1) for rho in enumerate_types(group, n)})
+        group, {rho: 1 for rho in enumerate_types(group, n)})
 
 
 def sign_char(group: FiniteGroup, n: int) -> FockElement:
     """(-1)^(n - length(rho)) per type: G^n acts trivially, S_n by sign."""
     return FockElement.from_values(
-        group, {rho: Fraction((-1) ** (n - rho.length))
+        group, {rho: (-1) ** (n - rho.length)
                 for rho in enumerate_types(group, n)})
 
 
@@ -322,11 +328,11 @@ def oracle_product(f1: FockElement, f2: FockElement,
     sub_order = wreath_order(g, a) * wreath_order(g, b)
     out = {}
     for pi, bag in bags.items():
-        acc = Fraction(0)
+        acc = 0
         for (t1, t2), count in bag.items():
             if t1 in f1.coeffs and t2 in f2.coeffs:
                 acc = acc + f1.value(t1) * f2.value(t2) * count
-        out[pi] = acc / sub_order
+        out[pi] = div(acc, sub_order)
     return FockElement.from_values(g, out)
 
 
@@ -423,7 +429,7 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
         for alpha, beta, k in comul_splits(rho):
             term = fock_mul(antipode(sigma_rho(g, alpha)),
                             sigma_rho(g, beta))
-            acc = acc + term * Fraction(k)
+            acc = acc + term * k
         return acc.equals(FockElement.zero(g))
 
     rep.check("antipode axiom on basis", zip(basis), antipode_axiom, repr)
@@ -479,18 +485,11 @@ def _primitive_dim(types_n: list[WreathType]) -> int:
     index = {}
     rows = []
     for rho in types_n:
-        row_entries = {}
+        row = {}
         for alpha, beta, k in comul_splits(rho):
             if alpha.degree in (0, n):
                 continue
-            row_entries[(alpha, beta)] = row_entries.get((alpha, beta), 0) + k
-        for key in row_entries:
-            index.setdefault(key, len(index))
-        rows.append(row_entries)
-    mat = []
-    for row_entries in rows:
-        row = [Fraction(0)] * max(len(index), 1)
-        for key, v in row_entries.items():
-            row[index[key]] = Fraction(v)
-        mat.append(row)
-    return len(types_n) - matrix_rank(mat)
+            col = index.setdefault((alpha, beta), len(index))
+            row[col] = row.get(col, 0) + k
+        rows.append(row)
+    return len(types_n) - matrix_rank(rows)

@@ -97,6 +97,13 @@ def _annihilate(m: int, form: Form, odd: int,
     return FockElement(u.group, out)
 
 
+def _integral(x: Scalar) -> Scalar:
+    """x as an int when it is an integer Fraction."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 @dataclass(frozen=True)
 class HeisenbergOp:
     """a_m(V) for sign +1 (payload a ClassFunction), a_{-m}(eta) for sign
@@ -106,7 +113,8 @@ class HeisenbergOp:
     mode: int
     payload: object
     # the form: for a_m(V) the coefficients of omega_m(V), for a_{-m}(eta)
-    # the weights m <eta, sigma_c>, both indexed by class c
+    # the weights m <eta, sigma_c>, both indexed by class c; an integer
+    # weight is an int, as it is for every basis payload
     _form: Form = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -123,10 +131,11 @@ class HeisenbergOp:
             coeffs = (omega.get(n_cycle_type(c, m), 0)
                       for c in range(g.num_classes))
         else:
-            coeffs = (self.payload.pair(sigma_basis(g, c)) * Fraction(m)
+            coeffs = (self.payload.pair(sigma_basis(g, c)) * m
                       for c in range(g.num_classes))
         object.__setattr__(self, "_form", tuple(
-            (c, n_cycle_type(c, m), x) for c, x in enumerate(coeffs) if x))
+            (c, n_cycle_type(c, m), _integral(x))
+            for c, x in enumerate(coeffs) if x))
 
     def __call__(self, u: FockElement) -> FockElement:
         g = self.payload.group

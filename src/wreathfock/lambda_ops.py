@@ -13,29 +13,43 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from .fock import (FockElement, fock_exp, fock_mul, sigma_r_c, sigma_rho,
                    sign_char)
 from .groups import ClassFunction, FiniteGroup, adams_psi, sigma_basis
 from .report import Report
+from .scalars import Cyclotomic, div
 from .wreath import WreathError, enumerate_types, n_cycle_type
 
 
 def boxtimes_power(v: ClassFunction, n: int) -> FockElement:
     """Character of the n-th outer tensor power: value at rho is the
-    product of V(c) over the cycles of rho (one factor per part)."""
+    product of V(c) over the cycles of rho (one factor per part).
+
+    Memoized on (V, n) in a bounded cache, which holds the coefficient
+    map; each call wraps it in a new element, whose `coeffs` is a copy.
+    A V with irrational values is not hashable and is built uncached."""
     if n < 0:
         raise WreathError("outer power needs n >= 0")
+    build = _outer_power_coeffs
+    if any(isinstance(x, Cyclotomic) for x in v.values):
+        build = build.__wrapped__
+    return FockElement(v.group, build(v, n))
+
+
+@lru_cache(maxsize=128)
+def _outer_power_coeffs(v: ClassFunction, n: int) -> dict:
     g = v.group
     powers = [[v.value(c) ** k for k in range(n + 1)]
               for c in range(g.num_classes)]
     out = {}
     for rho in enumerate_types(g, n):
-        val = Fraction(1)
+        val = 1
         for c, lam in rho.parts:
             val = val * powers[c][len(lam)]
         out[rho] = val
-    return FockElement.from_values(g, out)
+    return FockElement.from_values(g, out).coeffs
 
 
 def omega_n(v: ClassFunction, n: int) -> FockElement:
@@ -44,7 +58,7 @@ def omega_n(v: ClassFunction, n: int) -> FockElement:
     if n < 1:
         raise WreathError("omega_n needs n >= 1")
     g = v.group
-    return FockElement(g, {n_cycle_type(c, n): v.value(c) / g.zeta(c)
+    return FockElement(g, {n_cycle_type(c, n): div(v.value(c), g.zeta(c))
                            for c in range(g.num_classes)})
 
 
@@ -121,9 +135,9 @@ def exp_phi_series(v: ClassFunction, max_degree: int,
     """exp(+-sum_r phi^r(V) q^r / r) inside F_G, truncated by degree."""
     g = v.group
     arg = FockElement.zero(g)
-    sign = Fraction(-1) if negate else Fraction(1)
+    sign = -1 if negate else 1
     for r in range(1, max_degree + 1):
-        arg = arg + omega_n(v, r) * (sign / r)
+        arg = arg + omega_n(v, r) * Fraction(sign, r)
     return fock_exp(arg, max_degree)
 
 

@@ -1,14 +1,15 @@
 """Exact scalars (rationals, cyclotomic numbers) and truncated power series.
 
 Every value in this library is exact; nothing is ever rounded.  A rational
-value is a bare ``fractions.Fraction``.  An irrational value is a
+value is a bare ``fractions.Fraction``, or an ``int`` where the sigma
+engine keeps an integer coefficient.  An irrational value is a
 `Cyclotomic`, an element of the field Q(zeta_m) stored as its phi(m)
 power-basis coefficients reduced modulo the cyclotomic polynomial Phi_m.
 Any result that reduces to a rational comes back as a ``Fraction``, so a
 number has one representation per modulus: ``==`` is equality of numbers
 and ``bool`` is "nonzero".  Values of different moduli meet in
 Q(zeta_lcm) through one private lift.  The only divisions ever needed are
-by nonzero rationals.
+by nonzero rationals, and `div` makes them exact also for an ``int``.
 """
 from __future__ import annotations
 
@@ -199,7 +200,13 @@ class Cyclotomic:
         return f"Cyc({' + '.join(terms)}; m={self.modulus})"
 
 
-Scalar = Union[Fraction, Cyclotomic]
+Scalar = Union[int, Fraction, Cyclotomic]
+
+
+def div(x, d: RatLike) -> Scalar:
+    """x / d for a nonzero rational d, exact: an ``int`` x is divided as a
+    ``Fraction``, never as a float."""
+    return Fraction(x, d) if isinstance(x, int) else x / d
 
 
 def conj(x: Scalar) -> Scalar:

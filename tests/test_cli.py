@@ -207,6 +207,10 @@ GOLDEN_RUNS = {
     "heisenberg-z3-json": ("verify heisenberg --group z3 -N 3 -M 2 "
                            "--format json", "verify_heisenberg_z3_N3_M2.json"),
     "hopf-z3-N4": ("verify hopf --group z3 -N 4", "verify_hopf_z3_N4.txt"),
+    "hopf-s3-N5": ("verify hopf --group s3 -N 5 --limit 100",
+                   "verify_hopf_s3_N5_limit100.txt"),
+    "lambda-sl2_f3-N4": ("verify lambda --group sl2_f3 -N 4",
+                         "verify_lambda_sl2_f3_N4.txt"),
     "euler-s3-regular": ("verify euler --group s3 --gset regular -N 3",
                          "verify_euler_s3_regular_N3.txt"),
     "mackey-d4": ("verify mackey --group d4", "verify_mackey_d4.txt"),

@@ -14,12 +14,13 @@ from wreathfock.fock import (FockElement, FockError, antipode, comul_splits,
                              graded_dim, hopf_verify, oracle_comul_value,
                              oracle_product, sigma_r_c, sigma_rho)
 from wreathfock.groups import (DualFunctional, cyclic, sigma_basis, symmetric,
-                               sl2_f3, trivial_group)
+                               sl2_f3, trivial_character, trivial_group)
 from wreathfock.heisenberg import a_minus, a_plus
 from wreathfock.scalars import euler_product
 from wreathfock.wreath import (EMPTY_TYPE, WreathType, enumerate_types,
                                n_cycle_type, z_rho)
 
+from test_heisenberg import z3_commutators, z3_payload_data
 from test_wreath import types
 
 
@@ -197,6 +198,33 @@ def test_core_operations_make_no_z_rho_calls(monkeypatch):
         up(u)
         down(u)
     assert calls == []
+
+
+def test_coefficients_are_never_floats(monkeypatch):
+    """Every division is exact: no suite builds an element with a float
+    coefficient, on rational groups and on cyclotomic payloads alike.  The
+    sigma engine starts from int coefficients."""
+    g = symmetric(3)
+    rho = WreathType.from_dict({0: (2,), 1: (1,)})
+    assert all(type(x) is int for u in (sigma_rho(g, rho), FockElement.unit(g))
+               for x in u.coeffs.values())
+    orig = FockElement.__post_init__
+
+    def guarded(self):
+        orig(self)
+        floats = [x for x in self.coeffs.values() if isinstance(x, float)]
+        assert not floats, floats
+
+    monkeypatch.setattr(FockElement, "__post_init__", guarded)
+    for g in (cyclic(2), cyclic(3), symmetric(3)):
+        assert hopf_verify(g, 3).all_passed
+        assert lambda_ops.lambda_verify(g, 3).all_passed
+        assert heisenberg.commutator_check(g, 3, 2).all_passed
+    v, _, _ = z3_payload_data()
+    assert z3_commutators().all_passed
+    assert lambda_ops.h_e_identities(
+        v, trivial_character(v.group), 3).all_passed
+    assert heisenberg.sf_commutator_check(1, 1, 3, 2).all_passed
 
 
 class TestFockElement:

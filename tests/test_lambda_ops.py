@@ -17,6 +17,7 @@ from wreathfock.lambda_ops import (E_series, H_series, _alternate_signs,
                                    psi_composite)
 from wreathfock.fock import FockElement, fock_mul, sigma_r_c, trivial_char
 from wreathfock.linalg import matrix_rank
+from wreathfock.scalars import Cyclotomic
 from wreathfock.wreath import (WreathType, enumerate_types,
                                enumerate_wreath_elements)
 
@@ -81,6 +82,30 @@ class TestOuterPower:
         for a in rng.sample(elems, 12):
             assert f.value_at_element(a) == \
                 tensor_trace(rep, a.gs, a.perm)
+
+    def test_memo_hands_out_fresh_elements(self):
+        """Changing a returned outer power leaves the memoized one alone."""
+        v = sigma_basis(symmetric(3), 1)
+        first = boxtimes_power(v, 3)
+        want = dict(first.coeffs)
+        rho, tau = list(want)[:2]
+        first.coeffs[rho] = Fraction(99)
+        del first.coeffs[tau]
+        assert boxtimes_power(v, 3).coeffs == want
+
+    def test_irrational_values_are_built_uncached(self):
+        """A V with cyclotomic values is unhashable; its outer powers are
+        still the products of V(c) over the cycles."""
+        g = cyclic(3)
+        w = Cyclotomic.root(3)
+        v = ClassFunction(g, (Fraction(1), w, w * w))
+        for n in range(4):
+            f = boxtimes_power(v, n)
+            for rho in enumerate_types(g, n):
+                want = Fraction(1)
+                for c, lam in rho.parts:
+                    want = want * v.value(c) ** len(lam)
+                assert f.value(rho) == want
 
 
 class TestPhiChOmega:

@@ -325,10 +325,30 @@ def test_cold_run_builds_each_type_once(suite, monkeypatch):
     for cache in (wreath._type_table, wreath._z_table,
                   wreath.WreathType.union, wreath.WreathType.remove_part,
                   wreath.n_cycle_type, fock.comul_splits,
-                  fock._induction_bags):
+                  fock._induction_bags, lambda_ops._outer_power_coeffs):
         cache.cache_clear()
     counts = Counter()
     _count_calls(monkeypatch, counts, wreath.WreathType, "__post_init__",
                  "__post_init__")
     assert run().all_passed
     assert counts["__post_init__"] == want
+
+
+def test_each_outer_power_is_built_once(monkeypatch):
+    """A warm lambda_verify asks for 160 outer powers of 28 distinct
+    (V, n), and builds each of those once (before the memo, it built all
+    160)."""
+    run = lambda: lambda_verify(cyclic(3), 3)
+    assert run().all_passed
+    lambda_ops._outer_power_coeffs.cache_clear()
+    asked = Counter()
+    orig = lambda_ops.boxtimes_power
+
+    def counting(v, n):
+        asked[v, n] += 1
+        return orig(v, n)
+
+    monkeypatch.setattr(lambda_ops, "boxtimes_power", counting)
+    assert run().all_passed
+    built = lambda_ops._outer_power_coeffs.cache_info().misses
+    assert (sum(asked.values()), len(asked), built) == (160, 28, 28)
