@@ -29,12 +29,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .groups import FiniteGroup
 from .linalg import matrix_rank
 from .report import Report
-from .scalars import Scalar, conj, div
+from .scalars import Cyclotomic, Scalar, conj, div
 from .wreath import (EMPTY_TYPE, WreathElement, WreathError, WreathType,
                      element_model, enumerate_types, n_cycle_type,
                      representative_of_type, type_of, wreath_order, z_rho)
@@ -169,22 +169,42 @@ def sign_char(group: FiniteGroup, n: int) -> FockElement:
                 for rho in enumerate_types(group, n)})
 
 
+def _numerators(coeffs: dict) -> tuple[int, dict] | None:
+    """(d, {rho: d x}) with int values, d the lcm of the denominators of
+    the rational coefficients x; None when one is a Cyclotomic."""
+    if all(type(x) is int for x in coeffs.values()):
+        return 1, coeffs
+    if any(isinstance(x, Cyclotomic) for x in coeffs.values()):
+        return None
+    d = lcm(*(x.denominator for x in coeffs.values()))
+    return d, {rho: x.numerator * (d // x.denominator)
+               for rho, x in coeffs.items()}
+
+
 def fock_mul(u: FockElement, v: FockElement,
              max_degree: int | None = None) -> FockElement:
     """sigma^rho sigma^tau = sigma^(rho u tau), dropping degrees past
-    max_degree."""
+    max_degree: integer numerators of rational operands, one division per
+    output coefficient (none with a Cyclotomic coefficient)."""
     u._check(v)
+    nu, nv = _numerators(u.coeffs), _numerators(v.coeffs)
+    if nu is None or nv is None:
+        nu, nv = (1, u.coeffs), (1, v.coeffs)
+    (du, left), (dv, right) = nu, nv
     by_degree: dict[int, list] = {}
-    for tau, b in v.coeffs.items():
+    for tau, b in right.items():
         by_degree.setdefault(tau.degree, []).append((tau, b))
     out: dict = {}
-    for rho, a in u.coeffs.items():
+    for rho, a in left.items():
         for d2, terms in by_degree.items():
             if max_degree is not None and rho.degree + d2 > max_degree:
                 continue
             for tau, b in terms:
                 key = rho.union(tau)
                 out[key] = out.get(key, 0) + a * b
+    d = du * dv
+    if d != 1:
+        out = {rho: div(x, d) for rho, x in out.items()}
     return FockElement(u.group, out)
 
 

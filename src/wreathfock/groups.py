@@ -5,7 +5,8 @@ identity.  Conjugacy classes are found by brute-force orbit closure, which
 is fine at the scales this library targets (|G| up to a few thousand);
 `closure` and `orbits` are that one search, shared with the G-set code.
 Class functions are stored per conjugacy class, with exact values in
-Q(zeta_e) (`scalars`): rational values are `Fraction`s.
+Q(zeta_e) (`scalars`): a rational value is an ``int`` or a ``Fraction``,
+and integer values stay ``int``s.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .scalars import Scalar, conj
+from .scalars import Scalar, conj, div
 
 
 class GroupError(ValueError):
@@ -379,17 +380,6 @@ def binary_octahedral() -> FiniteGroup:
     return FiniteGroup(table, name="BO48")
 
 
-def product_group(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    no, ho = g.order, h.order
-    table = [[0] * (no * ho) for _ in range(no * ho)]
-    for a in range(no):
-        for b in range(ho):
-            for c in range(no):
-                for d in range(ho):
-                    table[a * ho + b][c * ho + d] = g.mul(a, c) * ho + h.mul(b, d)
-    return FiniteGroup(table, name=f"{g.name}x{h.name}")
-
-
 _BUILTIN_PARAMETRIC = {
     "cyclic": cyclic,
     "symmetric": symmetric,
@@ -472,10 +462,6 @@ def subgroup_from_elements(g: FiniteGroup, elements,
     return SubgroupEmbedding(sub, g, tuple(elems))
 
 
-def full_embedding(g: FiniteGroup) -> SubgroupEmbedding:
-    return subgroup_from_elements(g, range(g.order))
-
-
 def all_subgroup_element_sets(g: FiniteGroup, limit: int | None = None
                               ) -> list[tuple[int, ...]]:
     """All subgroups as sorted element tuples, by iterated generator growth.
@@ -507,7 +493,8 @@ class ClassFunction:
 
     @classmethod
     def from_rationals(cls, group: FiniteGroup, values) -> "ClassFunction":
-        return cls(group, tuple(Fraction(v) for v in values))
+        return cls(group, tuple(v if isinstance(v, int) else Fraction(v)
+                                for v in values))
 
     @classmethod
     def zero(cls, group: FiniteGroup) -> "ClassFunction":
@@ -529,7 +516,7 @@ class ClassFunction:
             raise GroupError("class functions live on different groups")
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        return self + (other * Fraction(-1))
+        return self + (other * -1)
 
     def __mul__(self, scalar) -> "ClassFunction":
         return ClassFunction(self.group, tuple(v * scalar for v in self.values))
@@ -597,14 +584,13 @@ class DualFunctional:
 
     @classmethod
     def delta(cls, group: FiniteGroup, c: int) -> "DualFunctional":
-        return cls(group, tuple(Fraction(1 if d == c else 0)
+        return cls(group, tuple(int(d == c)
                                 for d in range(group.num_classes)))
 
     def pair(self, v: ClassFunction) -> Scalar:
         if v.group is not self.group:
             raise GroupError("pairing needs a common group")
-        return sum((e * x for e, x in zip(self.coeffs, v.values)),
-                   Fraction(0))
+        return sum(e * x for e, x in zip(self.coeffs, v.values))
 
 
 # -- induction / restriction / Mackey --------------------------------------
@@ -631,12 +617,12 @@ def induce_cf(emb: SubgroupEmbedding, f: ClassFunction) -> ClassFunction:
     vals = []
     for c in range(g.num_classes):
         z = g.class_reps[c]
-        acc = Fraction(0)
+        acc = 0
         for x in range(g.order):
             y = g.mul(g.mul(g.inv(x), z), x)
             if y in image:
                 acc = acc + f.value_at_element(pre[y])
-        vals.append(acc / h.order)
+        vals.append(div(acc, h.order))
     return ClassFunction(g, tuple(vals))
 
 

@@ -59,13 +59,6 @@ class GSet:
     def fixed(self, g: int) -> tuple[int, ...]:
         return tuple(x for x in range(self.size) if self.action[g][x] == x)
 
-    def orbit_count(self, elements=None) -> int:
-        """Number of orbits under the given subgroup elements (default G)."""
-        if elements is None:
-            elements = range(self.group.order)
-        return len(orbits(range(self.size),
-                          [self.action[g].__getitem__ for g in elements]))
-
     def to_json(self) -> str:
         return json.dumps({"size": self.size,
                            "action": [list(r) for r in self.action]})

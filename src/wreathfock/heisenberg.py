@@ -97,13 +97,6 @@ def _annihilate(m: int, form: Form, odd: int,
     return FockElement(u.group, out)
 
 
-def _integral(x: Scalar) -> Scalar:
-    """x as an int when it is an integer Fraction."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    return x
-
-
 @dataclass(frozen=True)
 class HeisenbergOp:
     """a_m(V) for sign +1 (payload a ClassFunction), a_{-m}(eta) for sign
@@ -134,7 +127,7 @@ class HeisenbergOp:
             coeffs = (self.payload.pair(sigma_basis(g, c)) * m
                       for c in range(g.num_classes))
         object.__setattr__(self, "_form", tuple(
-            (c, n_cycle_type(c, m), _integral(x))
+            (c, n_cycle_type(c, m), x)
             for c, x in enumerate(coeffs) if x))
 
     def __call__(self, u: FockElement) -> FockElement:

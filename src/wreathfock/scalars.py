@@ -1,14 +1,13 @@
 """Exact scalars (rationals, cyclotomic numbers) and truncated power series.
 
 Every value in this library is exact; nothing is ever rounded.  A rational
-value is a bare ``fractions.Fraction``, or an ``int`` where the sigma
-engine keeps an integer coefficient.  An irrational value is a
-`Cyclotomic`, an element of the field Q(zeta_m) stored as its phi(m)
-power-basis coefficients reduced modulo the cyclotomic polynomial Phi_m.
-Any result that reduces to a rational comes back as a ``Fraction``, so a
-number has one representation per modulus: ``==`` is equality of numbers
-and ``bool`` is "nonzero".  Values of different moduli meet in
-Q(zeta_lcm) through one private lift.  The only divisions ever needed are
+value is an ``int`` or a ``fractions.Fraction``, and integers stay ``int``s
+where the arithmetic allows.  An irrational value is a `Cyclotomic`, an
+element of the field Q(zeta_m) stored as its phi(m) power-basis
+coefficients reduced modulo the cyclotomic polynomial Phi_m.  A cyclotomic
+result that reduces to a rational comes back as a ``Fraction``, so ``==``
+is equality of numbers and ``bool`` is "nonzero".  Values of different
+moduli meet in Q(zeta_lcm) through one private lift.  The only divisions ever needed are
 by nonzero rationals, and `div` makes them exact also for an ``int``.
 """
 from __future__ import annotations
@@ -204,9 +203,12 @@ Scalar = Union[int, Fraction, Cyclotomic]
 
 
 def div(x, d: RatLike) -> Scalar:
-    """x / d for a nonzero rational d, exact: an ``int`` x is divided as a
-    ``Fraction``, never as a float."""
-    return Fraction(x, d) if isinstance(x, int) else x / d
+    """x / d for a nonzero rational d, exact: an ``int`` x gives an ``int``
+    when d divides it and a ``Fraction`` otherwise, never a float."""
+    if isinstance(x, int):
+        q, r = divmod(x, d)
+        return q if not r else Fraction(x, d)
+    return x / d
 
 
 def conj(x: Scalar) -> Scalar:

@@ -44,10 +44,6 @@ class WreathElement(NamedTuple):
         return len(self.gs)
 
 
-def wreath_identity(n: int) -> WreathElement:
-    return WreathElement((0,) * n, tuple(range(n)))
-
-
 def wreath_mul(group: FiniteGroup, a: WreathElement, b: WreathElement) -> WreathElement:
     """(g, s)(h, t) = (g . s(h), s t) with s(h)_i = h_{s^-1(i)}."""
     if a.degree != b.degree:
@@ -101,8 +97,9 @@ class WreathType:
     invariant of G_n.  Stored canonically: nonempty partitions only,
     sorted by class id, parts weakly decreasing.
 
-    Degree, length and hash are computed once, at construction; equality,
-    order and repr depend on `parts` alone."""
+    Types are interned by `WreathType.of`: one object per `parts`, built
+    and validated once, so lookups hit by identity.  Equality, order, hash
+    and repr read `parts` alone, so a directly built type equals it."""
 
     parts: tuple[tuple[int, tuple[int, ...]], ...]
     degree: int = field(init=False, compare=False, repr=False)
@@ -130,6 +127,13 @@ class WreathType:
     def __hash__(self):
         return self._hash
 
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def of(parts: tuple[tuple[int, tuple[int, ...]], ...]) -> "WreathType":
+        """The interned type with these canonical parts.  The empty type
+        is always `EMPTY_TYPE`, also after the table is cleared."""
+        return WreathType(parts) if parts else EMPTY_TYPE
+
     @classmethod
     def from_dict(cls, d: dict[int, tuple[int, ...]]) -> "WreathType":
         items = []
@@ -137,7 +141,7 @@ class WreathType:
             lam = tuple(sorted(d[c], reverse=True))
             if lam:
                 items.append((c, lam))
-        return cls(tuple(items))
+        return cls.of(tuple(items))
 
     def partition(self, c: int) -> tuple[int, ...]:
         for cc, lam in self.parts:
@@ -232,7 +236,7 @@ def label_types(labels: int, n: int, odd: int) -> tuple[WreathType, ...]:
     def rec(c, remaining, acc):
         if c == labels:
             if remaining == 0:
-                results.append(WreathType(tuple(acc)))
+                results.append(WreathType.of(tuple(acc)))
             return
         if c == labels - 1:
             sizes = [remaining]
@@ -312,7 +316,7 @@ def wreath_order(group: FiniteGroup, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def n_cycle_type(c: int, n: int) -> WreathType:
-    return WreathType(((c, (n,)),))
+    return WreathType.of(((c, (n,)),))
 
 
 # -- brute-force element model (oracles) -----------------------------------

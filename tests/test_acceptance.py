@@ -4,12 +4,11 @@ import random
 from fractions import Fraction
 
 from wreathfock.fock import hopf_verify
-from wreathfock.groups import (ClassFunction, binary_dihedral,
+from wreathfock.groups import (ClassFunction, FiniteGroup, binary_dihedral,
                                binary_octahedral, cyclic, dihedral,
-                               full_embedding, mackey_check, mackey_verify,
-                               product_group, sigma_basis, sl2_f3, sl2_f5,
-                               subgroup_from_elements, symmetric,
-                               trivial_group)
+                               mackey_check, mackey_verify, sigma_basis,
+                               sl2_f3, sl2_f5, subgroup_from_elements,
+                               symmetric, trivial_group)
 from wreathfock.gsets import (coset_gset, euler_series_check,
                               ktheory_euler_check, macdonald_check,
                               mckay_table, point_gset, regular_gset,
@@ -30,6 +29,15 @@ from wreathfock.wreath import (brute_force_classes, enumerate_types,
 def report(num: int, name: str, ok: bool):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {name}")
     assert ok, f"criterion {num}: {name}"
+
+
+def product_group(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
+    """The direct product G x H, element (a, b) at index a |H| + b."""
+    no, ho = g.order, h.order
+    table = [[g.mul(a, c) * ho + h.mul(b, d)
+              for c in range(no) for d in range(ho)]
+             for a in range(no) for b in range(ho)]
+    return FiniteGroup(table, name=f"{g.name}x{h.name}")
 
 
 def perm_sign(p):
@@ -103,7 +111,7 @@ def test_criterion_4_mackey():
     gw, elems = wreath_cayley_group(cyclic(2), 2)
     base = [i for i, a in enumerate(elems) if a.perm == (0, 1)]
     emb_h = subgroup_from_elements(gw, base)
-    emb_l = full_embedding(gw)
+    emb_l = subgroup_from_elements(gw, range(gw.order))
     for c in range(emb_h.source.num_classes):
         if not mackey_check(gw, emb_h, emb_l, sigma_basis(emb_h.source, c)):
             ok = False

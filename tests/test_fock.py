@@ -7,16 +7,18 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathfock import fock, heisenberg, lambda_ops, wreath
 from wreathfock.fock import (FockElement, FockError, antipode, comul_splits,
                              counit, fock_comul, fock_exp, fock_mul,
                              graded_dim, hopf_verify, oracle_comul_value,
                              oracle_product, sigma_r_c, sigma_rho)
-from wreathfock.groups import (DualFunctional, cyclic, sigma_basis, symmetric,
-                               sl2_f3, trivial_character, trivial_group)
+from wreathfock.groups import (ClassFunction, DualFunctional, cyclic,
+                               mackey_verify, sigma_basis, symmetric, sl2_f3,
+                               trivial_character, trivial_group)
 from wreathfock.heisenberg import a_minus, a_plus
-from wreathfock.scalars import euler_product
+from wreathfock.scalars import Cyclotomic, div, euler_product
 from wreathfock.wreath import (EMPTY_TYPE, WreathType, enumerate_types,
                                n_cycle_type, z_rho)
 
@@ -54,6 +56,68 @@ class TestProduct:
         g = cyclic(3)
         u = sigma_r_c(g, 2, 1)
         assert fock_mul(FockElement.unit(g), u).equals(u)
+
+
+def naive_mul(u, v, max_degree=None):
+    """The product by definition, in Fractions: every pair of terms, the
+    parts of both types merged without `union`, then zeros dropped."""
+    out = {}
+    for rho, a in u.coeffs.items():
+        for tau, b in v.coeffs.items():
+            if max_degree is not None and rho.degree + tau.degree > max_degree:
+                continue
+            parts = {}
+            for c, lam in rho.parts + tau.parts:
+                parts.setdefault(c, []).extend(lam)
+            key = WreathType(tuple((c, tuple(sorted(lam, reverse=True)))
+                                   for c, lam in sorted(parts.items())))
+            a, b = (x if isinstance(x, Cyclotomic) else Fraction(x)
+                    for x in (a, b))
+            out[key] = out.get(key, Fraction(0)) + a * b
+    return {key: x for key, x in out.items() if x}
+
+
+coefficients = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)),
+    st.builds(Cyclotomic, st.sampled_from([3, 4, 6]),
+              st.lists(st.integers(-2, 2), min_size=1, max_size=4)))
+rationals = st.one_of(
+    st.integers(-4, 4).filter(bool),
+    st.builds(Fraction, st.integers(1, 4), st.integers(1, 6)))
+Z4 = cyclic(4)      # four classes, as many labels as `types` uses
+elements = st.dictionaries(types, coefficients, max_size=4).map(
+    lambda d: FockElement(Z4, d))
+
+
+class TestIntegerKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(elements, elements, st.one_of(st.none(), st.integers(0, 12)))
+    def test_fock_mul_matches_naive_product(self, u, v, max_degree):
+        """int, Fraction and Cyclotomic coefficients, with truncation: the
+        same coefficients as the naive product, none zero, none a float,
+        and an integer one is an int when both operands are rational."""
+        got = fock_mul(u, v, max_degree=max_degree).coeffs
+        assert got == naive_mul(u, v, max_degree)
+        assert all(x and not isinstance(x, float) for x in got.values())
+        if not any(isinstance(x, Cyclotomic)
+                   for w in (u, v) for x in w.coeffs.values()):
+            assert all(type(x) is int for x in got.values()
+                       if x == int(x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(types, types, coefficients, rationals, rationals)
+    def test_cancelling_products_drop_their_terms(self, alpha, beta, x, y,
+                                                  p):
+        """(x s^a + y s^b)(p s^b + q s^a) with y q = -x p: the coefficient
+        of s^(a u b) cancels and is dropped."""
+        if alpha == beta or not x:
+            return
+        u = FockElement(Z4, {alpha: x, beta: y})
+        v = FockElement(Z4, {beta: p, alpha: div(-x * p, y)})
+        got = fock_mul(u, v).coeffs
+        assert alpha.union(beta) not in got
+        assert got == naive_mul(u, v)
 
 
 def splits_rebuilt(rho):
@@ -216,15 +280,40 @@ def test_coefficients_are_never_floats(monkeypatch):
         assert not floats, floats
 
     monkeypatch.setattr(FockElement, "__post_init__", guarded)
+    orig_cf = ClassFunction.__post_init__
+
+    def guarded_cf(self):
+        orig_cf(self)
+        floats = [x for x in self.values if isinstance(x, float)]
+        assert not floats, floats
+
+    monkeypatch.setattr(ClassFunction, "__post_init__", guarded_cf)
     for g in (cyclic(2), cyclic(3), symmetric(3)):
         assert hopf_verify(g, 3).all_passed
         assert lambda_ops.lambda_verify(g, 3).all_passed
         assert heisenberg.commutator_check(g, 3, 2).all_passed
+        assert mackey_verify(g).all_passed
     v, _, _ = z3_payload_data()
     assert z3_commutators().all_passed
     assert lambda_ops.h_e_identities(
         v, trivial_character(v.group), 3).all_passed
     assert heisenberg.sf_commutator_check(1, 1, 3, 2).all_passed
+    # the integer kernel of fock_mul: common denominators, truncation and a
+    # cancelling product, whose zero coefficient is dropped
+    g = symmetric(3)
+    a, b = n_cycle_type(0, 1), n_cycle_type(1, 2)
+    aa, ab, bb = a.union(a), a.union(b), b.union(b)
+    u = sigma_rho(g, a) * Fraction(1, 3) + sigma_rho(g, b) * Fraction(2, 5)
+    w = sigma_rho(g, b) * Fraction(5, 6) - sigma_rho(g, a)
+    assert fock_mul(u, w).coeffs == {ab: Fraction(-11, 90),
+                                     aa: Fraction(-1, 3), bb: Fraction(1, 3)}
+    assert fock_mul(u, w, max_degree=3).coeffs == {ab: Fraction(-11, 90),
+                                                   aa: Fraction(-1, 3)}
+    half = fock_mul(sigma_rho(g, a) * Fraction(1, 2), sigma_rho(g, a) * 2)
+    assert half.coeffs == {aa: 1} and type(half.coeffs[aa]) is int
+    diff = fock_mul(sigma_rho(g, a) + sigma_rho(g, b),
+                    sigma_rho(g, a) - sigma_rho(g, b))
+    assert diff.coeffs == {aa: 1, bb: -1}
 
 
 class TestFockElement:

@@ -119,7 +119,28 @@ class TestClassFunctions:
             for d in range(g.num_classes):
                 got = DualFunctional.delta(g, c).pair(sigma_basis(g, d))
                 want = Fraction(g.zeta(c)) if c == d else Fraction(0)
-                assert got == want
+                assert got == want and type(got) is int
+
+    def test_integer_values_stay_ints(self):
+        """Integer class-function values, dual coefficients, pairings,
+        differences and induced values are ints; a non-integer stays an
+        exact Fraction."""
+        g = symmetric(3)
+        chi = ClassFunction.from_rationals(g, [3, -1, 2])
+        half = ClassFunction.from_rationals(g, [Fraction(1, 2), 0, 1.5])
+        assert half.values == (Fraction(1, 2), 0, Fraction(3, 2))
+        a3 = subgroup_from_elements(g, next(
+            s for s in all_subgroup_element_sets(g) if len(s) == 3))
+        for f in (chi, sigma_basis(g, 1), chi - sigma_basis(g, 2),
+                  trivial_character(g), regular_character(g),
+                  induce_cf(a3, trivial_character(a3.source))):
+            assert all(type(x) is int for x in f.values), f
+        assert all(type(x) is int
+                   for x in DualFunctional.delta(g, 1).coeffs)
+        assert type(DualFunctional.delta(g, 1).pair(chi)) is int
+        induced = induce_cf(a3, ClassFunction.from_rationals(
+            a3.source, [1] + [0] * (a3.source.num_classes - 1)))
+        assert induced.values[0] == 2 and type(induced.values[0]) is int
 
 
 class TestInductionRestriction:

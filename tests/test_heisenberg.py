@@ -37,6 +37,20 @@ class TestCreation:
         assert u.component(3).equals(sigma_rho(g, target))
 
 
+def test_basis_payload_weights_are_ints():
+    """The forms of basis-payload operators hold int weights: the omega_m
+    coefficients zeta_c / zeta_c = 1 and the pairings m <delta_c, sigma_c>
+    = m zeta_c."""
+    for g in (cyclic(3), symmetric(3)):
+        for c in range(g.num_classes):
+            for m in (1, 2, 3):
+                up = a_plus(m, sigma_basis(g, c))._form
+                down = a_minus(m, DualFunctional.delta(g, c))._form
+                assert [x for _, _, x in up] == [1]
+                assert [x for _, _, x in down] == [m * g.zeta(c)]
+                assert all(type(x) is int for _, _, x in up + down)
+
+
 class TestAnnihilation:
     def test_kills_vacuum(self):
         g = cyclic(2)

@@ -308,21 +308,22 @@ def test_verify_work_is_pinned(suite, monkeypatch):
     assert {k: counts[k] for k in want} == want
 
 
-# WreathType constructions in one cold run: type tables, unions, part
-# removals, n-cycle types, coproduct splits and the induction bags start
-# empty.  Each type a suite needs is built about once (before the type
-# caches, a fresh process built 2147 and 2745; before n-cycle types and
-# part removals were memoized, lambda_verify built 667).
+# WreathType constructions in one cold run: the intern table, type tables,
+# unions, part removals, n-cycle types, coproduct splits and the induction
+# bags start empty.  Types are interned, so each type a suite needs is
+# built exactly once: the 17 nonempty types of degree <= 3 over Z2 and the
+# 34 over Z3; the empty type is the constant EMPTY_TYPE (before interning
+# 325 and 133; before the type caches, a fresh process built 2147 and 2745).
 COLD_TYPES = {
-    "hopf_verify": (lambda: hopf_verify(cyclic(2), 3), 325),
-    "lambda_verify": (lambda: lambda_verify(cyclic(3), 3), 133),
+    "hopf_verify": (lambda: hopf_verify(cyclic(2), 3), 17),
+    "lambda_verify": (lambda: lambda_verify(cyclic(3), 3), 34),
 }
 
 
 @pytest.mark.parametrize("suite", COLD_TYPES)
 def test_cold_run_builds_each_type_once(suite, monkeypatch):
     run, want = COLD_TYPES[suite]
-    for cache in (wreath._type_table, wreath._z_table,
+    for cache in (wreath.WreathType.of, wreath._type_table, wreath._z_table,
                   wreath.WreathType.union, wreath.WreathType.remove_part,
                   wreath.n_cycle_type, fock.comul_splits,
                   fock._induction_bags, lambda_ops._outer_power_coeffs):

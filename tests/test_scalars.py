@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathfock.scalars import (Cyclotomic, ScalarError, TruncSeries, conj,
-                                cyclotomic_polynomial, euler_product,
+                                cyclotomic_polynomial, div, euler_product,
                                 graded_dim_series, series_exp)
 
 
@@ -132,6 +132,20 @@ class TestCyclotomic:
             Cyclotomic.root(12, 7)
         with pytest.raises(ScalarError):
             Cyclotomic(0, [1])
+
+    def test_div_is_exact(self):
+        """div gives an int when d divides an int x, else a Fraction; a
+        Fraction or Cyclotomic x is divided as it is; never a float."""
+        for x, d, want in ((6, 3, 2), (-6, 3, -2), (0, 5, 0), (6, -4, None),
+                           (7, 2, None), (6, Fraction(3, 2), 4),
+                           (2 ** 60 + 1, 2, None)):
+            got = div(x, d)
+            if want is None:
+                assert type(got) is Fraction and got == Fraction(x, d)
+            else:
+                assert type(got) is int and got == want
+        assert type(div(Fraction(4), 2)) is Fraction
+        assert div(Cyclotomic.root(3) * 6, 3) == Cyclotomic.root(3) * 2
 
     def test_division_by_rational_only(self):
         a = Cyclotomic.root(3) * 6

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathfock import wreath
-from wreathfock.fock import (FockElement, sigma_r_c, sigma_rho, sign_char,
-                             trivial_char)
+from wreathfock.fock import (FockElement, hopf_verify, sigma_r_c, sigma_rho,
+                             sign_char, trivial_char)
 from wreathfock.groups import cyclic, symmetric
 from wreathfock.scalars import euler_product
 from wreathfock.wreath import (EMPTY_TYPE, WreathElement, WreathError,
@@ -19,8 +19,12 @@ from wreathfock.wreath import (EMPTY_TYPE, WreathElement, WreathError,
                                cycle_products, enumerate_types, enumerate_wreath_elements,
                                n_cycle_type, partitions, representative_of_type,
                                type_counts, type_of, wreath_cayley_group, wreath_conj,
-                               wreath_identity, wreath_inv, wreath_mul,
+                               wreath_inv, wreath_mul,
                                wreath_order, z_partition, z_rho)
+
+
+def wreath_identity(n: int) -> WreathElement:
+    return WreathElement((0,) * n, tuple(range(n)))
 
 
 def perm_sign(p):
@@ -120,6 +124,41 @@ class TestTypes:
         assert a.to_json_obj() == [[0, [2, 1]]]
         with pytest.raises(AttributeError):
             a.degree = 5
+
+    @settings(max_examples=100, deadline=None)
+    @given(types, types, st.sampled_from([cyclic(2), cyclic(3), symmetric(3)]),
+           st.integers(0, 3), st.randoms(use_true_random=False))
+    def test_types_are_interned(self, a, b, group, n, rng):
+        """Every way to reach a type returns the intern table's object; a
+        type built directly is a different object that equals it, hashes
+        like it and sorts like it."""
+        reached = [a, b, a.union(b), EMPTY_TYPE, n_cycle_type(n, n + 1)]
+        reached += [a.remove_part(r, c) for c, lam in a.parts for r in lam]
+        reached += enumerate_types(group, n)
+        reached += [type_of(group, rng.choice(
+            enumerate_wreath_elements(group, n))) for _ in range(3)]
+        for t in reached:
+            assert WreathType.of(t.parts) is t
+            direct = WreathType(t.parts)
+            assert direct == t and hash(direct) == hash(t)
+            for u in (a, b):
+                assert (direct < u) == (t < u) == (t.parts < u.parts)
+                assert (u < direct) == (u < t)
+
+    def test_warm_hopf_makes_no_type_comparisons(self, monkeypatch):
+        """Interned types meet by identity: dict and cache lookups in a
+        warm Hopf suite never call WreathType.__eq__."""
+        run = lambda: hopf_verify(cyclic(2), 3)
+        assert run().all_passed
+        orig, calls = WreathType.__eq__, []
+
+        def counting(self, other):
+            calls.append((self, other))
+            return orig(self, other)
+
+        monkeypatch.setattr(WreathType, "__eq__", counting)
+        assert run().all_passed
+        assert calls == []
 
     def test_type_table_is_copied(self):
         g = cyclic(2)
