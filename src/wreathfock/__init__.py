@@ -26,12 +26,12 @@ from .heisenberg import (HeisenbergOp, SuperFockSpace, a_minus, a_plus,
                          irreducibility_check, sf_a_minus, sf_a_plus,
                          sf_commutator_check, vacuum)
 from .lambda_ops import (E_series, H_series, additivity_check, boxtimes_power,
-                         ch_n, exp_phi_series, free_lambda_basis_check,
-                         h_e_identities, lambda_n, lambda_verify, omega_n,
-                         phi_n, psi_classical, psi_composite)
+                         ch_n, free_lambda_basis_check, h_e_identities,
+                         h_virtual, lambda_n, lambda_verify, omega_n, phi_n,
+                         psi_classical, psi_composite)
 from .report import CheckResult, Report
-from .scalars import (Cyclotomic, ScalarError, TruncSeries, euler_product,
-                      graded_dim_series, series_exp)
+from .scalars import (Cyclotomic, ScalarError, euler_product,
+                      graded_dim_series)
 from .wreath import (WreathElement, WreathError, WreathType,
                      brute_force_classes, centralizer_checks, cycle_products,
                      enumerate_types, type_of, wreath_cayley_group,

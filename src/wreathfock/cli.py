@@ -21,8 +21,8 @@ from .heisenberg import heisenberg_verify
 from .lambda_ops import lambda_verify
 from .report import Report
 from .scalars import ScalarError, euler_product, graded_dim_series
-from .wreath import (WreathError, brute_force_classes, count_types,
-                     enumerate_types, type_counts, type_of, z_rho)
+from .wreath import (WreathError, brute_force_classes, enumerate_types,
+                     type_counts, type_of, z_rho)
 
 LIMIT = 50_000  # default --limit; also bounds series graded-dim
 
@@ -84,13 +84,6 @@ def _emit_report(rep: Report, fmt: str) -> int:
     return 0 if rep.all_passed else 1
 
 
-def _series_line(series) -> str:
-    out = []
-    for c in series.coeffs:
-        out.append(str(c.numerator) if c.denominator == 1 else str(c))
-    return " ".join(out)
-
-
 def cmd_group(args) -> int:
     g = parse_group(args.group)
     if args.what == "info":
@@ -118,7 +111,7 @@ def cmd_wreath(args) -> int:
     g = parse_group(args.group)
     n = args.max_degree
     if args.what in ("types", "zrho"):
-        count_types(g, n, args.limit)  # raises above --limit, before listing
+        type_counts(g, n, args.limit)  # raises above --limit, before listing
         rows = []
         for rho in enumerate_types(g, n):
             row = {"type": rho.to_json_obj()}
@@ -147,19 +140,17 @@ def cmd_wreath(args) -> int:
 
 
 def cmd_series(args) -> int:
+    if args.what == "mckay":
+        return _emit_report(mckay_table(), args.format)
     if args.what == "euler-product":
-        print(_series_line(euler_product(args.e, args.max_degree)))
-        return 0
-    if args.what == "graded-dim":
-        if args.group is not None:
-            g = parse_group(args.group)
-            counts = type_counts(g, args.max_degree, LIMIT)  # exit 2 above LIMIT
-            print(" ".join(str(c) for c in counts))
-            return 0
-        print(_series_line(graded_dim_series(args.d0, args.d1,
-                                             args.max_degree)))
-        return 0
-    return _emit_report(mckay_table(), args.format)
+        coeffs = euler_product(args.e, args.max_degree)
+    elif args.group is not None:
+        # exit 2 above LIMIT
+        coeffs = type_counts(parse_group(args.group), args.max_degree, LIMIT)
+    else:
+        coeffs = graded_dim_series(args.d0, args.d1, args.max_degree)
+    print(" ".join(map(str, coeffs)))
+    return 0
 
 
 def cmd_verify(args) -> int:

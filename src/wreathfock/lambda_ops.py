@@ -130,17 +130,6 @@ def _alternate_signs(u: FockElement) -> FockElement:
                                  for rho, c in u.coeffs.items()})
 
 
-def exp_phi_series(v: ClassFunction, max_degree: int,
-                   negate: bool = False) -> FockElement:
-    """exp(+-sum_r phi^r(V) q^r / r) inside F_G, truncated by degree."""
-    g = v.group
-    arg = FockElement.zero(g)
-    sign = -1 if negate else 1
-    for r in range(1, max_degree + 1):
-        arg = arg + omega_n(v, r) * Fraction(sign, r)
-    return fock_exp(arg, max_degree)
-
-
 def h_virtual(pluses: list[ClassFunction], minuses: list[ClassFunction],
               max_degree: int) -> FockElement:
     """H extended bilinearly to virtual classes sum(pluses) - sum(minuses)
@@ -274,9 +263,9 @@ def lambda_verify(group: FiniteGroup, max_degree: int) -> Report:
               lambda v: lambda_n(v, 1).equals(boxtimes_power(v, 1)))
 
     def eq21(v):
-        return (H_series(v, max_degree).equals(exp_phi_series(v, max_degree))
+        return (H_series(v, max_degree).equals(h_virtual([v], [], max_degree))
                 and _alternate_signs(E_series(v, max_degree)).equals(
-                    exp_phi_series(v, max_degree, negate=True)))
+                    h_virtual([], [v], max_degree)))
 
     rep.check("Eq. (21): H = exp(sum phi^r q^r/r), E(-q) = exp(-sum)",
               zip(vs), eq21)

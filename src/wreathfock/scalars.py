@@ -1,4 +1,4 @@
-"""Exact scalars (rationals, cyclotomic numbers) and truncated power series.
+"""Exact scalars (rationals, cyclotomic numbers) and integer q-series.
 
 Every value in this library is exact; nothing is ever rounded.  A rational
 value is an ``int`` or a ``fractions.Fraction``, and integers stay ``int``s
@@ -9,14 +9,18 @@ result that reduces to a rational comes back as a ``Fraction``, so ``==``
 is equality of numbers and ``bool`` is "nonzero".  Values of different
 moduli meet in Q(zeta_lcm) through one private lift.  The only divisions ever needed are
 by nonzero rationals, and `div` makes them exact also for an ``int``.
+
+Every q-series the library evaluates is a product
+prod_r (1 + q^r)^d1 / (1 - q^r)^d0 with integer coefficients;
+`product_coefficients` gives them by one exact integer recurrence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
-from typing import Union
+from math import lcm
+from typing import Iterator, Union
 
 RatLike = Union[int, Fraction]
 
@@ -223,144 +227,44 @@ def conj(x: Scalar) -> Scalar:
     return _make(m, _reduce(m, poly))
 
 
-@dataclass(frozen=True)
-class TruncSeries:
-    """Formal power series in q truncated at order N, rational coefficients.
+def product_coefficients(d0: int, d1: int) -> Iterator[int]:
+    """The coefficients a_0, a_1, ... of prod_r (1 + q^r)^d1 / (1 - q^r)^d0,
+    one degree at a time and without end.
 
-    Binary operations align to the smaller truncation order; coefficients
-    past the order are never reported.
+    A series F with F(0) = 1 and q F'/F = sum_j b_j q^j has
+    n a_n = sum_{j=1..n} b_j a_{n-j}, and here
+    b_j = sum_{r | j} r (d0 + (-1)^(j/r+1) d1), so for d1 = 0 this is
+    Euler's n p(n) = sum_k sigma(k) p(n-k) (Macdonald, Ch. I).  The a_n are
+    integers, so the division by n is exact.
     """
-
-    order: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ScalarError("truncation order must be >= 0")
-        if len(self.coeffs) != self.order + 1:
-            raise ScalarError("need exactly order+1 coefficients")
-
-    @classmethod
-    def from_coeffs(cls, coeffs, order: int | None = None) -> "TruncSeries":
-        cs = [_frac(c) for c in coeffs]
-        if order is None:
-            order = len(cs) - 1
-        cs = cs[:order + 1] + [Fraction(0)] * (order + 1 - len(cs))
-        return cls(order, tuple(cs))
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls(order, (Fraction(0),) * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "TruncSeries":
-        return cls.from_coeffs([1], order)
-
-    @classmethod
-    def q(cls, order: int) -> "TruncSeries":
-        return cls.from_coeffs([0, 1], order)
-
-    def coefficient(self, n: int) -> Fraction:
-        if not 0 <= n <= self.order:
-            raise ScalarError(f"coefficient {n} outside truncation order")
-        return self.coeffs[n]
-
-    def _aligned(self, other: "TruncSeries") -> int:
-        return min(self.order, other.order)
-
-    def __add__(self, other) -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            other = TruncSeries.from_coeffs([other], self.order)
-        n = self._aligned(other)
-        return TruncSeries(n, tuple(a + b for a, b in
-                                    zip(self.coeffs[:n + 1], other.coeffs[:n + 1])))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.order, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncSeries):
-            other = TruncSeries.from_coeffs([other], self.order)
-        return self + (-other)
-
-    def __mul__(self, other) -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            x = _frac(other)
-            return TruncSeries(self.order, tuple(a * x for a in self.coeffs))
-        n = self._aligned(other)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[:n + 1]):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncSeries(n, tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "TruncSeries":
-        if e < 0:
-            raise ScalarError("negative series powers are not supported here")
-        out = TruncSeries.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+    a, b = [1], [0]
+    yield 1
+    for n in itertools.count(1):
+        b.append(sum(r * (d0 + (d1 if n // r % 2 else -d1))
+                     for r in range(1, n + 1) if n % r == 0))
+        a.append(sum(b[j] * a[n - j] for j in range(1, n + 1)) // n)
+        yield a[n]
 
 
-def series_exp(a: TruncSeries) -> TruncSeries:
-    """exp of a series with zero constant term, truncated at a.order."""
-    if a.coeffs[0] != 0:
-        raise ScalarError("series_exp requires zero constant term")
-    out = TruncSeries.one(a.order)
-    power = TruncSeries.one(a.order)
-    for k in range(1, a.order + 1):
-        power = power * a
-        out = out + power * Fraction(1, factorial(k))
-    return out
+def _truncated(d0: int, d1: int, order: int) -> list[int]:
+    if order < 0:
+        raise ScalarError("truncation order must be >= 0")
+    return list(itertools.islice(product_coefficients(d0, d1), order + 1))
 
 
-def _one_minus_qr_negpow(r: int, e: int, order: int) -> TruncSeries:
-    """(1 - q^r)^(-e) for e >= 0, or (1 - q^r)^|e| for e < 0."""
-    cs = [Fraction(0)] * (order + 1)
-    if e >= 0:
-        for k in range(order // r + 1):
-            cs[k * r] = Fraction(comb(e + k - 1, k)) if k else Fraction(1)
-    else:
-        for k in range(min(-e, order // r) + 1):
-            cs[k * r] = Fraction((-1) ** k * comb(-e, k))
-    return TruncSeries(order, tuple(cs))
+def euler_product(e: int, order: int) -> list[int]:
+    """The coefficients of prod_{r>=1} (1 - q^r)^(-e) up to q^order.
 
-
-def euler_product(e: int, order: int) -> TruncSeries:
-    """prod_{r>=1} (1 - q^r)^(-e), exact up to q^order.
-
-    For e = 1 the coefficients are the partition numbers; in general the
-    q^n coefficient counts e-colored partitions of n.  Negative e gives
-    the eta-product-style expansion prod (1 - q^r)^|e|.
+    For e = 1 they are the partition numbers; in general the q^n
+    coefficient counts e-colored partitions of n.  Negative e gives the
+    eta-product-style expansion prod (1 - q^r)^|e|.
     """
-    out = TruncSeries.one(order)
-    for r in range(1, order + 1):
-        out = out * _one_minus_qr_negpow(r, e, order)
-    return out
+    return _truncated(e, 0, order)
 
 
-def graded_dim_series(d0: int, d1: int, order: int) -> TruncSeries:
-    """prod (1 + q^r)^d1 / prod (1 - q^r)^d0, exact up to q^order."""
+def graded_dim_series(d0: int, d1: int, order: int) -> list[int]:
+    """The coefficients of prod (1 + q^r)^d1 / prod (1 - q^r)^d0 up to
+    q^order."""
     if d0 < 0 or d1 < 0:
         raise ScalarError("dimensions must be nonnegative")
-    out = euler_product(d0, order)
-    plus = TruncSeries.one(order)
-    for r in range(1, order + 1):
-        cs = [Fraction(0)] * (order + 1)
-        cs[0] = Fraction(1)
-        cs[r] = Fraction(1)
-        plus = plus * (TruncSeries(order, tuple(cs)) ** d1)
-    return out * plus
+    return _truncated(d0, d1, order)

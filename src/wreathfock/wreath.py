@@ -27,6 +27,7 @@ from math import factorial
 from typing import Iterator, NamedTuple
 
 from .groups import FiniteGroup
+from .scalars import product_coefficients
 
 
 class WreathError(ValueError):
@@ -258,28 +259,20 @@ def label_types(labels: int, n: int, odd: int) -> tuple[WreathType, ...]:
 
 
 def type_counts(group: FiniteGroup, n: int, limit: int) -> list[int]:
-    """The numbers of types over G of degrees 0..n: the coefficients a_d of
-    prod (1 - q^r)^(-k), k the number of classes.  The recurrence
-    d a_d = k sum_j sigma(j) a_{d-j} (sigma(j) the divisor sum) gives one
-    degree at a time in integers; a_d never decreases with d, so the count
-    stops with a WreathError at the first degree past the limit."""
+    """The numbers of types over G of degrees 0..n: the coefficients of
+    prod (1 - q^r)^(-k), k the number of classes, one degree at a time.
+    They never decrease with the degree, so the count stops with a
+    WreathError at the first degree past the limit."""
     if n < 0:
         raise WreathError("degree must be >= 0")
-    counts, sigma = [1], [0]
-    for d in range(n + 1):
-        if d:
-            sigma.append(sum(i for i in range(1, d + 1) if d % i == 0))
-            counts.append(group.num_classes * sum(
-                sigma[j] * counts[d - j] for j in range(1, d + 1)) // d)
-        if counts[d] > limit:
+    counts = []
+    for d, count in zip(range(n + 1),
+                        product_coefficients(group.num_classes, 0)):
+        if count > limit:
             raise WreathError(f"degree-{n} types exceed limit {limit} "
-                              f"({counts[d]} at degree {d})")
+                              f"({count} at degree {d})")
+        counts.append(count)
     return counts
-
-
-def count_types(group: FiniteGroup, n: int, limit: int) -> int:
-    """The number of degree-n types over G, bounded as in `type_counts`."""
-    return type_counts(group, n, limit)[n]
 
 
 @lru_cache(maxsize=None)

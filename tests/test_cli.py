@@ -35,6 +35,25 @@ class TestCommands:
         assert main(["series", "euler-product", "-e", "1", "-N", "5"]) == 0
         assert capsys.readouterr().out.strip() == "1 1 2 3 5 7"
 
+    @pytest.mark.parametrize("argv,want", [
+        (["euler-product", "-e", "-3", "-N", "6"], "1 -3 0 5 0 0 -7"),
+        (["graded-dim", "--d0", "2", "--d1", "3", "-N", "6"],
+         "1 5 17 50 130 311 700"),
+    ])
+    def test_series_stdout(self, argv, want, capsys):
+        assert main(["series", *argv]) == 0
+        assert capsys.readouterr().out == want + "\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["euler-product", "-N", "-1"], "truncation order must be >= 0"),
+        (["graded-dim", "-N", "-1"], "truncation order must be >= 0"),
+        (["graded-dim", "--d0", "-1"], "dimensions must be nonnegative"),
+        (["graded-dim", "--d1", "-1"], "dimensions must be nonnegative"),
+    ])
+    def test_bad_series_arguments_exit_2(self, argv, message, capsys):
+        assert main(["series", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_series_graded_dim_group(self, capsys):
         assert main(["series", "graded-dim", "--group", "z2", "-N", "4"]) == 0
         assert capsys.readouterr().out.strip() == "1 2 5 10 20"
