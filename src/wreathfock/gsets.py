@@ -5,6 +5,9 @@ Theorem 6.1 / Macdonald / McKay series identities.
 Orbifold Euler characteristics are always computed by two independent
 routes (commuting-pair average and inertia-orbit count) which must agree;
 wreath powers reuse the same engine through the element model of G_n.
+There fixed-point sets are bit sets over the points of X^n, and the pair
+sum is walked once per conjugacy class: simultaneous conjugation keeps
+|X^a n X^b|, so the sum over C(a) is the same for every a in a class.
 """
 from __future__ import annotations
 
@@ -19,7 +22,8 @@ from .groups import FiniteGroup, binary_dihedral, binary_octahedral, \
     cyclic, json_count, json_rows, orbits, sl2_f3, sl2_f5
 from .report import Report
 from .scalars import euler_product
-from .wreath import WreathElement, element_model, type_of, wreath_order
+from .wreath import (ElementModel, WreathElement, element_model, type_of,
+                     wreath_order)
 
 
 class GSetError(ValueError):
@@ -142,47 +146,82 @@ class PowerGSet:
             out[j] = self.base.action[a.gs[j]][x[i]]
         return tuple(out)
 
-    def fixed(self, a: WreathElement) -> list[tuple[int, ...]]:
-        """All points with x_{s(i)} = g_{s(i)} x_i, one coordinate
-        condition at a time."""
-        out = self._points
+    @cached_property
+    def _masks(self) -> dict[tuple[int, int, int], int]:
+        """(g, i, j) -> bit set of the points x with g.x_i = x_j; bit t is
+        the t-th point.  Built from the masks `at[i][y]` of x_i = y."""
+        k, n = self.base.size, self.n
+        at = []
+        for i in range(n):
+            step = k ** (n - 1 - i)         # run of equal x_i
+            period = k * step
+            # sum of 2^(t period) over t < k^i; no points when X is empty
+            repeat = (((1 << (period * k ** i)) - 1) // ((1 << period) - 1)
+                      if k else 0)
+            at.append([(((1 << step) - 1) << (y * step)) * repeat
+                       for y in range(k)])
+        return {(g, i, j): sum(at[i][y] & at[j][row[y]] for y in range(k))
+                for g, row in enumerate(self.base.action)
+                for i in range(n) for j in range(n)}
+
+    def fixed_mask(self, a: WreathElement) -> int:
+        """The bit set of the points with x_{s(i)} = g_{s(i)} x_i, the AND
+        over the coordinates i of one precomputed mask each."""
+        masks = self._masks
+        out = (1 << self.size) - 1
         for i, j in enumerate(a.perm):
-            row = self.base.action[a.gs[j]]
-            out = [x for x in out if row[x[i]] == x[j]]
-        return list(out)
+            out &= masks[a.gs[j], i, j]
+        return out
+
+    def fixed(self, a: WreathElement) -> list[tuple[int, ...]]:
+        """The points of `fixed_mask(a)`, in point order."""
+        points, mask, out = self._points, self.fixed_mask(a), []
+        while mask:
+            low = mask & -mask
+            out.append(points[low.bit_length() - 1])
+            mask ^= low
+        return out
 
 
-def gset_power(x: GSet, n: int, limit: int = 1_000_000) -> PowerGSet:
+def gset_power(x: GSet, n: int, limit: int = 50_000) -> PowerGSet:
+    """X^n, refused when |X|^n exceeds the limit (the CLI's --limit)."""
     if n < 1:
         raise GSetError("power needs n >= 1")
     if x.size ** n > limit:
-        raise GSetError(f"|X|^n = {x.size ** n} exceeds limit {limit}")
+        raise GSetError(f"|X|^n = {x.size ** n} exceeds --limit {limit}")
     return PowerGSet(x, n)
 
 
 # -- orbifold Euler characteristics ----------------------------------------
 
+def commuting_pair_sum(power: PowerGSet, model: ElementModel) -> int:
+    """sum over commuting pairs (a, b) in G_n of |X^a n X^b|, walked once
+    per class: |cl(z)| times the sum over b in C(z) at the representative
+    z, C(z) by `brute_centralizer`."""
+    masks = [power.fixed_mask(a) for a in model.elements]
+    total = 0
+    for cl in model.classes:
+        mz = masks[cl[0]]
+        if mz:
+            total += len(cl) * sum((mz & masks[b]).bit_count()
+                                   for b in model.brute_centralizer(cl[0]))
+    return total
+
+
 @lru_cache(maxsize=32)
 def power_orbifold_euler(x: GSet, n: int, limit: int = 50_000) -> int:
     """e(X^n, G_n), by the commuting-pair average and independently by
-    counting inertia orbits; the two must agree."""
-    g = x.group
+    counting inertia orbits; the two must agree.  Both |G_n| and |X|^n
+    are refused past the limit."""
     if n == 0:
         return 1
-    power = gset_power(x, n)
-    if wreath_order(g, n) * power.size > 4_000_000:
-        raise GSetError("power euler computation exceeds limit")
-    model = element_model(g, n, limit)
-    fixed = [power.fixed(a) for a in model.elements]
-    fixed_sets = [set(f) for f in fixed]
-
-    total = 0
-    for fi, row in zip(fixed_sets, model.centralizers):
-        if fi:
-            total += sum(len(fi & fixed_sets[j]) for j in row)
+    power = gset_power(x, n, limit)
+    model = element_model(x.group, n, limit)
+    total = commuting_pair_sum(power, model)
     if total % len(model) != 0:
         raise GSetError("commuting-pair sum is not divisible by |G_n|")
     e_pairs = total // len(model)
+    fixed = [power.fixed(a) for a in model.elements]
 
     # a generator h moves the inertia point (a, p) to (h a h^-1, h p)
     moves = [lambda ip, h=h, conj=conj: (conj[ip[0]], power.act(h, ip[1]))
@@ -248,7 +287,7 @@ def lemma_16_check(x: GSet, n: int, limit: int = 50_000) -> bool:
     """For every a in G_n: the centralizer orbit count on (X^n)^a equals
     the symmetric-product formula."""
     model = element_model(x.group, n, limit)
-    power = gset_power(x, n)
+    power = gset_power(x, n, limit)
     for a, row in zip(model.elements, model.centralizers):
         cent = [partial(power.act, model.elements[j]) for j in row]
         if len(orbits(power.fixed(a), cent)) != symmetric_orbit_count(x, a):

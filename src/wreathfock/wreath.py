@@ -14,9 +14,11 @@ Element ids follow `enumerate_wreath_elements`, which is also
 `WreathElement` order, so the smallest id of a class is its smallest
 element.  Conjugacy classes come from closure under conjugation by
 `wreath_generators`, recording per element one conjugator x from its
-class representative z.  C(z) is found by testing every element of G_n
-for commutation with z, and C(x z x^-1) = x C(z) x^-1.  No |G_n|^2 table
-is built.
+class representative z.  C(z) is found by brute force with an S_n
+pre-filter: id j has S_n part s_j, the (j mod n!)-th permutation, and
+since G_n -> S_n is a homomorphism only ids whose s_j commutes with s_z
+get the full commutation test with z.  C(x z x^-1) = x C(z) x^-1.  No
+|G_n|^2 table is built.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import factorial
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .groups import FiniteGroup
 from .scalars import product_coefficients
@@ -350,6 +352,7 @@ class ElementModel:
 
     def __init__(self, group: FiniteGroup, n: int):
         self.group = group
+        self.n = n
         self.elements = tuple(enumerate_wreath_elements(
             group, n, wreath_order(group, n)))
         self.perms = tuple(self.perm_of(a) for a in self.elements)
@@ -398,9 +401,16 @@ class ElementModel:
         return self.index[self.perm_of(a)]
 
     def brute_centralizer(self, i: int) -> tuple[int, ...]:
-        """Ids commuting with element i: one commutation test per element."""
-        p = self.perms[i]
-        return tuple(j for j, q in enumerate(self.perms) if _commutes(p, q))
+        """Sorted ids commuting with element i.  Ids j = k n! + t share the
+        S_n part of id t < n!; one full commutation test for each j whose
+        S_n part commutes with that of i, none for the others."""
+        nf = factorial(self.n)
+        s = self.elements[i].perm
+        near = [t for t in range(nf) if _commutes(s, self.elements[t].perm)]
+        perms = self.perms
+        p = perms[i]
+        return tuple(j for k in range(0, len(perms), nf)
+                     for j in (k + t for t in near) if _commutes(p, perms[j]))
 
     @cached_property
     def centralizers(self) -> tuple[tuple[int, ...], ...]:

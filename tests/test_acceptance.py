@@ -16,8 +16,7 @@ from wreathfock.gsets import (coset_gset, euler_series_check,
 from wreathfock.heisenberg import (commutator_check, irreducibility_check,
                                    sf_commutator_check)
 from wreathfock.lambda_ops import (E_series, H_series, _alternate_signs,
-                                   ch_n, h_e_identities,
-                                   h_virtual, omega_n, prop_41_status)
+                                   ch_n, h_virtual, omega_n, prop_41_status)
 from wreathfock.fock import (fock_mul, graded_dim, sigma_rho, sign_char,
                              trivial_char)
 from wreathfock.scalars import euler_product

@@ -180,6 +180,22 @@ class TestFileIngestion:
                      "--gset", str(path)]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("limit,code", [(63, 2), (64, 0)])
+    def test_gset_power_bounded_by_limit(self, limit, code, tmp_path,
+                                         capsys):
+        """|X|^n = 4^3 = 64 at -N 3: refused, naming --limit, one below
+        it and run at it."""
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(
+            {"size": 4, "action": [[0, 1, 2, 3], [1, 0, 2, 3]]}))
+        assert main(["verify", "euler", "--group", "z2", "-N", "3",
+                     "--gset", str(path), "--limit", str(limit)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert (out, err) == ("", "error: |X|^n = 64 exceeds --limit 63\n")
+        else:
+            assert err == "" and out.endswith("6/6 checks passed\n")
+
     def test_bad_gset_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{}")

@@ -13,7 +13,8 @@ from wreathfock import fock, heisenberg, lambda_ops, wreath
 from wreathfock.fock import (FockElement, FockError, antipode, comul_splits,
                              counit, fock_comul, fock_exp, fock_mul,
                              graded_dim, hopf_verify, oracle_comul_value,
-                             oracle_product, sigma_r_c, sigma_rho)
+                             oracle_product, sigma_r_c, sigma_rho,
+                             sign_char, trivial_char)
 from wreathfock.groups import (ClassFunction, DualFunctional, cyclic,
                                mackey_verify, sigma_basis, symmetric, sl2_f3,
                                trivial_character, trivial_group)
@@ -51,6 +52,28 @@ class TestProduct:
             for r2 in (n_cycle_type(0, 1), n_cycle_type(1, 1)):
                 f1, f2 = sigma_rho(g, r1), sigma_rho(g, r2)
                 assert oracle_product(f1, f2).equals(fock_mul(f1, f2))
+
+    def test_oracle_product_of_class_functions(self):
+        """Operands with several types (and a Fraction coefficient) go
+        through the same bags as sigma monomials."""
+        g = symmetric(3)
+        f1 = trivial_char(g, 2) + sigma_rho(g, n_cycle_type(1, 2))
+        for f2 in (sign_char(g, 1), sigma_r_c(g, 1, 2)):
+            assert oracle_product(f1, f2).equals(fock_mul(f1, f2))
+
+    def test_sampled_induction_oracle_is_seeded_and_labelled(self):
+        """Past the full-coverage cost the oracle checks a seeded sample
+        and says how much of it: k of n target types, one split of each
+        cut's m."""
+        runs = [hopf_verify(cyclic(2), 3, oracle_full_cost=0)
+                for _ in range(2)]
+        assert runs[0].to_table() == runs[1].to_table()
+        assert runs[0].all_passed
+        assert [c.name for c in runs[0].checks[-2:]] == [
+            "product matches induction oracle, degree 2 (sampled 5/5 "
+            "types, 1/4 splits per cut, seed 0)",
+            "product matches induction oracle, degree 3 (sampled 5/10 "
+            "types, 1/10,10 splits per cut, seed 0)"]
 
     def test_fock_mul_unit(self):
         g = cyclic(3)

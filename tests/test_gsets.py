@@ -3,18 +3,20 @@ import json
 
 import pytest
 
+from wreathfock import wreath
 from wreathfock.groups import (all_subgroup_element_sets, cyclic, orbits,
                                sl2_f3, symmetric, trivial_group)
 from wreathfock.fock import graded_dim
 from wreathfock.gsets import (GSet, GSetError, burnside_check, coset_gset,
-                              PowerGSet, euler_series_check, euler_verify,
+                              PowerGSet, commuting_pair_sum,
+                              euler_series_check, euler_verify,
                               gset_from_json, gset_power, inertia_dim,
                               ktheory_euler_check, lemma_16_check,
                               macdonald_check, mckay_table, orbifold_euler,
                               point_gset, power_orbifold_euler, regular_gset,
                               theorem_main_dim_check)
 from wreathfock.scalars import euler_product
-from wreathfock.wreath import WreathElement
+from wreathfock.wreath import WreathElement, element_model
 
 
 def orbit_count(x: GSet) -> int:
@@ -171,3 +173,72 @@ def test_power_orbit_work_is_pinned(monkeypatch):
     assert power_orbifold_euler(x, 2) == 2 and len(calls) == 504
     calls.clear()
     assert lemma_16_check(x, 2) and len(calls) == 3024
+
+
+# (group, G-set, n): the point G-set has |X| = 1, a one-bit mask, and the
+# empty G-set no point at all
+SMALL_POWERS = {
+    "z3-regular-3": (cyclic(3), regular_gset, 3),
+    "s3-regular-2": (symmetric(3), regular_gset, 2),
+    "s3-cosets3-2": (symmetric(3), lambda g: coset_gset(g, [0, 1]), 2),
+    "z2-pt-3": (cyclic(2), point_gset, 3),
+    "z2-empty-2": (cyclic(2), lambda g: GSet(g, 0, ((),) * g.order), 2),
+}
+
+
+@pytest.mark.parametrize("case", SMALL_POWERS)
+def test_fixed_mask_is_the_filtered_fixed_set(case):
+    """For every element a of G_n, bit t of fixed_mask(a) is set exactly
+    when the t-th point is fixed, and fixed(a) lists those points in
+    point order."""
+    g, make, n = SMALL_POWERS[case]
+    power = gset_power(make(g), n)
+    points = power.points()
+    for a in element_model(g, n).elements:
+        want = [x for x in points if power.act(a, x) == x]
+        assert power.fixed(a) == want
+        assert power.fixed_mask(a) == sum(1 << t for t, x in enumerate(points)
+                                          if x in want)
+
+
+@pytest.mark.parametrize("case", SMALL_POWERS)
+def test_pair_sum_per_class_is_the_all_element_sum(case):
+    """The class-weighted pair sum equals the sum over every element a and
+    every b in its centralizer (all-element `centralizers`)."""
+    g, make, n = SMALL_POWERS[case]
+    power = gset_power(make(g), n)
+    model = element_model(g, n)
+    masks = [power.fixed_mask(a) for a in model.elements]
+    want = sum((masks[a] & masks[b]).bit_count()
+               for a, row in enumerate(model.centralizers) for b in row)
+    assert commuting_pair_sum(power, model) == want
+
+
+def test_commuting_pair_tests_are_pinned(monkeypatch):
+    """e(X^3, S3 wr S3) on the regular S3-set runs 2376 full commutation
+    tests: only the 3 classes with fixed points are walked, and each tests
+    the 216 ids per S_n part commuting with its own (6 + 2 + 3 parts),
+    after 3 x 6 tests on S_n parts (before: 28,512 full tests, 22 per
+    element for all 1296 elements' centralizers)."""
+    calls = {3: 0, 18: 0}       # permutation length: n, or |G| n
+    orig = wreath._commutes
+
+    def counting(p, q):
+        calls[len(p)] += 1
+        return orig(p, q)
+
+    monkeypatch.setattr(wreath, "_commutes", counting)
+    power_orbifold_euler.cache_clear()
+    assert power_orbifold_euler(regular_gset(symmetric(3)), 3) == 3
+    assert calls == {3: 18, 18: 2376}
+
+
+def test_power_is_bounded_by_the_limit():
+    """|X|^n and |G_n| are each refused past the caller's limit."""
+    x = regular_gset(symmetric(3))
+    power_orbifold_euler.cache_clear()
+    with pytest.raises(GSetError, match="exceeds --limit 215"):
+        power_orbifold_euler(x, 3, 215)
+    with pytest.raises(wreath.WreathError, match="exceeds limit 1295"):
+        power_orbifold_euler(x, 3, 1295)
+    assert power_orbifold_euler(x, 3, 1296) == 3

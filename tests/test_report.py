@@ -1,7 +1,6 @@
 """Check reports: the check runner, each verify suite's failure path, and
 the amount of work a verify suite does."""
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -43,6 +42,14 @@ def test_check_stops_at_first_failure():
 
 def _antipode_identity(monkeypatch):
     monkeypatch.setattr(fock, "antipode", lambda u: u)
+    return hopf_verify(cyclic(2), 3)
+
+
+def _induction_oracle_doubled(monkeypatch):
+    """The witness is the first split and its first differing type."""
+    orig = fock.oracle_product
+    monkeypatch.setattr(fock, "oracle_product", lambda f1, f2, **kw:
+                        orig(f1, f2, **kw) * (1 + (f1.degree + f2.degree == 3)))
     return hopf_verify(cyclic(2), 3)
 
 
@@ -179,6 +186,19 @@ FAULTS = {
 (Type({0:[1], 1:[1]}) at (Type({1:[1]}),Type({0:[1]})))
 [PASS] product matches induction oracle, degree 2 (full)
 [PASS] product matches induction oracle, degree 3 (full)
+9/10 checks passed"""),
+    "induction-oracle-doubled": (_induction_oracle_doubled, """\
+[PASS] product associative and commutative on basis
+[PASS] unit axiom
+[PASS] coproduct coassociative on basis
+[PASS] counit axiom
+[PASS] coproduct is an algebra homomorphism
+[PASS] antipode axiom on basis
+[PASS] primitive space has dimension |G_*| per degree
+[PASS] coproduct matches element-level restriction oracle
+[PASS] product matches induction oracle, degree 2 (full)
+[FAIL] product matches induction oracle, degree 3 (full)  \
+(Type({0:[1]})*Type({0:[1], 1:[1]}) at Type({0:[1, 1], 1:[1]}))
 9/10 checks passed"""),
     "annihilation-oracle-zero": (_annihilation_oracle_zero, """\
 [PASS] Eq. (24): [a_-m(eta), a_l(V)] = l delta_ml <eta,V>

@@ -1,5 +1,4 @@
 """Wreath layer: elements, cycle products, types, Z_rho, sigma basis."""
-import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wreathfock import wreath
 from wreathfock.fock import (FockElement, hopf_verify, sigma_r_c, sigma_rho,
                              sign_char, trivial_char)
 from wreathfock.groups import cyclic, symmetric
