@@ -55,7 +55,9 @@ class FockElement:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.coeffs = {k: v for k, v in self.coeffs.items() if v}
+        coeffs = self.coeffs  # one copy, filtered only if a zero is in it
+        self.coeffs = dict(coeffs) if all(coeffs.values()) else {
+            k: v for k, v in coeffs.items() if v}
 
     @classmethod
     def unit(cls, group: FiniteGroup) -> "FockElement":
@@ -103,14 +105,14 @@ class FockElement:
         self._check(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
+            out[k] = out[k] + v if k in out else v
         return FockElement(self.group, out)
 
     def __sub__(self, other: "FockElement") -> "FockElement":
         self._check(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
+            out[k] = out[k] - v if k in out else -v
         return FockElement(self.group, out)
 
     def __mul__(self, scalar) -> "FockElement":
@@ -132,8 +134,7 @@ class FockElement:
         self._check(other)
         return sum((div(self.value(rho) * conj(other.value(rho)),
                         z_rho(self.group, rho))
-                    for rho in self.coeffs if rho in other.coeffs),
-                   Fraction(0))
+                    for rho in self.coeffs if rho in other.coeffs), 0)
 
     def equals(self, other: "FockElement") -> bool:
         return self.group is other.group and self.coeffs == other.coeffs
@@ -164,16 +165,22 @@ def trivial_char(group: FiniteGroup, n: int) -> FockElement:
 
 
 def sign_char(group: FiniteGroup, n: int) -> FockElement:
-    """(-1)^(n - length(rho)) per type: G^n acts trivially, S_n by sign."""
+    """(-1)^(n - length(rho)) per type: G^n acts trivially, S_n by sign;
+    each call copies the map built once per (G, n)."""
+    return FockElement(group, _sign_char_coeffs(group, n))
+
+
+@lru_cache(maxsize=32)
+def _sign_char_coeffs(group: FiniteGroup, n: int) -> dict:
     return FockElement.from_values(
         group, {rho: (-1) ** (n - rho.length)
-                for rho in enumerate_types(group, n)})
+                for rho in enumerate_types(group, n)}).coeffs
 
 
 def _numerators(coeffs: dict) -> tuple[int, dict] | None:
     """(d, {rho: d x}) with int values, d the lcm of the denominators of
     the rational coefficients x; None when one is a Cyclotomic."""
-    if all(type(x) is int for x in coeffs.values()):
+    if all(map(int.__instancecheck__, coeffs.values())):
         return 1, coeffs
     if any(isinstance(x, Cyclotomic) for x in coeffs.values()):
         return None
@@ -197,11 +204,12 @@ def fock_mul(u: FockElement, v: FockElement,
         by_degree.setdefault(tau.degree, []).append((tau, b))
     out: dict = {}
     for rho, a in left.items():
+        unions = rho.unions
         for d2, terms in by_degree.items():
             if max_degree is not None and rho.degree + d2 > max_degree:
                 continue
             for tau, b in terms:
-                key = rho.union(tau)
+                key = unions[tau]
                 out[key] = out.get(key, 0) + a * b
     d = du * dv
     if d != 1:
@@ -284,13 +292,13 @@ def _tensor_mul(s: dict, t: dict) -> dict:
     out: dict = {}
     for (a1, b1), x in s.items():
         for (a2, b2), y in t.items():
-            key = (a1.union(a2), b1.union(b2))
+            key = (a1.unions[a2], b1.unions[b2])
             out[key] = out.get(key, 0) + x * y
     return {key: v for key, v in out.items() if v}
 
 
 def counit(u: FockElement) -> Scalar:
-    return u.coeffs.get(EMPTY_TYPE, Fraction(0))
+    return u.coeffs.get(EMPTY_TYPE, 0)
 
 
 def antipode(u: FockElement) -> FockElement:
@@ -385,12 +393,15 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
     basis = [rho for n in range(1, max_degree + 1) for rho in by_degree[n]]
     pairs = [(r1, r2) for r1 in basis for r2 in basis
              if r1.degree + r2.degree <= max_degree]
+    # each monomial sigma^rho, EMPTY_TYPE included, is built once
+    sig = {rho: sigma_rho(g, rho) for types in by_degree.values()
+           for rho in types}
 
     def product_cases():
         # (r1, r2, None) is a commutativity case, (r1, r2, r3) an
         # associativity case; both reuse sigma^r1 sigma^r2
         for r1, r2 in pairs:
-            p12 = fock_mul(sigma_rho(g, r1), sigma_rho(g, r2))
+            p12 = fock_mul(sig[r1], sig[r2])
             yield r1, r2, None, p12
             for r3 in basis:
                 if r1.degree + r2.degree + r3.degree <= max_degree:
@@ -398,10 +409,9 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
 
     def product_axiom(r1, r2, r3, p12):
         if r3 is None:
-            return p12.equals(fock_mul(sigma_rho(g, r2), sigma_rho(g, r1)))
-        left = fock_mul(p12, sigma_rho(g, r3))
-        right = fock_mul(sigma_rho(g, r1),
-                         fock_mul(sigma_rho(g, r2), sigma_rho(g, r3)))
+            return p12.equals(fock_mul(sig[r2], sig[r1]))
+        left = fock_mul(p12, sig[r3])
+        right = fock_mul(sig[r1], fock_mul(sig[r2], sig[r3]))
         return left.equals(right)
 
     rep.check("product associative and commutative on basis",
@@ -411,7 +421,7 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
 
     one = FockElement.unit(g)
     rep.check("unit axiom", zip(basis),
-              lambda r: fock_mul(one, sigma_rho(g, r)).equals(sigma_rho(g, r)))
+              lambda r: fock_mul(one, sig[r]).equals(sig[r]))
 
     def coassociative(rho):
         # basis-coefficient computation
@@ -438,9 +448,8 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
     rep.check("counit axiom", zip(basis), counit_axiom)
 
     def comul_multiplicative(r1, r2):
-        lhs = fock_comul(fock_mul(sigma_rho(g, r1), sigma_rho(g, r2)))
-        rhs = _tensor_mul(fock_comul(sigma_rho(g, r1)),
-                          fock_comul(sigma_rho(g, r2)))
+        lhs = fock_comul(fock_mul(sig[r1], sig[r2]))
+        rhs = _tensor_mul(fock_comul(sig[r1]), fock_comul(sig[r2]))
         return lhs == rhs
 
     rep.check("coproduct is an algebra homomorphism", pairs,
@@ -450,8 +459,7 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
         # m (S x id) Delta = counit * unit
         acc = FockElement.zero(g)
         for alpha, beta, k in comul_splits(rho):
-            term = fock_mul(antipode(sigma_rho(g, alpha)),
-                            sigma_rho(g, beta))
+            term = fock_mul(antipode(sig[alpha]), sig[beta])
             acc = acc + term * k
         return acc.equals(FockElement.zero(g))
 
@@ -466,18 +474,18 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
     # the value of a tensor term is coeff Z_alpha Z_beta
     rep.check("coproduct matches element-level restriction oracle",
               ((rho, alpha, beta, c) for rho in basis
-               for (alpha, beta), c in fock_comul(sigma_rho(g, rho)).items()),
+               for (alpha, beta), c in fock_comul(sig[rho]).items()),
               lambda rho, alpha, beta, c:
                   c * (z_rho(g, alpha) * z_rho(g, beta))
-                  == oracle_comul_value(sigma_rho(g, rho), alpha, beta),
+                  == oracle_comul_value(sig[rho], alpha, beta),
               lambda rho, alpha, beta, c: f"{rho!r} at ({alpha!r},{beta!r})")
 
     # element-level induction oracle where the wreath groups are small;
     # sigma-coefficients agree exactly where values do, as Z_rho != 0
     def induction_cases(splits, reps):
         for r1, r2 in splits:
-            direct = fock_mul(sigma_rho(g, r1), sigma_rho(g, r2))
-            brute = oracle_product(sigma_rho(g, r1), sigma_rho(g, r2),
+            direct = fock_mul(sig[r1], sig[r2])
+            brute = oracle_product(sig[r1], sig[r2],
                                    reps=reps, limit=oracle_limit)
             yield r1, r2, next((pi for pi in reps if brute.coeffs.get(pi, 0)
                                 != direct.coeffs.get(pi, 0)), None)

@@ -96,7 +96,7 @@ def psi_composite(v: ClassFunction, n: int) -> ClassFunction:
     collapses to n * V."""
     if n < 1:
         raise WreathError("psi needs n >= 1")
-    return v * Fraction(n)
+    return v * n
 
 
 def lambda_n(v: ClassFunction, n: int) -> FockElement:
@@ -159,7 +159,7 @@ def boxed_binomial(v: ClassFunction, w: ClassFunction,
         right = boxtimes_power(w, j)
         if j >= 1:
             right = right.star(sign_char(g, j))
-        term = fock_mul(left, right) * Fraction((-1) ** j)
+        term = fock_mul(left, right) * (-1) ** j
         total = total + term
     return total
 
@@ -176,7 +176,7 @@ def additivity_check(v: ClassFunction, w: ClassFunction, n: int) -> bool:
     projected = FockElement(v.group, {rho: x for rho, x in boxed.coeffs.items()
                                       if rho in cycles})
     # phi^n = n * (projection of the outer power to n-cycle types)
-    return (projected * Fraction(n)).equals(phi_diff)
+    return (projected * n).equals(phi_diff)
 
 
 # -- structural verification ------------------------------------------------
@@ -231,15 +231,13 @@ def prop_41_status(group: FiniteGroup, n: int) -> dict[str, bool]:
     out = {}
     vs = _basis_and_combos(group)
     out["ch_n(omega_n(V)) = n V"] = all(
-        ch_n(omega_n(v, n), n).equals(v * Fraction(n)) for v in vs)
+        ch_n(omega_n(v, n), n).equals(v * n) for v in vs)
     for label, psi in (("classical", psi_classical),
                        ("composite", psi_composite)):
         out[f"omega_n(psi^n(V)) = n phi^n(V) [{label}]"] = all(
-            omega_n(psi(v, n), n).equals(omega_n(v, n) * Fraction(n))
-            for v in vs)
+            omega_n(psi(v, n), n).equals(omega_n(v, n) * n) for v in vs)
         out[f"ch_n(phi^n(V)) = n psi^n(V) [{label}]"] = all(
-            ch_n(omega_n(v, n), n).equals(psi(v, n) * Fraction(n))
-            for v in vs)
+            ch_n(omega_n(v, n), n).equals(psi(v, n) * n) for v in vs)
     return out
 
 
@@ -255,7 +253,7 @@ def lambda_verify(group: FiniteGroup, max_degree: int) -> Report:
               lambda v, n: phi_n(v, n).equals(omega_n(v, n)))
     rep.check("ch_n(omega_n(V)) = n V (Prop. 4.1)",
               itertools.product(vs, degrees),
-              lambda v, n: ch_n(omega_n(v, n), n).equals(v * Fraction(n)))
+              lambda v, n: ch_n(omega_n(v, n), n).equals(v * n))
     rep.check("phi^n is additive on honest classes", zip(degrees),
               lambda n: phi_n(vs[0] + vs[-1], n).equals(
                   phi_n(vs[0], n) + phi_n(vs[-1], n)))

@@ -23,8 +23,7 @@ get the full commutation test with z.  C(x z x^-1) = x C(z) x^-1.  No
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, total_ordering
 from math import factorial
 from typing import NamedTuple
 
@@ -94,48 +93,75 @@ def cycle_products(group: FiniteGroup, a: WreathElement) -> list[tuple[int, int]
     return out
 
 
-@dataclass(frozen=True, order=True, slots=True)
+_TYPES: dict[tuple, "WreathType"] = {}     # parts -> its type; never cleared
+
+
+class _Unions(dict):
+    """rho.unions[tau] = rho u tau, the type whose parts at each class are
+    those of both; computed on a miss and kept, for tau u rho too."""
+
+    __slots__ = ("rho",)
+
+    def __init__(self, rho: "WreathType"):
+        self.rho = rho
+
+    def __missing__(self, tau: "WreathType") -> "WreathType":
+        d: dict[int, list[int]] = {}
+        for c, lam in self.rho.parts + tau.parts:
+            d.setdefault(c, []).extend(lam)
+        out = self[tau] = tau.unions[self.rho] = WreathType.from_dict(d)
+        return out
+
+
+@total_ordering
 class WreathType:
     """Partition-valued function on the classes of G; the conjugacy
     invariant of G_n.  Stored canonically: nonempty partitions only,
     sorted by class id, parts weakly decreasing.
 
-    Types are interned by `WreathType.of`: one object per `parts`, built
-    and validated once, so lookups hit by identity.  Equality, order, hash
-    and repr read `parts` alone, so a directly built type equals it."""
+    `WreathType(parts)`, like `of`, `from_dict` and `union`, returns the
+    one object per `parts` from `_TYPES`, built and validated on first use.
+    So equality and hash are `object`'s identity, at C speed; order and
+    repr read `parts`; copies and pickles return the interned object."""
 
-    parts: tuple[tuple[int, tuple[int, ...]], ...]
-    degree: int = field(init=False, compare=False, repr=False)
-    length: int = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("parts", "degree", "length", "unions")
 
-    def __post_init__(self):
-        last = -1
-        degree = length = 0
-        for c, lam in self.parts:
-            if c <= last:
-                raise WreathError("class ids must be strictly increasing")
-            last = c
-            if not lam:
-                raise WreathError("empty partitions must be omitted")
-            # weakly decreasing with a positive last part: all parts positive
-            if list(lam) != sorted(lam, reverse=True) or lam[-1] < 1:
-                raise WreathError("partitions must be weakly decreasing, positive")
-            degree += sum(lam)
-            length += len(lam)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "_hash", hash((self.parts,)))
+    def __new__(cls, parts: tuple[tuple[int, tuple[int, ...]], ...]):
+        self = _TYPES.get(parts)
+        if self is None:
+            last, degree, length = -1, 0, 0
+            for c, lam in parts:
+                if c <= last:
+                    raise WreathError("class ids must be strictly increasing")
+                last = c
+                if not lam or list(lam) != sorted(lam, reverse=True) \
+                        or lam[-1] < 1:
+                    raise WreathError("partitions must be nonempty, weakly "
+                                      "decreasing, positive")
+                degree += sum(lam)
+                length += len(lam)
+            self = _TYPES[parts] = object.__new__(cls)
+            for name, v in (("parts", parts), ("degree", degree),
+                            ("length", length), ("unions", _Unions(self))):
+                object.__setattr__(self, name, v)
+        return self
 
-    def __hash__(self):
-        return self._hash
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def of(parts: tuple[tuple[int, tuple[int, ...]], ...]) -> "WreathType":
-        """The interned type with these canonical parts.  The empty type
-        is always `EMPTY_TYPE`, also after the table is cleared."""
-        return WreathType(parts) if parts else EMPTY_TYPE
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return WreathType, (self.parts,)
+
+    def __lt__(self, other):
+        return self.parts < other.parts if type(other) is WreathType \
+            else NotImplemented
+
+    @classmethod
+    def of(cls, parts) -> "WreathType":
+        """The interned type with these canonical parts."""
+        return cls(parts)
 
     @classmethod
     def from_dict(cls, d: dict[int, tuple[int, ...]]) -> "WreathType":
@@ -144,7 +170,7 @@ class WreathType:
             lam = tuple(sorted(d[c], reverse=True))
             if lam:
                 items.append((c, lam))
-        return cls.of(tuple(items))
+        return cls(tuple(items))
 
     def partition(self, c: int) -> tuple[int, ...]:
         for cc, lam in self.parts:
@@ -152,28 +178,17 @@ class WreathType:
                 return lam
         return ()
 
-    def multiplicity(self, r: int, c: int) -> int:
-        return self.partition(c).count(r)
-
-    @lru_cache(maxsize=None)
     def union(self, other: "WreathType") -> "WreathType":
-        """The type whose parts at each class are those of both; memoized
-        on the pair."""
-        d: dict[int, list[int]] = {}
-        for c, lam in self.parts:
-            d.setdefault(c, []).extend(lam)
-        for c, lam in other.parts:
-            d.setdefault(c, []).extend(lam)
-        return WreathType.from_dict({c: tuple(v) for c, v in d.items()})
+        """The type with the parts of both at each class: `unions[other]`."""
+        return self.unions[other]
 
     @lru_cache(maxsize=None)
     def remove_part(self, r: int, c: int) -> "WreathType":
         """The type with one part r removed at class c; memoized."""
-        lam = list(self.partition(c))
-        lam.remove(r)
-        d = {cc: list(l) for cc, l in self.parts}
-        d[c] = lam
-        return WreathType.from_dict({c: tuple(v) for c, v in d.items()})
+        d = dict(self.parts)
+        d[c] = list(d[c])
+        d[c].remove(r)
+        return WreathType.from_dict(d)
 
     def to_json_obj(self):
         return [[c, list(lam)] for c, lam in self.parts]

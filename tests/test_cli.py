@@ -1,5 +1,8 @@
 """CLI surface: parsing, output formats, exit codes, file ingestion."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -264,3 +267,18 @@ def test_verify_all_golden_output(run, capsys):
     argv, golden = GOLDEN_RUNS[run]
     assert main(argv.split()) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("run", ["table-txt-s3", "heisenberg-z3-json"])
+def test_golden_output_across_hash_seeds(run):
+    """Types hash by identity, so dict and set layouts follow object
+    addresses; the output must not.  Two fresh interpreters with different
+    string-hash seeds both print the golden bytes."""
+    argv, golden = GOLDEN_RUNS[run]
+    src = Path(__file__).resolve().parent.parent / "src"
+    for seed in ("1", "2718"):
+        out = subprocess.run(
+            [sys.executable, "-m", "wreathfock.cli", *argv.split()],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed))
+        assert out.stdout == (GOLDEN / golden).read_text()

@@ -290,11 +290,16 @@ def test_core_operations_make_no_z_rho_calls(monkeypatch):
 def test_coefficients_are_never_floats(monkeypatch):
     """Every division is exact: no suite builds an element with a float
     coefficient, on rational groups and on cyclotomic payloads alike.  The
-    sigma engine starts from int coefficients."""
+    sigma engine starts from int coefficients, and the counit and inner
+    product of integer-valued elements are ints, zero included."""
     g = symmetric(3)
     rho = WreathType.from_dict({0: (2,), 1: (1,)})
-    assert all(type(x) is int for u in (sigma_rho(g, rho), FockElement.unit(g))
-               for x in u.coeffs.values())
+    s, one = sigma_rho(g, rho), FockElement.unit(g)
+    assert all(type(x) is int for u in (s, one) for x in u.coeffs.values())
+    for got, want in ((counit(one), 1), (counit(s), 0),
+                      (s.inner(s), z_rho(g, rho)), (s.inner(one), 0),
+                      (one.inner(one), 1), ((s + one).inner(s), z_rho(g, rho))):
+        assert type(got) is int and got == want
     orig = FockElement.__post_init__
 
     def guarded(self):

@@ -1,6 +1,10 @@
 """Check reports: the check runner, each verify suite's failure path, and
 the amount of work a verify suite does."""
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -328,31 +332,73 @@ def test_verify_work_is_pinned(suite, monkeypatch):
     assert {k: counts[k] for k in want} == want
 
 
-# WreathType constructions in one cold run: the intern table, type tables,
-# unions, part removals, n-cycle types, coproduct splits and the induction
-# bags start empty.  Types are interned, so each type a suite needs is
-# built exactly once: the 17 nonempty types of degree <= 3 over Z2 and the
-# 34 over Z3; the empty type is the constant EMPTY_TYPE (before interning
-# 325 and 133; before the type caches, a fresh process built 2147 and 2745).
+# Types interned by one cold run, in a fresh interpreter: the intern table
+# holds only EMPTY_TYPE after import, and the type tables, unions, part
+# removals, n-cycle types, coproduct splits and the induction bags start
+# empty.  A type is built only by the intern table, so each type a suite
+# needs is built exactly once: the 17 nonempty types of degree <= 3 over Z2
+# and the 34 over Z3 (before interning 325 and 133; before the type caches,
+# a fresh process built 2147 and 2745).  The intern table is never cleared
+# in a running process: types alive across a clear would get twins.
 COLD_TYPES = {
-    "hopf_verify": (lambda: hopf_verify(cyclic(2), 3), 17),
-    "lambda_verify": (lambda: lambda_verify(cyclic(3), 3), 34),
+    "hopf_verify": ("hopf_verify(cyclic(2), 3)", 17),
+    "lambda_verify": ("lambda_verify(cyclic(3), 3)", 34),
 }
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.mark.parametrize("suite", COLD_TYPES)
-def test_cold_run_builds_each_type_once(suite, monkeypatch):
+def test_cold_run_builds_each_type_once(suite):
+    """The table grows by the pinned count, and no live type is outside
+    it."""
     run, want = COLD_TYPES[suite]
-    for cache in (wreath.WreathType.of, wreath._type_table, wreath._z_table,
-                  wreath.WreathType.union, wreath.WreathType.remove_part,
-                  wreath.n_cycle_type, fock.comul_splits,
-                  fock._induction_bags, lambda_ops._outer_power_coeffs):
-        cache.cache_clear()
-    counts = Counter()
-    _count_calls(monkeypatch, counts, wreath.WreathType, "__post_init__",
-                 "__post_init__")
+    script = f"""
+import gc
+from wreathfock import wreath
+from wreathfock.fock import hopf_verify
+from wreathfock.groups import cyclic
+from wreathfock.lambda_ops import lambda_verify
+before = len(wreath._TYPES)
+assert {run}.all_passed
+live = sum(type(t) is wreath.WreathType for t in gc.get_objects())
+print(before, len(wreath._TYPES) - before, live)
+"""
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)))
+    before, built, live = map(int, out.stdout.split())
+    assert (before, built, live) == (1, want, 1 + want)
+
+
+def test_warm_hopf_computes_no_new_union(monkeypatch):
+    """Each type keeps its unions: a second hopf_verify(Z2, 3) finds every
+    union it needs in the tables."""
+    run = lambda: hopf_verify(cyclic(2), 3)
     assert run().all_passed
-    assert counts["__post_init__"] == want
+    counts = Counter()
+    _count_calls(monkeypatch, counts, wreath._Unions, "__missing__", "miss")
+    assert run().all_passed
+    assert counts["miss"] == 0
+
+
+def test_each_sign_character_is_built_once(monkeypatch):
+    """A warm lambda_verify(Z3, 3) asks 38 times for the sign character of
+    S_n pulled back to G_n, at 3 distinct (G, n), and builds each once
+    (before the memo, it built all 38)."""
+    run = lambda: lambda_verify(cyclic(3), 3)
+    assert run().all_passed
+    fock._sign_char_coeffs.cache_clear()
+    asked = Counter()
+    orig = lambda_ops.sign_char
+
+    def counting(group, n):
+        asked[group, n] += 1
+        return orig(group, n)
+
+    monkeypatch.setattr(lambda_ops, "sign_char", counting)
+    assert run().all_passed
+    built = fock._sign_char_coeffs.cache_info().misses
+    assert (sum(asked.values()), len(asked), built) == (38, 3, 3)
 
 
 def test_each_outer_power_is_built_once(monkeypatch):

@@ -1,4 +1,6 @@
 """Wreath layer: elements, cycle products, types, Z_rho, sigma basis."""
+import copy
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -83,13 +85,15 @@ class TestTypes:
     @settings(max_examples=200, deadline=None)
     @given(types, types)
     def test_cached_fields_and_union(self, a, b):
-        """degree, length and hash are fixed at construction and agree
-        with a recomputation from the parts; the memoized union holds the
-        parts of both at each class."""
+        """degree and length are fixed at construction and agree with a
+        recomputation from the parts; every construction of the parts is
+        the one object, so hashes agree; the union, kept in both types'
+        tables, holds the parts of both at each class."""
         for t in (a, b):
             assert t.degree == sum(sum(lam) for _, lam in t.parts)
             assert t.length == sum(len(lam) for _, lam in t.parts)
-            assert hash(t) == hash(WreathType(t.parts)) == hash((t.parts,))
+            assert WreathType(t.parts) is WreathType.of(t.parts) is t
+            assert hash(t) == hash(WreathType(t.parts))
             assert repr(t) == repr(WreathType(t.parts))
         u = a.union(b)
         assert u == b.union(a)
@@ -98,7 +102,7 @@ class TestTypes:
                 Counter(a.partition(c)) + Counter(b.partition(c))
         assert u.degree == a.degree + b.degree
         assert u.length == a.length + b.length
-        assert a.union(b) is u          # memoized
+        assert a.union(b) is u is a.unions[b] is b.unions[a]
 
     @settings(max_examples=100, deadline=None)
     @given(types)
@@ -117,19 +121,24 @@ class TestTypes:
         a = WreathType(((0, (2, 1)),))
         b = WreathType(((0, (2, 1)),))
         c = WreathType(((0, (3,)),))
-        assert a == b and a is not b and len({a, b}) == 1
+        assert a == b and a is b is WreathType.of(a.parts)
+        assert len({a, b}) == 1 and hash(a) == hash(b) and a != c
         assert (a < c) == (a.parts < c.parts)
+        assert a <= b <= c and c > a and c >= c
         assert a.to_json_obj() == [[0, [2, 1]]]
         with pytest.raises(AttributeError):
             a.degree = 5
+        with pytest.raises(AttributeError):
+            del a.parts
+        assert a.degree == 3 and a.parts == ((0, (2, 1)),)
 
     @settings(max_examples=100, deadline=None)
     @given(types, types, st.sampled_from([cyclic(2), cyclic(3), symmetric(3)]),
            st.integers(0, 3), st.randoms(use_true_random=False))
     def test_types_are_interned(self, a, b, group, n, rng):
-        """Every way to reach a type returns the intern table's object; a
-        type built directly is a different object that equals it, hashes
-        like it and sorts like it."""
+        """Every way to reach a type returns the intern table's object,
+        a type built directly too; it equals, hashes and sorts as the
+        parts say."""
         reached = [a, b, a.union(b), EMPTY_TYPE, n_cycle_type(n, n + 1)]
         reached += [a.remove_part(r, c) for c, lam in a.parts for r in lam]
         reached += enumerate_types(group, n)
@@ -138,10 +147,23 @@ class TestTypes:
         for t in reached:
             assert WreathType.of(t.parts) is t
             direct = WreathType(t.parts)
+            assert direct is t
             assert direct == t and hash(direct) == hash(t)
             for u in (a, b):
                 assert (direct < u) == (t < u) == (t.parts < u.parts)
                 assert (u < direct) == (u < t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(types)
+    def test_copies_and_pickles_are_the_interned_type(self, t):
+        """copy, deepcopy and a pickle round trip hand back the interned
+        object, also as keys inside a container."""
+        assert copy.copy(t) is t and copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+        [key] = copy.deepcopy({t: 1})
+        assert key is t
+        [key] = pickle.loads(pickle.dumps({t: 1}))
+        assert key is t
 
     def test_warm_hopf_makes_no_type_comparisons(self, monkeypatch):
         """Interned types meet by identity: dict and cache lookups in a
