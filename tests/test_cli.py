@@ -258,6 +258,8 @@ GOLDEN_RUNS = {
                                   "group_classes_binary_octahedral.txt"),
     "classes-q8": ("group classes --group q8", "group_classes_q8.txt"),
     "classes-d4": ("group classes --group d4", "group_classes_d4.txt"),
+    "wreath-classes-s3-N2": ("wreath classes --group s3 -N 2 --format json",
+                             "wreath_classes_s3_N2.json"),
 }
 
 
