@@ -9,12 +9,11 @@ from .fock import (FockElement, antipode, counit, fock_comul, fock_exp,
 from .groups import (ClassFunction, DualFunctional, FiniteGroup, GroupError,
                      SubgroupEmbedding, adams_psi, all_subgroup_element_sets,
                      binary_dihedral, binary_octahedral, builtin, cyclic,
-                     dihedral, group_from_cayley, group_from_cayley_json,
+                     dihedral, group_from_cayley_json,
                      group_from_permutations, group_from_permutations_json,
-                     induce_cf, inner_product, mackey_check, mackey_verify,
-                     regular_character, restrict_cf, sigma_basis, sl2_f3,
-                     sl2_f5, subgroup_from_elements, symmetric,
-                     trivial_character, trivial_group)
+                     induce_cf, mackey_check, mackey_verify, restrict_cf,
+                     sigma_basis, sl2_f3, sl2_f5, subgroup_from_elements,
+                     symmetric, trivial_character, trivial_group)
 from .gsets import (GSet, GSetError, PowerGSet, coset_gset, euler_series_check,
                     euler_verify, gset_from_json, gset_power, inertia_basis,
                     inertia_dim, ktheory_euler_check, macdonald_check,
@@ -32,9 +31,7 @@ from .lambda_ops import (E_series, H_series, additivity_check, boxtimes_power,
 from .report import CheckResult, Report
 from .scalars import (Cyclotomic, ScalarError, euler_product,
                       graded_dim_series)
-from .wreath import (WreathElement, WreathError, WreathType,
-                     brute_force_classes, centralizer_checks, cycle_products,
-                     enumerate_types, type_of, wreath_cayley_group,
-                     wreath_conj, wreath_inv, wreath_mul, wreath_order, z_rho)
+from .wreath import (WreathError, WreathType, brute_force_classes,
+                     enumerate_types, type_of, wreath_order, z_rho)
 
 __version__ = "0.1.0"

@@ -21,8 +21,8 @@ from .heisenberg import heisenberg_verify
 from .lambda_ops import lambda_verify
 from .report import Report
 from .scalars import ScalarError, euler_product, graded_dim_series
-from .wreath import (WreathError, brute_force_classes, enumerate_types,
-                     type_counts, type_of, z_rho)
+from .wreath import (WreathError, brute_force_classes, decode_element,
+                     enumerate_types, type_counts, type_of, z_rho)
 
 LIMIT = 50_000  # default --limit; also bounds series graded-dim
 
@@ -127,10 +127,11 @@ def cmd_wreath(args) -> int:
                     line += f"  Z_rho={row['z_rho']}"
                 print(line)
         return 0
-    classes = brute_force_classes(g, n, args.limit)
-    rows = [{"type": type_of(g, rep).to_json_obj(), "size": size,
-             "representative": {"gs": list(rep.gs), "perm": list(rep.perm)}}
-            for rep, size in classes]
+    rows = []
+    for rep, size in brute_force_classes(g, n, args.limit):
+        gs, perm = decode_element(g, rep)
+        rows.append({"type": type_of(g, rep).to_json_obj(), "size": size,
+                     "representative": {"gs": gs, "perm": perm}})
     if args.format == "json":
         print(json.dumps(rows))
     else:

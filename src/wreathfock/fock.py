@@ -29,16 +29,16 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, lcm
 
 from .groups import FiniteGroup
 from .linalg import matrix_rank
 from .report import Report
 from .scalars import Cyclotomic, Scalar, conj, div
-from .wreath import (EMPTY_TYPE, WreathElement, WreathError, WreathType,
-                     element_model, enumerate_types, n_cycle_type,
-                     representative_of_type, type_of, wreath_order, z_rho)
+from .wreath import (EMPTY_TYPE, WreathError, WreathType, element_model,
+                     enumerate_types, n_cycle_type, representative_of_type,
+                     split_type, type_of, wreath_order, z_rho)
 
 
 class FockError(ValueError):
@@ -80,9 +80,6 @@ class FockElement:
         if c is None:
             return 0
         return c * z_rho(self.group, rho)
-
-    def value_at_element(self, a: WreathElement) -> Scalar:
-        return self.value(type_of(self.group, a))
 
     @property
     def degree(self) -> int:
@@ -315,33 +312,25 @@ def graded_dim(group: FiniteGroup, max_degree: int) -> list[int]:
 
 # -- element-level oracles --------------------------------------------------
 
-def _split_element(a: WreathElement, k: int) -> tuple[WreathElement, WreathElement]:
-    left = WreathElement(a.gs[:k], a.perm[:k])
-    right = WreathElement(a.gs[k:], tuple(p - k for p in a.perm[k:]))
-    return left, right
-
-
 @lru_cache(maxsize=8)
 def _induction_bags(group: FiniteGroup, a: int, b: int,
                     reps: tuple[WreathType, ...], limit: int):
     """For each target type: a Counter over (left type, right type) of the
     conjugates w^-1 z w (w in G_n) landing in the Young subgroup G_a x G_b.
     Each member of the class of z is hit |C(z)| = |G_n|/|cl(z)| times, so
-    the class is walked once with that weight; each left or right part's
-    type is computed once."""
+    the class is walked once with that weight."""
     model = element_model(group, a + b, limit)
     cut = a * group.order  # points of G x {0..a-1}
-    types = lru_cache(maxsize=None)(partial(type_of, group))
     bags = {}
     for pi in reps:
         members = model.classes[model.class_of[
-            model.id_of(representative_of_type(group, pi))]]
+            model.index[representative_of_type(group, pi)]]]
         weight = len(model) // len(members)
         bag: Counter = Counter()
         for y in members:
-            if max(model.perms[y][:cut]) < cut:
-                left, right = _split_element(model.elements[y], a)
-                bag[types(left), types(right)] += weight
+            p = model.perms[y]
+            if max(p[:cut]) < cut:
+                bag[split_type(group, p, a)] += weight
         bags[pi] = bag
     return bags
 
@@ -372,12 +361,10 @@ def oracle_comul_value(f: FockElement, alpha: WreathType,
     """Element-level restriction: the value of Res f at the embedded pair
     of canonical representatives of (alpha, beta)."""
     g = f.group
-    a, b = alpha.degree, beta.degree
     left = representative_of_type(g, alpha)
-    right = representative_of_type(g, beta)
-    combined = WreathElement(left.gs + right.gs,
-                             left.perm + tuple(p + a for p in right.perm))
-    return f.value_at_element(combined)
+    shift = len(left)  # alpha.degree |G| points
+    right = tuple([v + shift for v in representative_of_type(g, beta)])
+    return f.value(type_of(g, left + right))
 
 
 # -- verification ----------------------------------------------------------
@@ -439,11 +426,11 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
               repr)
 
     def counit_axiom(rho):
+        # (counit x id) Delta = id
         acc: Counter = Counter()
         for a1, b1, k in comul_splits(rho):
-            if a1.degree == 0:
-                acc[b1] += k
-        return dict(acc) == {rho: 1}
+            acc[b1] += counit(sig[a1]) * k
+        return {b: v for b, v in acc.items() if v} == {rho: 1}
 
     rep.check("counit axiom", zip(basis), counit_axiom)
 

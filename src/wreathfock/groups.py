@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .scalars import Scalar, conj, div
+from .scalars import Scalar, div
 
 
 class GroupError(ValueError):
@@ -179,10 +179,6 @@ def _check_associative(table) -> list[int]:
                 y = next(y for y in range(n) if row_xa[y] != row_x[row_a[y]])
                 raise GroupError(f"table is not associative at ({x},{a},{y})")
     return gens
-
-
-def group_from_cayley(table, name: str = "G") -> FiniteGroup:
-    return FiniteGroup(table, name=name)
 
 
 def json_rows(value, what: str, error=GroupError) -> list[list[int]]:
@@ -503,7 +499,8 @@ class ClassFunction:
     def value(self, c: int) -> Scalar:
         return self.values[c]
 
-    def value_at_element(self, g_elem: int) -> Scalar:
+    def at(self, g_elem: int) -> Scalar:
+        """The value at the element g_elem of G."""
         return self.values[self.group.class_of[g_elem]]
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
@@ -547,26 +544,10 @@ def trivial_character(group: FiniteGroup) -> ClassFunction:
     return ClassFunction.from_rationals(group, [1] * group.num_classes)
 
 
-def regular_character(group: FiniteGroup) -> ClassFunction:
-    vals = [0] * group.num_classes
-    vals[0] = group.order
-    return ClassFunction.from_rationals(group, vals)
-
-
-def inner_product(chi: ClassFunction, psi: ClassFunction) -> Scalar:
-    """(chi | psi) = (1/|G|) sum_g chi(g) conj(psi(g)), computed classwise."""
-    if chi.group is not psi.group:
-        raise GroupError("inner product needs a common group")
-    g = chi.group
-    return sum((chi.values[c] * conj(psi.values[c])
-                * Fraction(g.class_size(c), g.order)
-                for c in range(g.num_classes)), Fraction(0))
-
-
 def adams_psi(n: int, chi: ClassFunction) -> ClassFunction:
     """Classical Adams operation: chi goes to (g -> chi(g^n))."""
     g = chi.group
-    vals = [chi.value_at_element(g.power(g.class_reps[c], n))
+    vals = [chi.at(g.power(g.class_reps[c], n))
             for c in range(g.num_classes)]
     return ClassFunction(g, tuple(vals))
 
@@ -600,7 +581,7 @@ def restrict_cf(emb: SubgroupEmbedding, chi: ClassFunction) -> ClassFunction:
     if chi.group is not emb.target:
         raise GroupError("class function must live on the embedding target")
     h = emb.source
-    vals = tuple(chi.value_at_element(emb(h.class_reps[c]))
+    vals = tuple(chi.at(emb(h.class_reps[c]))
                  for c in range(h.num_classes))
     return ClassFunction(h, vals)
 
@@ -621,7 +602,7 @@ def induce_cf(emb: SubgroupEmbedding, f: ClassFunction) -> ClassFunction:
         for x in range(g.order):
             y = g.mul(g.mul(g.inv(x), z), x)
             if y in image:
-                acc = acc + f.value_at_element(pre[y])
+                acc = acc + f.at(pre[y])
         vals.append(div(acc, h.order))
     return ClassFunction(g, tuple(vals))
 
@@ -664,7 +645,7 @@ def conjugate_subgroup_data(g: FiniteGroup, emb_h: SubgroupEmbedding,
         for c in range(hs.num_classes):
             x_in_g = emb_l(emb_hs_in_l(hs.class_reps[c]))
             y = g.mul(g.mul(s, x_in_g), s_inv)
-            vals.append(f.value_at_element(emb_h.preimage(y)))
+            vals.append(f.at(emb_h.preimage(y)))
         return ClassFunction(hs, tuple(vals))
 
     return emb_hs_in_l, transport

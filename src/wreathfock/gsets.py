@@ -4,17 +4,20 @@ Theorem 6.1 / Macdonald / McKay series identities.
 
 Orbifold Euler characteristics are always computed by two independent
 routes (commuting-pair average and inertia-orbit count) which must agree;
-wreath powers reuse the same engine through the element model of G_n.
-There fixed-point sets are bit sets over the points of X^n, and the pair
-sum is walked once per conjugacy class: simultaneous conjugation keeps
-|X^a n X^b|, so the sum over C(a) is the same for every a in a class.
+wreath powers reuse the same engine through the element model of G_n,
+whose elements are permutations of the points of G x {0..n-1}
+(`wreath.ElementModel`).  The points of X^n are indices in product order;
+an element acts on them through one point table, and its fixed points are
+a bit set.  The pair sum is walked once per conjugacy class: simultaneous
+conjugation keeps |X^a n X^b|, so the sum over C(a) is the same for every
+a in a class.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from math import comb
 
 from .fock import graded_dim
@@ -22,8 +25,7 @@ from .groups import FiniteGroup, binary_dihedral, binary_octahedral, \
     cyclic, json_count, json_rows, orbits, sl2_f3, sl2_f5
 from .report import Report
 from .scalars import euler_product
-from .wreath import (ElementModel, WreathElement, element_model, type_of,
-                     wreath_order)
+from .wreath import ElementModel, element_model, type_of, wreath_order
 
 
 class GSetError(ValueError):
@@ -123,7 +125,10 @@ def gset_from_json(group: FiniteGroup, text: str, name: str = "X") -> GSet:
 
 @dataclass(frozen=True)
 class PowerGSet:
-    """X^n with its G_n action a.(x_1..x_n) = (g_i x_{s^-1(i)})_i."""
+    """X^n with its G_n action a.(x_1..x_n) = (g_i x_{s^-1(i)})_i.  Point t
+    is the t-th tuple of itertools.product(range(|X|), repeat=n), so
+    t = sum of x_i |X|^(n-1-i); elements are `wreath.ElementModel`
+    permutations, read through p[i |G|] = s(i) |G| + g_s(i)."""
 
     base: GSet
     n: int
@@ -132,19 +137,15 @@ class PowerGSet:
     def size(self) -> int:
         return self.base.size ** self.n
 
-    @cached_property
-    def _points(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(itertools.product(range(self.base.size), repeat=self.n))
-
-    def points(self) -> list[tuple[int, ...]]:
-        return list(self._points)
-
-    def act(self, a: WreathElement, x: tuple[int, ...]) -> tuple[int, ...]:
-        """(a.x)_{s(i)} = g_{s(i)} x_i."""
-        out = [0] * self.n
-        for i, j in enumerate(a.perm):
-            out[j] = self.base.action[a.gs[j]][x[i]]
-        return tuple(out)
+    def point_table(self, p: tuple[int, ...]) -> tuple[int, ...]:
+        """The point table of p: entry t is the index of p.x, x the t-th
+        point.  Coordinate i of x adds g_s(i) x_i |X|^(n-1-s(i))."""
+        k, n, order = self.base.size, self.n, self.base.group.order
+        steps = []
+        for i in range(n):
+            j, g = divmod(p[i * order], order)
+            steps.append([y * k ** (n - 1 - j) for y in self.base.action[g]])
+        return tuple(map(sum, itertools.product(*steps)))
 
     @cached_property
     def _masks(self) -> dict[tuple[int, int, int], int]:
@@ -164,21 +165,22 @@ class PowerGSet:
                 for g, row in enumerate(self.base.action)
                 for i in range(n) for j in range(n)}
 
-    def fixed_mask(self, a: WreathElement) -> int:
+    def fixed_mask(self, p: tuple[int, ...]) -> int:
         """The bit set of the points with x_{s(i)} = g_{s(i)} x_i, the AND
         over the coordinates i of one precomputed mask each."""
-        masks = self._masks
+        masks, order = self._masks, self.base.group.order
         out = (1 << self.size) - 1
-        for i, j in enumerate(a.perm):
-            out &= masks[a.gs[j], i, j]
+        for i in range(self.n):
+            j, g = divmod(p[i * order], order)
+            out &= masks[g, i, j]
         return out
 
-    def fixed(self, a: WreathElement) -> list[tuple[int, ...]]:
-        """The points of `fixed_mask(a)`, in point order."""
-        points, mask, out = self._points, self.fixed_mask(a), []
+    def fixed(self, p: tuple[int, ...]) -> list[int]:
+        """The points of `fixed_mask(p)`, in increasing order."""
+        mask, out = self.fixed_mask(p), []
         while mask:
             low = mask & -mask
-            out.append(points[low.bit_length() - 1])
+            out.append(low.bit_length() - 1)
             mask ^= low
         return out
 
@@ -198,7 +200,7 @@ def commuting_pair_sum(power: PowerGSet, model: ElementModel) -> int:
     """sum over commuting pairs (a, b) in G_n of |X^a n X^b|, walked once
     per class: |cl(z)| times the sum over b in C(z) at the representative
     z, C(z) by `brute_centralizer`."""
-    masks = [power.fixed_mask(a) for a in model.elements]
+    masks = [power.fixed_mask(p) for p in model.perms]
     total = 0
     for cl in model.classes:
         mz = masks[cl[0]]
@@ -221,13 +223,13 @@ def power_orbifold_euler(x: GSet, n: int, limit: int = 50_000) -> int:
     if total % len(model) != 0:
         raise GSetError("commuting-pair sum is not divisible by |G_n|")
     e_pairs = total // len(model)
-    fixed = [power.fixed(a) for a in model.elements]
 
-    # a generator h moves the inertia point (a, p) to (h a h^-1, h p)
-    moves = [lambda ip, h=h, conj=conj: (conj[ip[0]], power.act(h, ip[1]))
+    # a generator h moves the inertia point (a, t) to (h a h^-1, h t)
+    moves = [lambda it, conj=conj, table=power.point_table(h):
+             (conj[it[0]], table[it[1]])
              for h, conj in zip(model.generators, model.generator_conj)]
-    count = len(orbits([(i, p) for i in range(len(model)) for p in fixed[i]],
-                       moves))
+    count = len(orbits([(i, t) for i, p in enumerate(model.perms)
+                        for t in power.fixed(p)], moves))
     if e_pairs != count:
         raise GSetError(
             f"orbifold Euler forms disagree: pairs {e_pairs}, orbits {count}")
@@ -270,12 +272,12 @@ def _orbit_counts_by_class(x: GSet) -> tuple[int, ...]:
     return tuple(k)
 
 
-def symmetric_orbit_count(x: GSet, a: WreathElement) -> int:
-    """|(X^n)^a / Z(a)| predicted by the symmetric-product formula:
+def symmetric_orbit_count(x: GSet, p: tuple[int, ...]) -> int:
+    """|(X^n)^p / Z(p)| predicted by the symmetric-product formula:
     prod over (c, r) of C(k_c + m - 1, m) with k_c = |X^c/Z_G(c)|."""
     k = _orbit_counts_by_class(x)
     out = 1
-    rho = type_of(x.group, a)
+    rho = type_of(x.group, p)
     for c, lam in rho.parts:
         for r in set(lam):
             m = lam.count(r)
@@ -285,12 +287,14 @@ def symmetric_orbit_count(x: GSet, a: WreathElement) -> int:
 
 def lemma_16_check(x: GSet, n: int, limit: int = 50_000) -> bool:
     """For every a in G_n: the centralizer orbit count on (X^n)^a equals
-    the symmetric-product formula."""
+    the symmetric-product formula.  Each element acts through its point
+    table, built once."""
     model = element_model(x.group, n, limit)
     power = gset_power(x, n, limit)
-    for a, row in zip(model.elements, model.centralizers):
-        cent = [partial(power.act, model.elements[j]) for j in row]
-        if len(orbits(power.fixed(a), cent)) != symmetric_orbit_count(x, a):
+    moves = [power.point_table(p).__getitem__ for p in model.perms]
+    for p, row in zip(model.perms, model.centralizers):
+        cent = [moves[j] for j in row]
+        if len(orbits(power.fixed(p), cent)) != symmetric_orbit_count(x, p):
             return False
     return True
 
@@ -380,7 +384,11 @@ def mckay_table() -> Report:
 
 
 def euler_verify(x: GSet, max_degree: int, limit: int = 50_000) -> Report:
-    """The orbifold-Euler suite for one G-set."""
+    """The orbifold-Euler suite for one G-set.  Refused before any row
+    when the Lemma 1.6 row, |G_2| |X|^2 point tables, is past the limit."""
+    lemma_cost = wreath_order(x.group, 2) * x.size ** 2
+    if lemma_cost > limit:
+        raise GSetError(f"|G_2| |X|^2 = {lemma_cost} exceeds --limit {limit}")
     rep = Report(f"euler_verify({x.group.name}, {x.name}, N={max_degree})")
     try:
         e = orbifold_euler(x)
@@ -392,10 +400,8 @@ def euler_verify(x: GSet, max_degree: int, limit: int = 50_000) -> Report:
     rep.add("Eq. (28): e(X,G) = inertia_dim", ktheory_euler_check(x))
     rep.extend(euler_series_check(x, max_degree, limit).checks)
     rep.extend(theorem_main_dim_check(x, max_degree, limit).checks)
-    small = wreath_order(x.group, 2) * x.size ** 2 <= limit
-    if small:
-        rep.add("Lemma 1.6 symmetric-product counts (n = 2)",
-                lemma_16_check(x, 2, limit))
+    rep.add("Lemma 1.6 symmetric-product counts (n = 2)",
+            lemma_16_check(x, 2, limit))
     rep.add(f"Macdonald formula for |X| = {x.size}",
             macdonald_check(x.size, max_degree + 2))
     return rep

@@ -1,20 +1,23 @@
-"""The wreath product G_n: elements, cycle products, types and Z_rho.
+"""The wreath product G_n: types, Z_rho and the element model.
 
 A conjugacy class of G_n is a type: a partition-valued function on the
 conjugacy classes of G.  Class functions on G_n are elements of F_G in
-sigma coordinates (`fock.FockElement`), keyed by these types.  The element
-model of G_n only ever appears inside brute-force oracles, where whole
-groups up to a few tens of thousands of elements are enumerated.
+sigma coordinates (`fock.FockElement`), keyed by these types.  Elements of
+G_n only ever appear inside brute-force oracles, where whole groups up to
+a few tens of thousands of elements are enumerated.
 
-Those oracles share one compiled model per (G, n), `element_model`.  Each
-element (g; s) becomes its permutation of the |G| n points of
+An element (g_1..g_n; s) is its permutation of the |G| n points of
 G x {0..n-1}, (g; s).(h, i) = (g_{s(i)} h, s(i)), with point (h, i) at
-index i |G| + h; a product is a composition of two permutation tuples.
-Element ids follow `enumerate_wreath_elements`, which is also
-`WreathElement` order, so the smallest id of a class is its smallest
-element.  Conjugacy classes come from closure under conjugation by
-`wreath_generators`, recording per element one conjugator x from its
-class representative z.  C(z) is found by brute force with an S_n
+index i |G| + h; a product is a composition of two permutation tuples, and
+p[i |G|] = s(i) |G| + g_{s(i)} gives (g; s) back (`decode_element`).  The
+type is read off the block cycles of p (`split_type`).
+
+The oracles share one compiled model per (G, n), `element_model`.  Ids run
+over (g_1..g_n) in lexicographic order and, for each, over the
+permutations s in lexicographic order, so the smallest id of a class is
+its smallest (g; s).  Conjugacy classes come from closure under
+conjugation by the generators, recording per element one conjugator x
+from its class representative z.  C(z) is found by brute force with an S_n
 pre-filter: id j has S_n part s_j, the (j mod n!)-th permutation, and
 since G_n -> S_n is a homomorphism only ids whose s_j commutes with s_z
 get the full commutation test with z.  C(x z x^-1) = x C(z) x^-1.  No
@@ -25,7 +28,6 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache, total_ordering
 from math import factorial
-from typing import NamedTuple
 
 from .groups import FiniteGroup
 from .scalars import product_coefficients
@@ -33,64 +35,6 @@ from .scalars import product_coefficients
 
 class WreathError(ValueError):
     pass
-
-
-class WreathElement(NamedTuple):
-    """Element (g_1..g_n; s) of G_n.  perm[i] is the image s(i), 0-based."""
-
-    gs: tuple[int, ...]
-    perm: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.gs)
-
-
-def wreath_mul(group: FiniteGroup, a: WreathElement, b: WreathElement) -> WreathElement:
-    """(g, s)(h, t) = (g . s(h), s t) with s(h)_i = h_{s^-1(i)}."""
-    if a.degree != b.degree:
-        raise WreathError("degree mismatch")
-    s = a.perm
-    sinv = [0] * len(s)
-    for i, v in enumerate(s):
-        sinv[v] = i
-    gs = tuple(group.mul(a.gs[i], b.gs[sinv[i]]) for i in range(len(s)))
-    perm = tuple(s[b.perm[i]] for i in range(len(s)))
-    return WreathElement(gs, perm)
-
-
-def wreath_inv(group: FiniteGroup, a: WreathElement) -> WreathElement:
-    s = a.perm
-    sinv = [0] * len(s)
-    for i, v in enumerate(s):
-        sinv[v] = i
-    gs = tuple(group.inv(a.gs[s[i]]) for i in range(len(s)))
-    return WreathElement(gs, tuple(sinv))
-
-
-def wreath_conj(group: FiniteGroup, x: WreathElement, a: WreathElement) -> WreathElement:
-    return wreath_mul(group, wreath_mul(group, x, a), wreath_inv(group, x))
-
-
-def cycle_products(group: FiniteGroup, a: WreathElement) -> list[tuple[int, int]]:
-    """(cycle length r, class id of the cycle product) per cycle of the
-    permutation; the product along a cycle (i1..ir) is g_{ir} ... g_{i1}."""
-    n = a.degree
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        prod = 0
-        i = start
-        r = 0
-        while not seen[i]:
-            seen[i] = True
-            prod = group.mul(a.gs[i], prod)
-            i = a.perm[i]
-            r += 1
-        out.append((r, group.class_of[prod]))
-    return out
 
 
 _TYPES: dict[tuple, "WreathType"] = {}     # parts -> its type; never cleared
@@ -199,13 +143,6 @@ class WreathType:
 
 
 EMPTY_TYPE = WreathType(())
-
-
-def type_of(group: FiniteGroup, a: WreathElement) -> WreathType:
-    d: dict[int, list[int]] = {}
-    for r, c in cycle_products(group, a):
-        d.setdefault(c, []).append(r)
-    return WreathType.from_dict({c: tuple(v) for c, v in d.items()})
 
 
 @lru_cache(maxsize=None)
@@ -329,30 +266,82 @@ def n_cycle_type(c: int, n: int) -> WreathType:
     return WreathType.of(((c, (n,)),))
 
 
-# -- brute-force element model (oracles) -----------------------------------
-
-def enumerate_wreath_elements(group: FiniteGroup, n: int,
-                              limit: int = 200_000) -> list[WreathElement]:
-    total = wreath_order(group, n)
-    if total > limit:
-        raise WreathError(f"|G_n| = {total} exceeds limit {limit}")
-    perms = list(itertools.permutations(range(n)))
-    return [WreathElement(gs, p)
-            for gs in itertools.product(range(group.order), repeat=n)
-            for p in perms]
 
 
-def wreath_generators(group: FiniteGroup, n: int) -> list[WreathElement]:
-    gens = []
-    for g in range(1, group.order):
-        gens.append(WreathElement((g,) + (0,) * (n - 1), tuple(range(n))))
+# -- the element model (oracles) --------------------------------------------
+
+def _perm(group: FiniteGroup, gs, s) -> tuple[int, ...]:
+    """The permutation of (g_1..g_n; s): (h, i) -> (g_{s(i)} h, s(i))."""
+    k, table = group.order, group.table
+    return tuple([j * k + v for j in s for v in table[gs[j]]])
+
+
+def decode_element(group: FiniteGroup,
+                   p: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """(g_1..g_n, s) of the element p: p[i |G|] = s(i) |G| + g_s(i)."""
+    k = group.order
+    gs, s = [0] * (len(p) // k), []
+    for v in p[::k]:
+        j, g = divmod(v, k)
+        gs[j] = g
+        s.append(j)
+    return gs, s
+
+
+def split_type(group: FiniteGroup, p: tuple[int, ...],
+               a: int) -> tuple[WreathType, WreathType]:
+    """The types of the cycles of the element p through the blocks below
+    a and through the others; for p in G_a x G_(n-a), its two components.
+    A cycle is walked from the point (e, i) of its first block i: it is
+    back in block i after r steps, at (h, i) with h the cycle product, so
+    it is one part r at the class of h."""
+    k, class_of = group.order, group.class_of
+    seen = [False] * (len(p) // k)
+    parts: tuple[dict, dict] = ({}, {})
+    for i, done in enumerate(seen):
+        if done:
+            continue
+        start = i * k
+        x, r = p[start], 1
+        while not start <= x < start + k:
+            seen[x // k] = True
+            x, r = p[x], r + 1
+        parts[i >= a].setdefault(class_of[x - start], []).append(r)
+    return WreathType.from_dict(parts[0]), WreathType.from_dict(parts[1])
+
+
+def type_of(group: FiniteGroup, p: tuple[int, ...]) -> WreathType:
+    """The type of the element p, its conjugacy class in G_n."""
+    return split_type(group, p, 0)[1]
+
+
+def representative_of_type(group: FiniteGroup,
+                           rho: WreathType) -> tuple[int, ...]:
+    """Canonical element of the given type: per part an r-cycle block with
+    the class representative in its first slot."""
+    n = rho.degree
+    gs = [0] * n
+    s = list(range(n))
+    pos = 0
+    for c, lam in rho.parts:
+        for r in lam:
+            gs[pos] = group.class_reps[c]
+            for i in range(r):
+                s[pos + i] = pos + (i + 1) % r
+            pos += r
+    return _perm(group, gs, s)
+
+
+def _generators(group: FiniteGroup, n: int) -> tuple[tuple[int, ...], ...]:
+    """(g, e, .., e; 1) for each g != e, then for n >= 2 the swap (0 1) and
+    the n-cycle i -> i + 1 with every g_i = e: a generating set of G_n."""
+    e = (0,) * n
+    gens = [_perm(group, (g,) + e[1:], range(n))
+            for g in range(1, group.order)]
     if n >= 2:
-        swap = list(range(n))
-        swap[0], swap[1] = 1, 0
-        gens.append(WreathElement((0,) * n, tuple(swap)))
-        cyc = tuple((i + 1) % n for i in range(n))
-        gens.append(WreathElement((0,) * n, cyc))
-    return gens
+        gens.append(_perm(group, e, (1, 0) + tuple(range(2, n))))
+        gens.append(_perm(group, e, tuple((i + 1) % n for i in range(n))))
+    return tuple(gens)
 
 
 class ElementModel:
@@ -368,13 +357,13 @@ class ElementModel:
     def __init__(self, group: FiniteGroup, n: int):
         self.group = group
         self.n = n
-        self.elements = tuple(enumerate_wreath_elements(
-            group, n, wreath_order(group, n)))
-        self.perms = tuple(self.perm_of(a) for a in self.elements)
+        # the S_n parts: id j has the (j mod n!)-th
+        self.sn = sn = tuple(itertools.permutations(range(n)))
+        self.perms = tuple(_perm(group, gs, s) for gs in itertools.product(
+            range(group.order), repeat=n) for s in sn)
         self.index = index = {p: i for i, p in enumerate(self.perms)}
         self.inverse = tuple(index[_perm_inverse(p)] for p in self.perms)
-        self.generators = tuple(wreath_generators(group, n))
-        gen_perms = [self.perm_of(h) for h in self.generators]
+        self.generators = gen_perms = _generators(group, n)
         # generator_conj[t][i]: id of h_t x_i h_t^-1
         self.generator_conj = tuple(
             tuple(index[tuple([h[p[x]] for x in hi])]
@@ -406,25 +395,16 @@ class ElementModel:
     def __len__(self):
         return len(self.perms)
 
-    def perm_of(self, a: WreathElement) -> tuple[int, ...]:
-        """(g;s).(h, i) = (g_{s(i)} h, s(i)), point (h, i) at i*|G| + h."""
-        k = self.group.order
-        table = self.group.table
-        return tuple([j * k + v for j in a.perm for v in table[a.gs[j]]])
-
-    def id_of(self, a: WreathElement) -> int:
-        return self.index[self.perm_of(a)]
-
     def brute_centralizer(self, i: int) -> tuple[int, ...]:
         """Sorted ids commuting with element i.  Ids j = k n! + t share the
         S_n part of id t < n!; one full commutation test for each j whose
         S_n part commutes with that of i, none for the others."""
-        nf = factorial(self.n)
-        s = self.elements[i].perm
-        near = [t for t in range(nf) if _commutes(s, self.elements[t].perm)]
+        sn = self.sn
+        s = sn[i % len(sn)]
+        near = [t for t, u in enumerate(sn) if _commutes(s, u)]
         perms = self.perms
         p = perms[i]
-        return tuple(j for k in range(0, len(perms), nf)
+        return tuple(j for k in range(0, len(perms), len(sn))
                      for j in (k + t for t in near) if _commutes(p, perms[j]))
 
     @cached_property
@@ -469,75 +449,11 @@ def _element_model(group: FiniteGroup, n: int) -> ElementModel:
     return ElementModel(group, n)
 
 
-def brute_force_classes(group: FiniteGroup, n: int,
-                        limit: int = 200_000) -> list[tuple[WreathElement, int]]:
+def brute_force_classes(group: FiniteGroup, n: int, limit: int = 200_000
+                        ) -> list[tuple[tuple[int, ...], int]]:
     """Conjugacy classes of G_n by orbit closure under conjugation by a
-    generating set; returns (representative, class size) pairs sorted by
-    the representative's type."""
+    generating set: (smallest element, class size) pairs sorted by the
+    type, classes of one type in id order."""
     model = element_model(group, n, limit)
-    out = [(model.elements[cl[0]], len(cl)) for cl in model.classes]
-    out.sort(key=lambda t: (type_of(group, t[0]), t[0]))
-    return out
-
-
-def representative_of_type(group: FiniteGroup, rho: WreathType) -> WreathElement:
-    """Canonical element of the given type: per part an r-cycle block with
-    the class representative in its first slot."""
-    n = rho.degree
-    gs = [0] * n
-    perm = list(range(n))
-    pos = 0
-    for c, lam in rho.parts:
-        for r in lam:
-            gs[pos] = group.class_reps[c]
-            for i in range(r):
-                perm[pos + i] = pos + (i + 1) % r
-            pos += r
-    return WreathElement(tuple(gs), tuple(perm))
-
-
-def centralizer_order_brute(group: FiniteGroup, n: int, a: WreathElement,
-                            limit: int = 200_000) -> int:
-    model = element_model(group, n, limit)
-    return len(model.brute_centralizer(model.id_of(a)))
-
-
-def centralizer_checks(group: FiniteGroup, n: int, limit: int = 200_000):
-    """Per class: brute-force centralizer order (as |G_n|/orbit size)
-    against Z_rho, and n * zeta_c for full-cycle classes.  Returns a list
-    of (description, ok, details)."""
-    from .report import CheckResult
-    results = []
-    total = wreath_order(group, n)
-    classes = brute_force_classes(group, n, limit)
-    small = total <= 5000
-    for rep, size in classes:
-        rho = type_of(group, rep)
-        zr = z_rho(group, rho)
-        cent = total // size
-        ok = cent == zr
-        if small:
-            ok = ok and centralizer_order_brute(group, n, rep, limit) == zr
-        results.append(CheckResult(
-            f"centralizer {group.name} n={n} type={rho!r}", ok,
-            None if ok else f"brute {cent} vs Z_rho {zr}"))
-        if len(rho.parts) == 1 and len(rho.parts[0][1]) == 1 \
-                and rho.parts[0][1][0] == n:
-            c = rho.parts[0][0]
-            ok2 = cent == n * group.zeta(c)
-            results.append(CheckResult(
-                f"n-cycle centralizer {group.name} n={n} class={c}", ok2,
-                None if ok2 else f"{cent} vs {n * group.zeta(c)}"))
-    return results
-
-
-def wreath_cayley_group(group: FiniteGroup, n: int,
-                        limit: int = 5000) -> tuple[FiniteGroup, list[WreathElement]]:
-    """G_n as a plain FiniteGroup (identity-first element order), plus the
-    element list realizing the numbering.  Only for small instances."""
-    model = element_model(group, n, limit)
-    perms, index = model.perms, model.index
-    table = [[index[tuple([p[x] for x in q])] for q in perms]
-             for p in perms]
-    return FiniteGroup(table, name=f"{group.name}wr{n}"), list(model.elements)
-
+    return sorted(((model.perms[cl[0]], len(cl)) for cl in model.classes),
+                  key=lambda t: type_of(group, t[0]))

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+from wreath_oracle import (enumerate_wreath_elements, perm_sign,
+                           type_of as element_type, wreath_cayley_group)
 from wreathfock.fock import hopf_verify
 from wreathfock.groups import (ClassFunction, FiniteGroup, binary_dihedral,
                                binary_octahedral, cyclic, dihedral,
@@ -21,8 +23,7 @@ from wreathfock.fock import (fock_mul, graded_dim, sigma_rho, sign_char,
                              trivial_char)
 from wreathfock.scalars import euler_product
 from wreathfock.wreath import (brute_force_classes, enumerate_types,
-                               enumerate_wreath_elements, type_of,
-                               wreath_cayley_group, wreath_order, z_rho)
+                               type_of, wreath_order, z_rho)
 
 
 def report(num: int, name: str, ok: bool):
@@ -37,18 +38,6 @@ def product_group(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
               for c in range(no) for d in range(ho)]
              for a in range(no) for b in range(ho)]
     return FiniteGroup(table, name=f"{g.name}x{h.name}")
-
-
-def perm_sign(p):
-    sign, seen = 1, [False] * len(p)
-    for i in range(len(p)):
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j, length = p[j], length + 1
-        if length and length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def test_criterion_1_conjugacy_by_type():
@@ -90,9 +79,10 @@ def test_criterion_2_sigma_orthogonality():
         for n in range(1, 4):
             triv, sgn = trivial_char(g, n), sign_char(g, n)
             for a in enumerate_wreath_elements(g, n):
-                if triv.value_at_element(a) != 1:
+                rho = element_type(g, a)
+                if triv.value(rho) != 1:
                     ok = False
-                if sgn.value_at_element(a) != perm_sign(a.perm):
+                if sgn.value(rho) != perm_sign(a.perm):
                     ok = False
     report(2, "sigma orthogonality (Lemma 1.4) and Eq. (6)/(7)", ok)
 

@@ -187,17 +187,36 @@ class TestFileIngestion:
     def test_gset_power_bounded_by_limit(self, limit, code, tmp_path,
                                          capsys):
         """|X|^n = 4^3 = 64 at -N 3: refused, naming --limit, one below
-        it and run at it."""
+        it and run at it.  Over the trivial group the Lemma 1.6 row needs
+        only |G_2| |X|^2 = 32, so |X|^n is the bound that acts."""
         path = tmp_path / "x.json"
-        path.write_text(json.dumps(
-            {"size": 4, "action": [[0, 1, 2, 3], [1, 0, 2, 3]]}))
-        assert main(["verify", "euler", "--group", "z2", "-N", "3",
+        path.write_text(json.dumps({"size": 4, "action": [[0, 1, 2, 3]]}))
+        assert main(["verify", "euler", "--group", "z1", "-N", "3",
                      "--gset", str(path), "--limit", str(limit)]) == code
         out, err = capsys.readouterr()
         if code:
             assert (out, err) == ("", "error: |X|^n = 64 exceeds --limit 63\n")
         else:
-            assert err == "" and out.endswith("6/6 checks passed\n")
+            assert err == "" and out.endswith("7/7 checks passed\n")
+
+    @pytest.mark.parametrize("limit,code", [(64, 2), (128, 0)])
+    def test_lemma_16_row_bounded_by_limit(self, limit, code, tmp_path,
+                                           capsys):
+        """The Lemma 1.6 row needs |G_2| |X|^2 = 8 * 16 = 128 on a 4-point
+        Z2-set: below that the suite is refused before any row, instead of
+        printing the other rows without it."""
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(
+            {"size": 4, "action": [[0, 1, 2, 3], [1, 0, 3, 2]]}))
+        assert main(["verify", "euler", "--group", "z2", "-N", "3",
+                     "--gset", str(path), "--limit", str(limit)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert (out, err) == (
+                "", "error: |G_2| |X|^2 = 128 exceeds --limit 64\n")
+        else:
+            assert err == "" and "Lemma 1.6" in out \
+                and out.endswith("7/7 checks passed\n")
 
     def test_bad_gset_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

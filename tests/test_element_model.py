@@ -1,17 +1,18 @@
 """The compiled element model of G_n against element-level sweeps over
-`wreath_mul`: commuting rows, conjugacy classes and induction bags."""
+the (g; s) arithmetic of `wreath_oracle`: commuting rows, conjugacy
+classes, induction bags and types."""
 from collections import Counter
 
 import pytest
 
+from wreath_oracle import (enumerate_wreath_elements, perm_of, representative,
+                           split_element, type_of as oracle_type,
+                           wreath_generators, wreath_inv, wreath_mul)
 from wreathfock import fock, wreath
 from wreathfock.groups import cyclic, symmetric
 from wreathfock.gsets import power_orbifold_euler, regular_gset
-from wreathfock.wreath import (WreathError, element_model,
-                               enumerate_types, enumerate_wreath_elements,
-                               representative_of_type, type_of,
-                               wreath_generators, wreath_inv, wreath_mul,
-                               wreath_order)
+from wreathfock.wreath import (WreathError, element_model, enumerate_types,
+                               type_of, wreath_order)
 
 CASES = [(cyclic(2), 3), (cyclic(3), 2), (symmetric(3), 2), (symmetric(3), 3)]
 IDS = ["Z2wr3", "Z3wr2", "S3wr2", "S3wr3"]
@@ -38,7 +39,7 @@ def closure_classes(group, n):
                     frontier.append(y)
         seen |= orbit
         out.append((min(orbit), len(orbit)))
-    out.sort(key=lambda t: (type_of(group, t[0]), t[0]))
+    out.sort(key=lambda t: (oracle_type(group, t[0]), t[0]))
     return out
 
 
@@ -47,21 +48,21 @@ def conjugation_bags(group, a, b, reps):
     bags = {}
     elements = enumerate_wreath_elements(group, a + b)
     for pi in reps:
-        z = representative_of_type(group, pi)
+        z = representative(group, pi)
         bag = Counter()
         for w in elements:
             y = wreath_mul(group, wreath_mul(group, wreath_inv(group, w), z), w)
             if all(y.perm[i] < a for i in range(a)):
-                left, right = fock._split_element(y, a)
-                bag[(type_of(group, left), type_of(group, right))] += 1
+                left, right = split_element(y, a)
+                bag[(oracle_type(group, left),
+                     oracle_type(group, right))] += 1
         bags[pi] = bag
     return bags
 
 
 @pytest.mark.parametrize("group,n", CASES, ids=IDS)
 def test_commuting_rows_match_all_pairs(group, n):
-    model = element_model(group, n)
-    elements = model.elements
+    elements = enumerate_wreath_elements(group, n)
     rows = [[] for _ in elements]
     for i, a in enumerate(elements):
         for j in range(i, len(elements)):
@@ -70,12 +71,24 @@ def test_commuting_rows_match_all_pairs(group, n):
                 rows[i].append(j)
                 if j != i:
                     rows[j].append(i)
-    assert [tuple(sorted(r)) for r in rows] == list(model.centralizers)
+    assert [tuple(sorted(r)) for r in rows] == \
+        list(element_model(group, n).centralizers)
 
 
 @pytest.mark.parametrize("group,n", CASES, ids=IDS)
 def test_classes_match_closure(group, n):
-    assert wreath.brute_force_classes(group, n) == closure_classes(group, n)
+    assert wreath.brute_force_classes(group, n) == [
+        (perm_of(group, rep), size) for rep, size in closure_classes(group, n)]
+
+
+@pytest.mark.parametrize("group,n", CASES, ids=IDS)
+def test_types_match_cycle_products(group, n):
+    """On every id, the type read off the permutation is the type of the
+    element's cycle products, and the CLI decoding gives the element."""
+    model = element_model(group, n)
+    for p, a in zip(model.perms, enumerate_wreath_elements(group, n)):
+        assert type_of(group, p) is oracle_type(group, a)
+        assert wreath.decode_element(group, p) == (list(a.gs), list(a.perm))
 
 
 @pytest.mark.parametrize("group,n", CASES, ids=IDS)
@@ -90,12 +103,15 @@ def test_induction_bags_match_conjugation_sweep(group, n):
 @pytest.mark.parametrize("group,n", CASES[:3], ids=IDS[:3])
 def test_model_structure(group, n):
     model = element_model(group, n)
-    elements = model.elements
-    assert list(elements) == sorted(elements)
-    assert list(elements) == enumerate_wreath_elements(group, n)
+    elements = enumerate_wreath_elements(group, n)
+    assert elements == sorted(elements)
+    perms = [perm_of(group, a) for a in elements]
+    assert list(model.perms) == perms
     assert model.perms[0] == tuple(range(group.order * n))
+    assert list(model.generators) == [perm_of(group, h)
+                                      for h in wreath_generators(group, n)]
     for i, a in enumerate(elements):
-        assert model.id_of(a) == i
+        assert model.index[perms[i]] == i
         assert elements[model.inverse[i]] == wreath_inv(group, a)
         x = elements[model.conjugator[i]]
         z = elements[model.classes[model.class_of[i]][0]]
@@ -118,20 +134,14 @@ def clear_caches():
 
 
 def test_commutation_tests_below_all_pairs(monkeypatch):
-    """e(X^2, S3_2) takes fewer commutation tests than |G_2|^2 = 5184;
-    a pair test through `wreath_mul` counts once per two products."""
+    """e(X^2, S3_2) takes fewer commutation tests than |G_2|^2 = 5184."""
     tests = Counter()
-    real_mul, real_commutes = wreath.wreath_mul, wreath._commutes
-
-    def counting_mul(group, a, b):
-        tests["mul"] += 1
-        return real_mul(group, a, b)
+    real_commutes = wreath._commutes
 
     def counting_commutes(p, q):
         tests["commutes"] += 1
         return real_commutes(p, q)
 
-    monkeypatch.setattr(wreath, "wreath_mul", counting_mul)
     monkeypatch.setattr(wreath, "_commutes", counting_commutes)
     clear_caches()
     try:
@@ -139,4 +149,4 @@ def test_commutation_tests_below_all_pairs(monkeypatch):
         assert power_orbifold_euler(regular_gset(g), 2) == 2
     finally:
         clear_caches()
-    assert 0 < tests["commutes"] + tests["mul"] // 2 < wreath_order(g, 2) ** 2
+    assert 0 < tests["commutes"] < wreath_order(g, 2) ** 2

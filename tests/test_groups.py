@@ -11,13 +11,27 @@ from wreathfock.groups import (ClassFunction, DualFunctional, FiniteGroup,
                                GroupError, adams_psi,
                                all_subgroup_element_sets, binary_dihedral,
                                binary_octahedral, builtin, closure, cyclic,
-                               dihedral, group_from_cayley,
-                               group_from_cayley_json,
+                               dihedral, group_from_cayley_json,
                                group_from_permutations, induce_cf,
-                               inner_product, mackey_verify, orbits,
-                               regular_character, restrict_cf, sigma_basis,
-                               subgroup_from_elements, symmetric,
+                               mackey_verify, orbits, restrict_cf,
+                               sigma_basis, subgroup_from_elements, symmetric,
                                trivial_character, trivial_group)
+from wreathfock.scalars import Scalar, conj
+
+def regular_character(group: FiniteGroup) -> ClassFunction:
+    vals = [0] * group.num_classes
+    vals[0] = group.order
+    return ClassFunction.from_rationals(group, vals)
+
+
+def inner_product(chi: ClassFunction, psi: ClassFunction) -> Scalar:
+    """(chi | psi) = (1/|G|) sum_g chi(g) conj(psi(g)), computed classwise."""
+    assert chi.group is psi.group, "inner product needs a common group"
+    g = chi.group
+    return sum((chi.values[c] * conj(psi.values[c])
+                * Fraction(g.class_size(c), g.order)
+                for c in range(g.num_classes)), Fraction(0))
+
 
 NON_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4],
                         [1, 0, 3, 4, 2],
@@ -60,7 +74,7 @@ class TestConstruction:
         # an order-5 loop: two-sided identity 0, every element its own
         # two-sided inverse, yet no group (a group of order 5 is cyclic)
         with pytest.raises(GroupError, match="not associative"):
-            group_from_cayley(NON_ASSOCIATIVE_LOOP)
+            FiniteGroup(NON_ASSOCIATIVE_LOOP)
 
     def test_permutation_closure(self):
         g = group_from_permutations([(1, 0, 2), (1, 2, 0)], 3)

@@ -1,14 +1,16 @@
 """G-sets, wreath powers, orbifold Euler characteristics, McKay table."""
+import itertools
 import json
 
 import pytest
 
-from wreathfock import wreath
+from wreath_oracle import act, enumerate_wreath_elements, perm_of
+from wreathfock import gsets, wreath
 from wreathfock.groups import (all_subgroup_element_sets, cyclic, orbits,
                                sl2_f3, symmetric, trivial_group)
 from wreathfock.fock import graded_dim
 from wreathfock.gsets import (GSet, GSetError, burnside_check, coset_gset,
-                              PowerGSet, commuting_pair_sum,
+                              commuting_pair_sum,
                               euler_series_check, euler_verify,
                               gset_from_json, gset_power, inertia_dim,
                               ktheory_euler_check, lemma_16_check,
@@ -16,7 +18,7 @@ from wreathfock.gsets import (GSet, GSetError, burnside_check, coset_gset,
                               point_gset, power_orbifold_euler, regular_gset,
                               theorem_main_dim_check)
 from wreathfock.scalars import euler_product
-from wreathfock.wreath import WreathElement, element_model
+from wreathfock.wreath import element_model
 
 
 def orbit_count(x: GSet) -> int:
@@ -69,9 +71,11 @@ class TestGSet:
         g = cyclic(2)
         p = gset_power(regular_gset(g), 2)
         assert p.size == 4
-        a = WreathElement((1, 0), (1, 0))  # (g, e) with the swap
-        assert p.act(a, (0, 1)) == (g.mul(1, 1), 0)
-        assert p.fixed(a) == [x for x in p.points() if p.act(a, x) == x]
+        a = element_model(g, 2).perms[5]  # (g, e) with the swap
+        # points (0,0) (0,1) (1,0) (1,1); (x0, x1) goes to (g x1, x0)
+        table = p.point_table(a)
+        assert table == (2, 0, 3, 1)
+        assert p.fixed(a) == [t for t in range(4) if table[t] == t]
 
 
 class TestEuler:
@@ -158,17 +162,20 @@ class TestMcKay:
 
 
 def test_power_orbit_work_is_pinned(monkeypatch):
-    """The inertia-orbit count and Lemma 1.6 act once per (point, move):
-    the PowerGSet.act calls on the regular S3-set at n = 2 are fixed."""
-    calls = []
-    act = PowerGSet.act
-
-    def counting(self, a, x):
-        calls.append(1)
-        return act(self, a, x)
-
-    monkeypatch.setattr(PowerGSet, "act", counting)
+    """The inertia-orbit count and Lemma 1.6 apply each move once per
+    (point, move): the moves applied on the regular S3-set at n = 2 are
+    fixed.  The orbit counts k_c on X itself are taken first."""
     x = regular_gset(symmetric(3))
+    gsets._orbit_counts_by_class(x)
+    calls = []
+    real_orbits = gsets.orbits
+
+    def counting_orbits(points, moves):
+        def counted(move):
+            return lambda x: calls.append(1) or move(x)
+        return real_orbits(points, [counted(m) for m in moves])
+
+    monkeypatch.setattr(gsets, "orbits", counting_orbits)
     power_orbifold_euler.cache_clear()
     assert power_orbifold_euler(x, 2) == 2 and len(calls) == 504
     calls.clear()
@@ -188,17 +195,20 @@ SMALL_POWERS = {
 
 @pytest.mark.parametrize("case", SMALL_POWERS)
 def test_fixed_mask_is_the_filtered_fixed_set(case):
-    """For every element a of G_n, bit t of fixed_mask(a) is set exactly
-    when the t-th point is fixed, and fixed(a) lists those points in
-    point order."""
+    """For every element a of G_n, its point table agrees with the
+    (g; s) action on tuples, bit t of fixed_mask(a) is set exactly when
+    the t-th point is fixed, and fixed(a) lists those points in order."""
     g, make, n = SMALL_POWERS[case]
-    power = gset_power(make(g), n)
-    points = power.points()
-    for a in element_model(g, n).elements:
-        want = [x for x in points if power.act(a, x) == x]
-        assert power.fixed(a) == want
-        assert power.fixed_mask(a) == sum(1 << t for t, x in enumerate(points)
-                                          if x in want)
+    x = make(g)
+    power = gset_power(x, n)
+    points = list(itertools.product(range(x.size), repeat=n))
+    for a in enumerate_wreath_elements(g, n):
+        p = perm_of(g, a)
+        images = [act(x.action, a, y) for y in points]
+        assert power.point_table(p) == tuple(map(points.index, images))
+        want = [t for t, y in enumerate(points) if images[t] == y]
+        assert power.fixed(p) == want
+        assert power.fixed_mask(p) == sum(1 << t for t in want)
 
 
 @pytest.mark.parametrize("case", SMALL_POWERS)
@@ -208,7 +218,7 @@ def test_pair_sum_per_class_is_the_all_element_sum(case):
     g, make, n = SMALL_POWERS[case]
     power = gset_power(make(g), n)
     model = element_model(g, n)
-    masks = [power.fixed_mask(a) for a in model.elements]
+    masks = [power.fixed_mask(p) for p in model.perms]
     want = sum((masks[a] & masks[b]).bit_count()
                for a, row in enumerate(model.centralizers) for b in row)
     assert commuting_pair_sum(power, model) == want

@@ -1,4 +1,5 @@
-"""Static hygiene: no module of the package imports a name it never uses."""
+"""Static hygiene: no module of the package imports a name it never uses,
+and no public function or class lives in the package only for tests."""
 import ast
 from pathlib import Path
 
@@ -51,3 +52,52 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# library entry points that no module of the package calls
+ENTRY_POINTS = {
+    "coset_gset",          # G acting on the cosets of a subgroup
+    "trivial_char",        # the trivial class function of G_n
+    "trivial_character",   # the trivial class function of G
+}
+
+
+def unused_definitions(sources: dict[str, str]) -> list[str]:
+    """Public top-level functions and classes that no source names, other
+    than at their own definition; a quoted annotation such as
+    "WreathType" names one too."""
+    defined, used = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                defined[node.name] = f"{module}:{node.lineno}"
+        trees = [tree] + [ast.parse(c.value, mode="eval")
+                          for a in _annotations(tree) if a is not None
+                          for c in ast.walk(a) if isinstance(c, ast.Constant)
+                          and isinstance(c.value, str)]
+        used |= {n.id for t in trees for n in ast.walk(t)
+                 if isinstance(n, ast.Name)}
+    return [f"{name} ({where})" for name, where in defined.items()
+            if name not in used]
+
+
+def test_scan_finds_an_unused_definition():
+    sources = {"a.py": "def used():\n    pass\n\n\ndef planted():\n"
+                       "    pass\n\n\nclass _Private:\n    pass\n",
+               "b.py": "x: 'used'\n"}
+    assert unused_definitions(sources) == ["planted (a.py:5)"]
+    sources["b.py"] += "planted()\n"
+    assert unused_definitions(sources) == []
+
+
+def test_no_definition_lives_only_for_tests():
+    """Every public name a module defines is used by the package itself;
+    __init__.py re-exports do not count."""
+    unused = unused_definitions({p.name: p.read_text() for p in MODULES})
+    names = {entry.split()[0] for entry in unused}
+    assert names - ENTRY_POINTS == set(), unused
+    # an entry point that gained a caller leaves the list
+    assert ENTRY_POINTS - names == set()

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from wreath_oracle import enumerate_wreath_elements, type_of
 from wreathfock.groups import (ClassFunction, cyclic, sigma_basis, symmetric,
                                trivial_character)
 from wreathfock.lambda_ops import (E_series, H_series, _alternate_signs,
@@ -18,8 +19,7 @@ from wreathfock.lambda_ops import (E_series, H_series, _alternate_signs,
 from wreathfock.fock import FockElement, fock_mul, sigma_r_c, trivial_char
 from wreathfock.linalg import matrix_rank
 from wreathfock.scalars import Cyclotomic
-from wreathfock.wreath import (WreathType, enumerate_types,
-                               enumerate_wreath_elements)
+from wreathfock.wreath import WreathType, enumerate_types
 
 
 def regular_representation(group):
@@ -68,7 +68,7 @@ class TestOuterPower:
         for n in (1, 2, 3):
             f = boxtimes_power(sign_cf, n)
             for a in enumerate_wreath_elements(g, n):
-                assert f.value_at_element(a) == \
+                assert f.value(type_of(g, a)) == \
                     tensor_trace(sign_rep, a.gs, a.perm)
 
     def test_regular_rep_trace_oracle(self):
@@ -80,8 +80,7 @@ class TestOuterPower:
         rng = random.Random(3)
         elems = enumerate_wreath_elements(g, 2)
         for a in rng.sample(elems, 12):
-            assert f.value_at_element(a) == \
-                tensor_trace(rep, a.gs, a.perm)
+            assert f.value(type_of(g, a)) == tensor_trace(rep, a.gs, a.perm)
 
     def test_memo_hands_out_fresh_elements(self):
         """Changing a returned outer power leaves the memoized one alone."""

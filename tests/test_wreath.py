@@ -1,4 +1,4 @@
-"""Wreath layer: elements, cycle products, types, Z_rho, sigma basis."""
+"""Wreath layer: the (g; s) oracle, types, Z_rho, sigma basis."""
 import copy
 import pickle
 import random
@@ -9,39 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wreath_oracle import (WreathElement, cycle_products,
+                           enumerate_wreath_elements, identity, perm_of,
+                           perm_sign, representative, type_of as oracle_type,
+                           wreath_cayley_group, wreath_conj, wreath_inv,
+                           wreath_mul)
 from wreathfock.fock import (FockElement, hopf_verify, sigma_r_c, sigma_rho,
                              sign_char, trivial_char)
 from wreathfock.groups import cyclic, symmetric
 from wreathfock.scalars import euler_product
-from wreathfock.wreath import (EMPTY_TYPE, WreathElement, WreathError,
-                               WreathType, brute_force_classes,
-                               centralizer_checks,
-                               cycle_products, enumerate_types, enumerate_wreath_elements,
-                               n_cycle_type, partitions, representative_of_type,
-                               type_counts, type_of, wreath_cayley_group, wreath_conj,
-                               wreath_inv, wreath_mul,
+from wreathfock.wreath import (EMPTY_TYPE, WreathError, WreathType,
+                               brute_force_classes, element_model,
+                               enumerate_types, n_cycle_type, partitions,
+                               representative_of_type, type_counts, type_of,
                                wreath_order, z_partition, z_rho)
-
-
-def wreath_identity(n: int) -> WreathElement:
-    return WreathElement((0,) * n, tuple(range(n)))
-
-
-def perm_sign(p):
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 class TestElements:
@@ -53,8 +34,8 @@ class TestElements:
             a, b, c = (rng.choice(elems) for _ in range(3))
             assert wreath_mul(g, wreath_mul(g, a, b), c) == \
                 wreath_mul(g, a, wreath_mul(g, b, c))
-            assert wreath_mul(g, a, wreath_inv(g, a)) == wreath_identity(3)
-            assert wreath_mul(g, wreath_inv(g, a), a) == wreath_identity(3)
+            assert wreath_mul(g, a, wreath_inv(g, a)) == identity(3)
+            assert wreath_mul(g, wreath_inv(g, a), a) == identity(3)
 
     def test_type_is_conjugation_invariant(self):
         g = symmetric(3)
@@ -62,18 +43,19 @@ class TestElements:
         elems = enumerate_wreath_elements(g, 2)
         for _ in range(80):
             a, x = rng.choice(elems), rng.choice(elems)
-            assert type_of(g, wreath_conj(g, x, a)) == type_of(g, a)
+            assert oracle_type(g, wreath_conj(g, x, a)) == oracle_type(g, a)
 
     def test_cycle_products_example(self):
         g = cyclic(4)
-        # single 3-cycle with entries g1=1, g2=1, g3=1: product has order 4/?
+        # single 3-cycle with entries g1=g2=g3=1: product 1+1+1 = 3 mod 4
         a = WreathElement((1, 1, 1), (1, 2, 0))
         [(r, c)] = cycle_products(g, a)
-        assert r == 3 and g.class_reps[c] == 3  # 1+1+1 = 3 mod 4
+        assert r == 3 and g.class_reps[c] == 3
+        assert type_of(g, perm_of(g, a)) is WreathType(((c, (3,)),))
 
     def test_enumeration_limit(self):
         with pytest.raises(WreathError):
-            enumerate_wreath_elements(symmetric(3), 4, limit=1000)
+            brute_force_classes(symmetric(3), 4, limit=1000)
 
 
 types = st.builds(WreathType.from_dict, st.dictionaries(
@@ -143,7 +125,7 @@ class TestTypes:
         reached += [a.remove_part(r, c) for c, lam in a.parts for r in lam]
         reached += enumerate_types(group, n)
         reached += [type_of(group, rng.choice(
-            enumerate_wreath_elements(group, n))) for _ in range(3)]
+            element_model(group, n).perms)) for _ in range(3)]
         for t in reached:
             assert WreathType.of(t.parts) is t
             direct = WreathType(t.parts)
@@ -230,7 +212,9 @@ class TestTypes:
         g = symmetric(3)
         for n in range(5):
             for rho in enumerate_types(g, n):
-                assert type_of(g, representative_of_type(g, rho)) == rho
+                p = representative_of_type(g, rho)
+                assert p == perm_of(g, representative(g, rho))
+                assert type_of(g, p) == rho
 
 
 class TestConjugacy:
@@ -245,8 +229,17 @@ class TestConjugacy:
             assert total // size == z_rho(group, type_of(group, rep))
 
     def test_centralizer_checks(self):
-        results = centralizer_checks(cyclic(2), 3)
-        assert results and all(r.passed for r in results)
+        """Per class: the brute-force centralizer order is |G_n|/|class|
+        and Z_rho, and n zeta_c for the full-cycle classes."""
+        g, n = cyclic(2), 3
+        model = element_model(g, n)
+        for cl in model.classes:
+            rho = type_of(g, model.perms[cl[0]])
+            cent = len(model.brute_centralizer(cl[0]))
+            assert cent == len(model) // len(cl) == z_rho(g, rho)
+            (c, lam), *rest = rho.parts
+            if not rest and lam == (n,):
+                assert cent == n * g.zeta(c)
 
     def test_z_values(self):
         g = cyclic(2)
@@ -291,9 +284,9 @@ class TestSigmaBasis:
                 triv = trivial_char(g, n)
                 sgn = sign_char(g, n)
                 for a in enumerate_wreath_elements(g, n):
-                    assert triv.value_at_element(a) == 1
-                    assert sgn.value_at_element(a) == \
-                        perm_sign(a.perm)
+                    rho = oracle_type(g, a)
+                    assert triv.value(rho) == 1
+                    assert sgn.value(rho) == perm_sign(a.perm)
 
     def test_eq6_eq7_expansions(self):
         g = cyclic(2)
