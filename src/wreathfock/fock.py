@@ -190,8 +190,16 @@ def fock_mul(u: FockElement, v: FockElement,
              max_degree: int | None = None) -> FockElement:
     """sigma^rho sigma^tau = sigma^(rho u tau), dropping degrees past
     max_degree: integer numerators of rational operands, one division per
-    output coefficient (none with a Cyclotomic coefficient)."""
+    output coefficient (none with a Cyclotomic coefficient).  Two int
+    monomials merge directly."""
     u._check(v)
+    if len(u.coeffs) == 1 == len(v.coeffs):
+        (rho, a), = u.coeffs.items()
+        (tau, b), = v.coeffs.items()
+        if type(a) is int and type(b) is int:
+            if max_degree is not None and rho.degree + tau.degree > max_degree:
+                return FockElement(u.group, {})
+            return FockElement(u.group, {rho.unions[tau]: a * b})
     nu, nv = _numerators(u.coeffs), _numerators(v.coeffs)
     if nu is None or nv is None:
         nu, nv = (1, u.coeffs), (1, v.coeffs)
@@ -312,7 +320,6 @@ def graded_dim(group: FiniteGroup, max_degree: int) -> list[int]:
 
 # -- element-level oracles --------------------------------------------------
 
-@lru_cache(maxsize=8)
 def _induction_bags(group: FiniteGroup, a: int, b: int,
                     reps: tuple[WreathType, ...], limit: int):
     """For each target type: a Counter over (left type, right type) of the
@@ -335,25 +342,39 @@ def _induction_bags(group: FiniteGroup, a: int, b: int,
     return bags
 
 
+@lru_cache(maxsize=8)
+def _induction_table(group: FiniteGroup, a: int, b: int,
+                     reps: tuple[WreathType, ...], limit: int):
+    """(t1, t2) -> [(pi, c)]: the sigma-coefficient c at pi of sigma^t1
+    sigma^t2 induced from G_a x G_b.  Its value at pi is the bag's count
+    of (t1, t2) times Z_t1 Z_t2 over |G_a x G_b|, so c is that over Z_pi."""
+    sub_order = wreath_order(group, a) * wreath_order(group, b)
+    table: dict = {}
+    for pi, bag in _induction_bags(group, a, b, reps, limit).items():
+        for (t1, t2), count in bag.items():
+            table.setdefault((t1, t2), []).append((pi, div(
+                count * z_rho(group, t1) * z_rho(group, t2),
+                sub_order * z_rho(group, pi))))
+    return table
+
+
 def oracle_product(f1: FockElement, f2: FockElement,
                    reps: tuple[WreathType, ...] | None = None,
                    limit: int = 200_000) -> FockElement:
     """Element-level induction from G_a x G_b: the brute-force side of the
-    Fock multiplication, evaluated at the given target types.  The value
-    at pi is the bag's sum of f1 f2 over |G_a x G_b|, and its
-    sigma-coefficient that over Z_pi: one division per type."""
+    Fock multiplication, evaluated at the given target types, bilinear
+    over the table of monomial products."""
     g = f1.group
     a, b = f1.degree, f2.degree
     if reps is None:
         reps = tuple(enumerate_types(g, a + b))
-    bags = _induction_bags(g, a, b, tuple(reps), limit)
-    sub_order = wreath_order(g, a) * wreath_order(g, b)
-    terms = [((t1, t2), f1.value(t1) * f2.value(t2))
-             for t1 in f1.coeffs for t2 in f2.coeffs]
-    return FockElement(g, {
-        pi: div(sum(x * bag.get(key, 0) for key, x in terms),
-                sub_order * z_rho(g, pi))
-        for pi, bag in bags.items()})
+    table = _induction_table(g, a, b, tuple(reps), limit)
+    out: dict = {}
+    for t1, x in f1.coeffs.items():
+        for t2, y in f2.coeffs.items():
+            for pi, c in table.get((t1, t2), ()):
+                out[pi] = out.get(pi, 0) + x * y * c
+    return FockElement(g, out)
 
 
 def oracle_comul_value(f: FockElement, alpha: WreathType,
@@ -378,8 +399,9 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
     g = group
     by_degree = {n: enumerate_types(g, n) for n in range(max_degree + 1)}
     basis = [rho for n in range(1, max_degree + 1) for rho in by_degree[n]]
-    pairs = [(r1, r2) for r1 in basis for r2 in basis
-             if r1.degree + r2.degree <= max_degree]
+    pairs = [(r1, r2) for r1 in basis
+             for n2 in range(1, max_degree - r1.degree + 1)
+             for r2 in by_degree[n2]]
     # each monomial sigma^rho, EMPTY_TYPE included, is built once
     sig = {rho: sigma_rho(g, rho) for types in by_degree.values()
            for rho in types}
@@ -390,8 +412,8 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
         for r1, r2 in pairs:
             p12 = fock_mul(sig[r1], sig[r2])
             yield r1, r2, None, p12
-            for r3 in basis:
-                if r1.degree + r2.degree + r3.degree <= max_degree:
+            for n3 in range(1, max_degree - r1.degree - r2.degree + 1):
+                for r3 in by_degree[n3]:
                     yield r1, r2, r3, p12
 
     def product_axiom(r1, r2, r3, p12):

@@ -80,20 +80,20 @@ class FiniteGroup:
                     break
             if inv[i] is None:
                 raise GroupError(f"element {i} has no two-sided inverse")
-        gens = _check_associative(table)
+        self.generators = tuple(_check_associative(table))
         self.order = n
         self.table = table
         self.inverse = tuple(inv)
         self.name = name
-        self._init_conjugacy(gens)
+        self._init_conjugacy()
         self._init_exponent()
 
-    def _init_conjugacy(self, gens):
+    def _init_conjugacy(self):
         n, t = self.order, self.table
         # conjugating by generators reaches every conjugate; row a maps
         # x to a x a^-1
         conj = [tuple(t[t[a][x]][self.inverse[a]] for x in range(n))
-                for a in gens]
+                for a in self.generators]
         classes = [tuple(sorted(orbit)) for orbit in
                    orbits(range(n), [row.__getitem__ for row in conj])]
         self.classes = tuple(classes)

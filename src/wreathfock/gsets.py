@@ -177,12 +177,17 @@ class PowerGSet:
 
     def fixed(self, p: tuple[int, ...]) -> list[int]:
         """The points of `fixed_mask(p)`, in increasing order."""
-        mask, out = self.fixed_mask(p), []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        return _bits(self.fixed_mask(p))
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def gset_power(x: GSet, n: int, limit: int = 50_000) -> PowerGSet:
@@ -196,11 +201,14 @@ def gset_power(x: GSet, n: int, limit: int = 50_000) -> PowerGSet:
 
 # -- orbifold Euler characteristics ----------------------------------------
 
-def commuting_pair_sum(power: PowerGSet, model: ElementModel) -> int:
+def commuting_pair_sum(power: PowerGSet, model: ElementModel,
+                       masks: list[int] | None = None) -> int:
     """sum over commuting pairs (a, b) in G_n of |X^a n X^b|, walked once
     per class: |cl(z)| times the sum over b in C(z) at the representative
-    z, C(z) by `brute_centralizer`."""
-    masks = [power.fixed_mask(p) for p in model.perms]
+    z, C(z) by `brute_centralizer`.  masks: the fixed masks of the ids,
+    when the caller has them."""
+    if masks is None:
+        masks = [power.fixed_mask(p) for p in model.perms]
     total = 0
     for cl in model.classes:
         mz = masks[cl[0]]
@@ -219,7 +227,8 @@ def power_orbifold_euler(x: GSet, n: int, limit: int = 50_000) -> int:
         return 1
     power = gset_power(x, n, limit)
     model = element_model(x.group, n, limit)
-    total = commuting_pair_sum(power, model)
+    masks = [power.fixed_mask(p) for p in model.perms]
+    total = commuting_pair_sum(power, model, masks)
     if total % len(model) != 0:
         raise GSetError("commuting-pair sum is not divisible by |G_n|")
     e_pairs = total // len(model)
@@ -228,8 +237,8 @@ def power_orbifold_euler(x: GSet, n: int, limit: int = 50_000) -> int:
     moves = [lambda it, conj=conj, table=power.point_table(h):
              (conj[it[0]], table[it[1]])
              for h, conj in zip(model.generators, model.generator_conj)]
-    count = len(orbits([(i, t) for i, p in enumerate(model.perms)
-                        for t in power.fixed(p)], moves))
+    count = len(orbits([(i, t) for i, mask in enumerate(masks)
+                        for t in _bits(mask)], moves))
     if e_pairs != count:
         raise GSetError(
             f"orbifold Euler forms disagree: pairs {e_pairs}, orbits {count}")

@@ -279,6 +279,8 @@ GOLDEN_RUNS = {
     "classes-d4": ("group classes --group d4", "group_classes_d4.txt"),
     "wreath-classes-s3-N2": ("wreath classes --group s3 -N 2 --format json",
                              "wreath_classes_s3_N2.json"),
+    "wreath-classes-d4-N2": ("wreath classes --group d4 -N 2 --format json",
+                             "wreath_classes_d4_N2.json"),
 }
 
 

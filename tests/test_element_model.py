@@ -5,11 +5,12 @@ from collections import Counter
 
 import pytest
 
+from test_groups import SMALL_GROUPS
 from wreath_oracle import (enumerate_wreath_elements, perm_of, representative,
                            split_element, type_of as oracle_type,
                            wreath_generators, wreath_inv, wreath_mul)
 from wreathfock import fock, wreath
-from wreathfock.groups import cyclic, symmetric
+from wreathfock.groups import closure, cyclic, symmetric
 from wreathfock.gsets import power_orbifold_euler, regular_gset
 from wreathfock.wreath import (WreathError, element_model, enumerate_types,
                                type_of, wreath_order)
@@ -121,6 +122,20 @@ def test_model_structure(group, n):
             b = elements[j]
             ab = tuple(map(model.perms[i].__getitem__, model.perms[j]))
             assert elements[model.index[ab]] == wreath_mul(group, a, b)
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_generators_close_to_the_wreath_product(name):
+    """For n <= 3 with |G_n| <= 50,000, the products of the generators of
+    G_n reach all |G_n| elements."""
+    group = SMALL_GROUPS[name]()
+    for n in range(1, 4):
+        if wreath_order(group, n) > 50_000:
+            break
+        moves = [lambda p, h=h: tuple([h[x] for x in p])
+                 for h in wreath._generators(group, n)]
+        got = closure([tuple(range(group.order * n))], moves)
+        assert len(got) == wreath_order(group, n)
 
 
 def test_limit_raises_before_any_work():

@@ -1,5 +1,6 @@
 """Group layer: constructors, conjugacy, class functions, induction, Mackey."""
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,8 +15,8 @@ from wreathfock.groups import (ClassFunction, DualFunctional, FiniteGroup,
                                dihedral, group_from_cayley_json,
                                group_from_permutations, induce_cf,
                                mackey_verify, orbits, restrict_cf,
-                               sigma_basis, subgroup_from_elements, symmetric,
-                               trivial_character, trivial_group)
+                               sigma_basis, sl2_f3, subgroup_from_elements,
+                               symmetric, trivial_character, trivial_group)
 from wreathfock.scalars import Scalar, conj
 
 def regular_character(group: FiniteGroup) -> ClassFunction:
@@ -31,6 +32,41 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> Scalar:
     return sum((chi.values[c] * conj(psi.values[c])
                 * Fraction(g.class_size(c), g.order)
                 for c in range(g.num_classes)), Fraction(0))
+
+
+def relabelled(group: FiniteGroup, seed: int) -> FiniteGroup:
+    """The group of a seeded random relabelling of the elements that keeps
+    the identity at 0: entry [p(a)][p(b)] is p(a b)."""
+    rest = list(range(1, group.order))
+    random.Random(seed).shuffle(rest)
+    p = [0] + rest
+    table = [[0] * group.order for _ in range(group.order)]
+    for a, row in enumerate(group.table):
+        for b, ab in enumerate(row):
+            table[p[a]][p[b]] = p[ab]
+    return FiniteGroup(table, name=f"{group.name}~{seed}")
+
+
+# builtin groups of order <= 24, one or more of each family, and one
+# relabelled Cayley table
+SMALL_GROUPS = {
+    "trivial": trivial_group, "z2": lambda: cyclic(2),
+    "z5": lambda: cyclic(5), "s3": lambda: symmetric(3),
+    "s4": lambda: symmetric(4), "d4": lambda: dihedral(4),
+    "d5": lambda: dihedral(5), "q8": lambda: binary_dihedral(2),
+    "bd3": lambda: binary_dihedral(3), "sl2_f3": sl2_f3,
+    "sl2_f3-relabelled": lambda: relabelled(sl2_f3(), 1),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_generators_generate(name):
+    """`generators` has no identity, and right multiplication by it
+    reaches every element from the identity."""
+    g = SMALL_GROUPS[name]()
+    assert 0 not in g.generators
+    moves = [lambda x, a=a: g.table[x][a] for a in g.generators]
+    assert closure([0], moves) == set(range(g.order))
 
 
 NON_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4],
