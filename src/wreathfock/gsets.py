@@ -201,14 +201,10 @@ def gset_power(x: GSet, n: int, limit: int = 50_000) -> PowerGSet:
 
 # -- orbifold Euler characteristics ----------------------------------------
 
-def commuting_pair_sum(power: PowerGSet, model: ElementModel,
-                       masks: list[int] | None = None) -> int:
-    """sum over commuting pairs (a, b) in G_n of |X^a n X^b|, walked once
-    per class: |cl(z)| times the sum over b in C(z) at the representative
-    z, C(z) by `brute_centralizer`.  masks: the fixed masks of the ids,
-    when the caller has them."""
-    if masks is None:
-        masks = [power.fixed_mask(p) for p in model.perms]
+def commuting_pair_sum(masks: list[int], model: ElementModel) -> int:
+    """sum over commuting pairs (a, b) in G_n of |X^a n X^b|, masks[i] the
+    fixed-point mask of id i, walked once per class: |cl(z)| times the sum
+    over b in C(z) at the representative z, C(z) by `brute_centralizer`."""
     total = 0
     for cl in model.classes:
         mz = masks[cl[0]]
@@ -228,7 +224,7 @@ def power_orbifold_euler(x: GSet, n: int, limit: int = 50_000) -> int:
     power = gset_power(x, n, limit)
     model = element_model(x.group, n, limit)
     masks = [power.fixed_mask(p) for p in model.perms]
-    total = commuting_pair_sum(power, model, masks)
+    total = commuting_pair_sum(masks, model)
     if total % len(model) != 0:
         raise GSetError("commuting-pair sum is not divisible by |G_n|")
     e_pairs = total // len(model)

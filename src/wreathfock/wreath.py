@@ -17,9 +17,9 @@ over (g_1..g_n) in lexicographic order and, for each, over the
 permutations s in lexicographic order, so the smallest id of a class is
 its smallest (g; s).  Conjugacy classes come from closure under
 conjugation by the generators, (g, e, .., e; 1) for g in the generating
-set of G that `FiniteGroup` keeps, the swap and the n-cycle (4 for S3 wr
-S_n, not |G| + 1), recording per element one conjugator x from its class
-representative z.  C(z) is found by brute force with an S_n
+set of G that `FiniteGroup` keeps, the swap and, for n >= 3, the n-cycle
+(3 for S3 wr S_2 and 4 for S3 wr S_n, n >= 3, not |G| + 1), recording per
+element one conjugator x from its class representative z.  C(z) is found by brute force with an S_n
 pre-filter: id j has S_n part s_j, the (j mod n!)-th permutation, and
 since G_n -> S_n is a homomorphism only ids whose s_j commutes with s_z
 get the full commutation test with z.  C(x z x^-1) = x C(z) x^-1.  No
@@ -334,12 +334,14 @@ def representative_of_type(group: FiniteGroup,
 
 def _generators(group: FiniteGroup, n: int) -> tuple[tuple[int, ...], ...]:
     """(g, e, .., e; 1) for each g in `group.generators`, then for n >= 2
-    the swap (0 1) and the n-cycle i -> i + 1 with every g_i = e: a
-    generating set of G_n, as S_n carries g to every slot."""
+    the swap (0 1) and for n >= 3 the n-cycle i -> i + 1 (at n = 2 it is
+    the swap), with every g_i = e: a generating set of G_n, as S_n carries
+    g to every slot."""
     e = (0,) * n
     gens = [_perm(group, (g,) + e[1:], range(n)) for g in group.generators]
     if n >= 2:
         gens.append(_perm(group, e, (1, 0) + tuple(range(2, n))))
+    if n >= 3:
         gens.append(_perm(group, e, tuple((i + 1) % n for i in range(n))))
     return tuple(gens)
 

@@ -90,12 +90,13 @@ def enumerate_wreath_elements(group: FiniteGroup,
 
 
 def wreath_generators(group: FiniteGroup, n: int) -> list[WreathElement]:
-    """(g, e, .., e; 1) for g in G's generating set, the swap (0 1) and
-    the n-cycle."""
+    """(g, e, .., e; 1) for g in G's generating set, the swap (0 1) and,
+    for n >= 3, the n-cycle."""
     gens = [WreathElement((g,) + (0,) * (n - 1), tuple(range(n)))
             for g in group.generators]
     if n >= 2:
         gens.append(WreathElement((0,) * n, (1, 0) + tuple(range(2, n))))
+    if n >= 3:
         gens.append(WreathElement((0,) * n,
                                   tuple((i + 1) % n for i in range(n))))
     return gens
