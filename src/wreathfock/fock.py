@@ -4,7 +4,9 @@ F_G is the polynomial ring in the sigma_r(c) (r >= 1, c a class of G), and
 sigma^rho is the monomial over the parts of rho.  A `FockElement` stores
 u = sum coeffs[rho] sigma^rho as a sparse map from `WreathType` to the
 sigma-coefficient; a class function on G_n is a homogeneous element of
-degree n, with value coeffs[rho] Z_rho at rho.  The coproduct lands in
+degree n, with value coeffs[rho] Z_rho at rho.  Over the labels of
+another `groups.LabelSpace`, a `heisenberg.SuperFockSpace`, the same
+element is a vector of the super Fock model.  The coproduct lands in
 F_G tensor F_G, held as a plain dict from pairs of types (alpha, beta) to
 the coefficient of sigma^alpha tensor sigma^beta.
 
@@ -32,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, LabelSpace
 from .linalg import matrix_rank
 from .report import Report
 from .scalars import Cyclotomic, Scalar, conj, div
@@ -48,10 +50,10 @@ class FockError(ValueError):
 @dataclass
 class FockElement:
     """u = sum of coeffs[rho] sigma^rho over types rho, finitely supported.
-    Zero coefficients are dropped.  `group` is G, or for the super Fock
-    model the `heisenberg.SuperFockSpace` whose labels the types use."""
+    Zero coefficients are dropped.  `group` is the label space of the
+    types: G, or a `heisenberg.SuperFockSpace` for the super Fock model."""
 
-    group: FiniteGroup
+    group: LabelSpace
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -60,15 +62,15 @@ class FockElement:
             k: v for k, v in coeffs.items() if v}
 
     @classmethod
-    def unit(cls, group: FiniteGroup) -> "FockElement":
+    def unit(cls, group: LabelSpace) -> "FockElement":
         return cls(group, {EMPTY_TYPE: 1})
 
     @classmethod
-    def zero(cls, group: FiniteGroup) -> "FockElement":
+    def zero(cls, group: LabelSpace) -> "FockElement":
         return cls(group, {})
 
     @classmethod
-    def from_values(cls, group: FiniteGroup,
+    def from_values(cls, group: LabelSpace,
                     values: dict[WreathType, Scalar]) -> "FockElement":
         """The class function with the given value at each type."""
         return cls(group, {rho: div(v, z_rho(group, rho))

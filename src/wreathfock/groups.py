@@ -53,11 +53,21 @@ def orbits(points, moves) -> list[set]:
     return out
 
 
-class FiniteGroup:
+class LabelSpace:
+    """The labels c = 0..len(weights)-1 of the sigma engine (`wreath`,
+    `heisenberg`).  A label c >= odd is odd and takes distinct parts;
+    Z_rho = prod_c z_{rho(c)} weights[c]^l(rho(c)) (Macdonald, I, App. B)."""
+
+    weights: tuple[int, ...]
+    odd: int
+
+
+class FiniteGroup(LabelSpace):
     """A finite group given by its full Cayley table.
 
     Element 0 is the identity; conjugacy classes are ordered by their
-    smallest member id, so class 0 is always the identity class.
+    smallest member id, so class 0 is always the identity class.  As the
+    label space of F_G, its labels are the classes, all even, of weight zeta_c.
     """
 
     def __init__(self, table, name: str = "G"):
@@ -105,6 +115,7 @@ class FiniteGroup:
         self.class_of = tuple(class_of)
         self.class_reps = tuple(cls[0] for cls in classes)
         self.centralizer_orders = tuple(n // len(cls) for cls in classes)
+        self.weights, self.odd = self.centralizer_orders, self.num_classes
 
     def _init_exponent(self):
         e = 1

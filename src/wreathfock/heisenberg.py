@@ -1,14 +1,14 @@
 """Creation/annihilation operators on one graded-commutative sigma engine,
 and the Heisenberg relations on F_G and on the (d0|d1) super Fock model.
 
-The engine is the polynomial ring in generators sigma_r(c), r >= 1, over a
-finite set of labels c, each even or odd; a monomial sigma^rho is a
-`WreathType` rho and a vector is a `FockElement`.  Odd generators
-anticommute, so an odd label takes distinct parts (Macdonald, Ch. I,
-App. B), and the monomial is ordered canonically: labels ascending, parts
-descending at each label.  F_G has the classes of G as labels, all even.
-The super model `SuperFockSpace(d0, d1)` has labels 0..d0-1 even and
-d0..d0+d1-1 odd, generator (parity, index) at label index + parity d0.
+The engine is the polynomial ring in generators sigma_r(c), r >= 1, over
+the labels c of a `groups.LabelSpace`, the group of each vector: a
+monomial sigma^rho is a `WreathType` rho, a vector a `FockElement`.  Odd
+generators anticommute, so an odd label takes distinct parts (Macdonald,
+Ch. I, App. B); the monomial is ordered canonically: labels ascending,
+parts descending at each label.  F_G has the classes of G as labels, all
+even.  The super model `SuperFockSpace(d0, d1)` has labels 0..d0-1 even
+and d0..d0+d1-1 odd, generator (parity, index) at label index + parity d0.
 
 Creation a_m multiplies from the left by a linear form sum_c x_c sigma_m(c)
 (for F_G, omega_m(V), with x_c = V(c)/zeta_c; for the super model one
@@ -18,7 +18,8 @@ generator's label).  Both carry the Koszul sign of `_sign`.  An
 evaluation-style restriction oracle is the independent cross-check on F_G.
 What an operator needs apart from the vector it acts on, its form, is
 computed once, when the operator is built, and the relation checks compute
-the image of every basis vector under every operator once per check.
+the image of every basis vector under every operator once per check, and
+`_bracket_is` compares each bracket with its value term by term.
 """
 from __future__ import annotations
 
@@ -26,11 +27,11 @@ from dataclasses import dataclass, field
 
 from .fock import FockElement, sigma_rho
 from .groups import (ClassFunction, DualFunctional, FiniteGroup, GroupError,
-                     sigma_basis)
+                     LabelSpace, sigma_basis)
 from .lambda_ops import omega_n
 from .report import Report
 from .scalars import Scalar, graded_dim_series
-from .wreath import WreathType, enumerate_types, label_types, n_cycle_type
+from .wreath import WreathType, enumerate_types, n_cycle_type
 
 
 class HeisenbergError(ValueError):
@@ -40,6 +41,7 @@ class HeisenbergError(ValueError):
 # the nonzero terms (label c, the type of sigma_m(c), coefficient x_c) of a
 # linear form in the mode-m generators
 Form = tuple[tuple[int, WreathType, Scalar], ...]
+Entry = tuple[object, int, list[FockElement]]  # operator, label, images
 
 
 def _sign(rho: WreathType, m: int, c: int, odd: int) -> int:
@@ -64,9 +66,10 @@ def _sign(rho: WreathType, m: int, c: int, odd: int) -> int:
     return -1 if crossed % 2 else 1
 
 
-def _create(m: int, form: Form, odd: int, u: FockElement) -> FockElement:
+def _create(m: int, form: Form, u: FockElement) -> FockElement:
     """Left multiplication by the form's sum_c x_c sigma_m(c)."""
     out: dict[WreathType, Scalar] = {}
+    odd = u.group.odd
     for rho, a in u.coeffs.items():
         for c, tau, x in form:
             if c >= odd:
@@ -79,12 +82,12 @@ def _create(m: int, form: Form, odd: int, u: FockElement) -> FockElement:
     return FockElement(u.group, out)
 
 
-def _annihilate(m: int, form: Form, odd: int,
-                u: FockElement) -> FockElement:
+def _annihilate(m: int, form: Form, u: FockElement) -> FockElement:
     """The derivation sum_c x_c d/d sigma_m(c): on sigma^rho, per label c,
     x_c times (the multiplicity of part m at c, or for an odd label the
     sign of moving sigma_m(c) to the front) sigma^{rho minus that part}."""
     out: dict[WreathType, Scalar] = {}
+    odd = u.group.odd
     for rho, a in u.coeffs.items():
         for c, _, x in form:
             mult = rho.partition(c).count(m)
@@ -94,6 +97,24 @@ def _annihilate(m: int, form: Form, odd: int,
             k = _sign(new, m, c, odd) if c >= odd else mult
             out[new] = out.get(new, 0) + a * x * k
     return FockElement(u.group, out)
+
+
+def _bracket_is(space: LabelSpace, a: Entry, b: Entry, i: int, x: Scalar,
+                u: FockElement) -> bool:
+    """Whether [a, b] u = x u, u the i-th basis vector.  The bracket is
+    a(b u) - b(a u), or a(b u) + b(a u) when both labels are odd; it is
+    never built, since a(b u) is compared with b(a u), negated for two odd
+    labels, plus x u, term by term."""
+    (op1, c1, img1), (op2, c2, img2) = a, b
+    first, need = op1(img2[i]), op2(img1[i]).coeffs
+    if min(c1, c2) >= space.odd:
+        need = {k: -v for k, v in need.items()}
+    if x:
+        need = dict(need)
+        for k, v in u.coeffs.items():
+            need[k] = need.get(k, 0) + v * x
+        need = {k: v for k, v in need.items() if v}
+    return first.coeffs == need
 
 
 @dataclass(frozen=True)
@@ -130,11 +151,10 @@ class HeisenbergOp:
             for c, x in enumerate(coeffs) if x))
 
     def __call__(self, u: FockElement) -> FockElement:
-        g = self.payload.group
-        if u.group is not g:
+        if u.group is not self.payload.group:
             raise GroupError("operator and vector need a common group")
         apply = _create if self.sign == 1 else _annihilate
-        return apply(self.mode, self._form, g.num_classes, u)
+        return apply(self.mode, self._form, u)
 
 
 def a_plus(m: int, v: ClassFunction) -> HeisenbergOp:
@@ -178,48 +198,46 @@ def commutator_check(group: FiniteGroup, max_degree: int,
     basis = [sigma_rho(g, rho)
              for n in range(max_degree + 1)
              for rho in enumerate_types(g, n)]
-    etas = [DualFunctional.delta(g, c) for c in range(g.num_classes)]
-    vees = [sigma_basis(g, c) for c in range(g.num_classes)]
+    classes = range(g.num_classes)
+    etas = [DualFunctional.delta(g, c) for c in classes]
+    vees = [sigma_basis(g, c) for c in classes]
     pairings = [[eta.pair(v) for v in vees] for eta in etas]
     modes = range(1, max_mode + 1)
-    downs = {m: [a_minus(m, eta) for eta in etas] for m in modes}
-    ups = {m: [a_plus(m, v) for v in vees] for m in modes}
 
-    def images(ops):
-        """img[m][c][i] = ops[m][c](basis[i])"""
-        return {m: [[op(u) for u in basis] for op in ops[m]] for m in modes}
+    def table(make, payloads) -> dict[tuple[int, int], Entry]:
+        """(m, c) -> (operator of the payload at c, c, images of the basis)"""
+        out = {}
+        for m in modes:
+            for c, payload in enumerate(payloads):
+                op = make(m, payload)
+                out[m, c] = (op, c, [op(u) for u in basis])
+        return out
 
-    down_img, up_img = images(downs), images(ups)
-
+    downs, ups = table(a_minus, etas), table(a_plus, vees)
     pairs = [(m, l) for m in modes for l in modes]
 
-    def eq24(m, l, ci, cj, down, up):
-        expect = pairings[ci][cj] * (l if m == l else 0)
-        brackets = (down(up_img[l][cj][i]) - up(down_img[m][ci][i])
-                    for i in range(len(basis)))
-        if not expect:
-            return all(b.is_zero() for b in brackets)
-        return all(b.equals(u * expect) for b, u in zip(brackets, basis))
+    def bracket_is(a, b, x):
+        """Whether [a, b] = x on every basis vector."""
+        return all(_bracket_is(g, a, b, i, x, u) for i, u in enumerate(basis))
 
     rep.check("Eq. (24): [a_-m(eta), a_l(V)] = l delta_ml <eta,V>",
-              ((m, l, ci, cj, down, up) for m, l in pairs
-               for ci, down in enumerate(downs[m])
-               for cj, up in enumerate(ups[l])),
-              eq24, lambda m, l, ci, cj, *_: f"m={m},l={l},c={ci},c'={cj}")
+              ((m, l, ci, cj) for m, l in pairs for ci in classes
+               for cj in classes),
+              lambda m, l, ci, cj: bracket_is(
+                  downs[m, ci], ups[l, cj],
+                  pairings[ci][cj] * (l if m == l else 0)),
+              lambda m, l, ci, cj: f"m={m},l={l},c={ci},c'={cj}")
 
-    for label, ops, img in (("Eq. (25): creation", ups, up_img),
-                            ("Eq. (26): annihilation", downs, down_img)):
+    for label, ops in (("Eq. (25): creation", ups),
+                       ("Eq. (26): annihilation", downs)):
         rep.check(f"{label} operators commute",
-                  ((m, l, ops[m][ci], ops[l][cj], img[m][ci], img[l][cj])
-                   for m, l in pairs
-                   for ci in range(g.num_classes)
-                   for cj in range(g.num_classes) if (m, ci) < (l, cj)),
-                  lambda m, l, op1, op2, img1, img2: all(
-                      op1(x2).equals(op2(x1)) for x1, x2 in zip(img1, img2)),
+                  ((m, l, ci, cj) for m, l in pairs for ci in classes
+                   for cj in classes if (m, ci) < (l, cj)),
+                  lambda m, l, ci, cj: bracket_is(ops[m, ci], ops[l, cj], 0),
                   lambda m, l, *_: f"m={m},l={l}")
 
     rep.check("annihilation matches evaluation-restriction oracle",
-              ((m, u, eta, down_img[m][ci][i]) for m in modes
+              ((m, u, eta, downs[m, ci][2][i]) for m in modes
                for ci, eta in enumerate(etas) for i, u in enumerate(basis)),
               lambda m, u, eta, image: image.equals(
                   a_minus_oracle(m, eta, u)),
@@ -253,15 +271,22 @@ Generator = tuple[int, int]          # (parity, index); parity 0 even, 1 odd
 
 
 @dataclass(frozen=True)
-class SuperFockSpace:
+class SuperFockSpace(LabelSpace):
     """S(direct sum over r >= 1 of W[r]) for W of dimension (d0 | d1): the
-    sigma engine on labels 0..d0-1 (even) and d0..d0+d1-1 (odd).  Its
+    labels 0..d0-1 (even) and d0..d0+d1-1 (odd), all of weight 1.  Its
     vectors are `FockElement`s with this space as their group."""
 
     d0: int
     d1: int
 
+    def __post_init__(self):
+        if min(self.d0, self.d1) < 0:
+            raise HeisenbergError(f"no super space ({self.d0}|{self.d1})")
+        object.__setattr__(self, "odd", self.d0)
+        object.__setattr__(self, "weights", (1,) * (self.d0 + self.d1))
+
     def generators(self) -> list[Generator]:
+        """The generators in label order: the k-th is at label k."""
         return [(0, i) for i in range(self.d0)] + \
                [(1, i) for i in range(self.d1)]
 
@@ -276,22 +301,18 @@ class SuperFockSpace:
         c = idx + parity * self.d0
         return ((c, n_cycle_type(c, m), x),)
 
-    def types(self, degree: int) -> tuple[WreathType, ...]:
-        """The basis monomials of the given total degree (sum of modes)."""
-        return label_types(self.d0 + self.d1, degree, odd=self.d0)
-
 
 def sf_a_plus(space: SuperFockSpace, w: Generator, m: int):
     """Creation: supersymmetric multiplication by the mode-m copy of w."""
     form = space.form(w, m, 1)
-    return lambda u: _create(m, form, space.d0, u)
+    return lambda u: _create(m, form, u)
 
 
 def sf_a_minus(space: SuperFockSpace, eta: Generator, m: int):
     """Annihilation: superderivation contracting mode-m copies of the
     generator dual to eta, with coefficient m <eta, w> = m."""
     form = space.form(eta, m, m)
-    return lambda u: _annihilate(m, form, space.d0, u)
+    return lambda u: _annihilate(m, form, u)
 
 
 def sf_commutator_check(d0: int, d1: int, max_degree: int,
@@ -300,7 +321,7 @@ def sf_commutator_check(d0: int, d1: int, max_degree: int,
     with anticommutators on odd-odd pairs, plus the graded dimension."""
     space = SuperFockSpace(d0, d1)
     rep = Report(f"sf_commutator_check({d0},{d1}, N={max_degree}, M={max_mode})")
-    by_degree = [space.types(n) for n in range(max_degree + 1)]
+    by_degree = [enumerate_types(space, n) for n in range(max_degree + 1)]
     # the super operators have integer coefficients
     basis = [FockElement(space, {rho: 1})
              for types in by_degree for rho in types]
@@ -309,36 +330,21 @@ def sf_commutator_check(d0: int, d1: int, max_degree: int,
     modes = range(1, max_mode + 1)
     pairs = [(m, l) for m in modes for l in modes]
 
-    def table(make):
-        """(m, w) -> (operator, parity of w, its images of the basis)"""
+    def table(make) -> dict[tuple[int, Generator], Entry]:
+        """(m, w) -> (operator, label of w, its images of the basis)"""
         out = {}
         for m in modes:
-            for w in gens:
+            for c, w in enumerate(gens):
                 op = make(space, w, m)
-                out[m, w] = (op, w[0], [op(u) for u in basis])
+                out[m, w] = (op, c, [op(u) for u in basis])
         return out
 
     ops = {"create": table(sf_a_plus), "annihilate": table(sf_a_minus)}
 
-    def bracket(a, b, i):
-        """[a, b] on basis[i], an anticommutator when both are odd."""
-        (op1, par1, img1), (op2, par2, img2) = a, b
-        first, second = op1(img2[i]), op2(img1[i])
-        return first + second if par1 == par2 == 1 else first - second
-
-    def vanishes(a, b, i):
-        """Whether [a, b] on basis[i] is zero, compared term by term."""
-        (op1, par1, img1), (op2, par2, img2) = a, b
-        first, second = op1(img2[i]).coeffs, op2(img1[i]).coeffs
-        if par1 == par2 == 1:
-            return first == {k: -v for k, v in second.items()}
-        return first == second
-
     def eq24(m, l, eta, w):
         down, up = ops["annihilate"][m, eta], ops["create"][l, w]
-        if not (m == l and eta == w):
-            return all(vanishes(down, up, i) for i in range(len(basis)))
-        return all(bracket(down, up, i).equals(u * l)
+        x = l if (m, eta) == (l, w) else 0
+        return all(_bracket_is(space, down, up, i, x, u)
                    for i, u in enumerate(basis))
 
     rep.check("super Eq. (24): [a_-m(eta), a_l(w)] = l delta delta",
@@ -352,8 +358,8 @@ def sf_commutator_check(d0: int, d1: int, max_degree: int,
                for w2 in gens if (m, w1) <= (l, w2)
                for i in range(len(basis))
                for kind in ("create", "annihilate")),
-              lambda kind, m, l, w1, w2, i: vanishes(
-                  ops[kind][m, w1], ops[kind][l, w2], i),
+              lambda kind, m, l, w1, w2, i: _bracket_is(
+                  space, ops[kind][m, w1], ops[kind][l, w2], i, 0, basis[i]),
               lambda kind, m, l, *_: f"{kind} m={m},l={l}")
 
     counts = [len(types) for types in by_degree]

@@ -2,9 +2,11 @@
 
 A conjugacy class of G_n is a type: a partition-valued function on the
 conjugacy classes of G.  Class functions on G_n are elements of F_G in
-sigma coordinates (`fock.FockElement`), keyed by these types.  Elements of
-G_n only ever appear inside brute-force oracles, where whole groups up to
-a few tens of thousands of elements are enumerated.
+sigma coordinates (`fock.FockElement`), keyed by these types.  Types and
+Z_rho are defined over any `groups.LabelSpace`: G, whose labels are its
+classes, or the super Fock model's `heisenberg.SuperFockSpace`.  Elements
+of G_n only ever appear inside brute-force oracles, where whole groups up
+to a few tens of thousands of elements are enumerated.
 
 An element (g_1..g_n; s) is its permutation of the |G| n points of
 G x {0..n-1}, (g; s).(h, i) = (g_{s(i)} h, s(i)), with point (h, i) at
@@ -31,7 +33,7 @@ import itertools
 from functools import cached_property, lru_cache, total_ordering
 from math import factorial
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, LabelSpace
 from .scalars import product_coefficients
 
 
@@ -61,12 +63,12 @@ class _Unions(dict):
 
 @total_ordering
 class WreathType:
-    """Partition-valued function on the classes of G; the conjugacy
-    invariant of G_n.  Stored canonically: nonempty partitions only,
-    sorted by class id, parts weakly decreasing.
+    """Partition-valued function on the labels of a label space; over G,
+    on its classes, the conjugacy invariant of G_n.  Stored canonically:
+    nonempty partitions only, sorted by label, parts weakly decreasing.
 
-    `WreathType(parts)`, like `of`, `from_dict` and `union`, returns the
-    one object per `parts` from `_TYPES`, built and validated on first use.
+    `WreathType(parts)`, like `from_dict` and `union`, returns the one
+    object per `parts` from `_TYPES`, built and validated on first use.
     So equality and hash are `object`'s identity, at C speed; order and
     repr read `parts`; copies and pickles return the interned object."""
 
@@ -103,11 +105,6 @@ class WreathType:
     def __lt__(self, other):
         return self.parts < other.parts if type(other) is WreathType \
             else NotImplemented
-
-    @classmethod
-    def of(cls, parts) -> "WreathType":
-        """The interned type with these canonical parts."""
-        return cls(parts)
 
     @classmethod
     def from_dict(cls, d: dict[int, tuple[int, ...]]) -> "WreathType":
@@ -167,51 +164,39 @@ def partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def enumerate_types(group: FiniteGroup, n: int) -> list[WreathType]:
-    """All degree-n types over G, duplicate-free, canonical order."""
+def enumerate_types(space: LabelSpace, n: int) -> list[WreathType]:
+    """All degree-n types over the labels of the space, duplicate-free, in
+    canonical order; an odd label takes distinct parts.  Over G the labels
+    are the classes, all even."""
     if n < 0:
         raise WreathError("degree must be >= 0")
-    table = _type_table(group)
+    table = _tables(space)[0]
     if n not in table:
-        k = group.num_classes
-        table[n] = label_types(k, n, odd=k)
+        labels, odd = len(space.weights), space.odd
+        results: list[WreathType] = []
+
+        def rec(c, remaining, parts):
+            if c == labels:
+                if remaining == 0:
+                    results.append(WreathType(parts))
+                return
+            sizes = [remaining] if c == labels - 1 else range(remaining + 1)
+            for size in sizes:
+                for lam in partitions(size):
+                    if c < odd or len(set(lam)) == len(lam):
+                        rec(c + 1, remaining - size,
+                            parts + ((c, lam),) if lam else parts)
+
+        rec(0, n, ())
+        table[n] = tuple(sorted(results))
     return list(table[n])
 
 
 @lru_cache(maxsize=8)
-def _type_table(group: FiniteGroup) -> dict[int, tuple[WreathType, ...]]:
-    """Per group, filled on demand: degree -> its types."""
-    return {}
-
-
-def label_types(labels: int, n: int, odd: int) -> tuple[WreathType, ...]:
-    """All degree-n types over the labels 0..labels-1, canonical order;
-    a label >= odd takes distinct parts.  Over G the labels are the
-    classes, all even; `enumerate_types` keeps them per group."""
-    results: list[WreathType] = []
-
-    def rec(c, remaining, acc):
-        if c == labels:
-            if remaining == 0:
-                results.append(WreathType.of(tuple(acc)))
-            return
-        if c == labels - 1:
-            sizes = [remaining]
-        else:
-            sizes = range(remaining + 1)
-        for size in sizes:
-            for lam in partitions(size):
-                if c >= odd and len(set(lam)) < len(lam):
-                    continue
-                if lam:
-                    acc.append((c, lam))
-                    rec(c + 1, remaining - size, acc)
-                    acc.pop()
-                else:
-                    rec(c + 1, remaining - size, acc)
-
-    rec(0, n, [])
-    return tuple(sorted(results))
+def _tables(space: LabelSpace) -> tuple[dict, dict]:
+    """Per label space, filled on demand: degree -> its types (a tuple),
+    and type -> Z_rho."""
+    return {}, {}
 
 
 def type_counts(group: FiniteGroup, n: int, limit: int) -> list[int]:
@@ -241,22 +226,17 @@ def z_partition(lam: tuple[int, ...]) -> int:
     return out
 
 
-def z_rho(group: FiniteGroup, rho: WreathType) -> int:
-    """Centralizer order in G_n of an element of type rho."""
-    table = _z_table(group)
+def z_rho(space: LabelSpace, rho: WreathType) -> int:
+    """Z_rho = prod_c z_{rho(c)} w(c)^l(rho(c)), w the weights of the space;
+    over G, the centralizer order in G_n of an element of type rho."""
+    table = _tables(space)[1]
     z = table.get(rho)
     if z is None:
         z = 1
         for c, lam in rho.parts:
-            z *= z_partition(lam) * group.zeta(c) ** len(lam)
+            z *= z_partition(lam) * space.weights[c] ** len(lam)
         table[rho] = z
     return z
-
-
-@lru_cache(maxsize=8)
-def _z_table(group: FiniteGroup) -> dict[WreathType, int]:
-    """Per group, filled on demand: type -> Z_rho."""
-    return {}
 
 
 def wreath_order(group: FiniteGroup, n: int) -> int:
@@ -265,7 +245,7 @@ def wreath_order(group: FiniteGroup, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def n_cycle_type(c: int, n: int) -> WreathType:
-    return WreathType.of(((c, (n,)),))
+    return WreathType(((c, (n,)),))
 
 
 # -- the element model (oracles) --------------------------------------------

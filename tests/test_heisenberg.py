@@ -1,5 +1,7 @@
 """Heisenberg operators on F_G and the super Fock space model."""
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -234,12 +236,12 @@ class TestSuperFock:
 
     def test_distinct_part_dimensions(self):
         space = SuperFockSpace(0, 1)
-        dims = [len(space.types(n)) for n in range(7)]
+        dims = [len(enumerate_types(space, n)) for n in range(7)]
         assert dims == [1, 1, 1, 2, 2, 3, 4]
 
     def test_pure_even_matches_fock(self):
         space = SuperFockSpace(1, 0)
-        got = [len(space.types(n)) for n in range(6)]
+        got = [len(enumerate_types(space, n)) for n in range(6)]
         want = graded_dim(trivial_group(), 5)
         assert got == want
 
@@ -249,6 +251,46 @@ class TestSuperFock:
             sf_a_plus(space, (0, 1), 1)
         with pytest.raises(HeisenbergError):
             sf_a_plus(space, (0, 0), 0)
+
+    @pytest.mark.parametrize("d0,d1", [(-1, 2), (2, -1), (0, -1), (-1, 0)])
+    def test_negative_dimensions_refused(self, d0, d1):
+        """A negative dimension is refused when the space is built, not
+        deep inside the type machinery."""
+        with pytest.raises(HeisenbergError):
+            SuperFockSpace(d0, d1)
+        with pytest.raises(HeisenbergError):
+            sf_commutator_check(d0, d1, 3, 2)
+
+    @pytest.mark.parametrize("d0,d1", [(1, 0), (0, 1), (1, 1), (2, 1)])
+    def test_value_api_uses_unit_weights(self, d0, d1):
+        """On super vectors, value, from_values and inner read
+        Z_rho = prod_c z_rho(c), every label of weight 1."""
+        space = SuperFockSpace(d0, d1)
+        for n in range(5):
+            types = enumerate_types(space, n)
+            for rho in types:
+                z = prod(r ** m * factorial(m) for _, lam in rho.parts
+                         for r, m in Counter(lam).items())
+                u = FockElement(space, {rho: 3})
+                assert u.value(rho) == 3 * z
+                back = FockElement.from_values(space, {rho: 3 * z})
+                assert back.equals(u) and back.value(rho) == 3 * z
+                for tau in types:
+                    got = FockElement(space, {rho: 1}).inner(
+                        FockElement(space, {tau: 1}))
+                    assert got == (z if tau is rho else 0)
+
+    def test_even_line_has_the_trivial_group_weights(self):
+        """SuperFockSpace(1, 0) and F_G for the trivial group have the
+        same types and the same Z_rho."""
+        space, g = SuperFockSpace(1, 0), trivial_group()
+        for n in range(6):
+            types = enumerate_types(space, n)
+            assert types == enumerate_types(g, n)
+            for rho in types:
+                u = FockElement(space, {rho: Fraction(1, 2)})
+                want = Fraction(sigma_rho(g, rho).value(rho), 2)
+                assert u.value(rho) == want
 
     def test_sf_commutator_check(self):
         assert sf_commutator_check(1, 1, 4, 2).all_passed

@@ -297,11 +297,14 @@ def _count_calls(monkeypatch, counts, owner, name, key):
 
 # calls made by one warm run of each suite; the Z2 suites are all rational,
 # so they build no Cyclotomic.  Creation is `_create` on F_G and on the
-# super model alike; only odd labels ask `_sign`.
+# super model alike; only odd labels ask `_sign`.  The F_G relation check
+# builds no bracket: its FockElements are the basis, the operator images
+# and the oracle's values.
 WORK = {
     "commutator_check": (lambda: commutator_check(cyclic(2), 3, 2), {
         "HeisenbergOp.__call__": 1152, "fock_mul": 0,
-        "Cyclotomic.__mul__": 0, "_create": 576, "_sign": 0}),
+        "Cyclotomic.__mul__": 0, "_create": 576, "_sign": 0,
+        "FockElement.__post_init__": 1246}),
     "hopf_verify": (lambda: hopf_verify(cyclic(2), 3), {
         "HeisenbergOp.__call__": 0, "fock_mul": 195,
         "Cyclotomic.__mul__": 0, "_create": 0, "_sign": 0}),
@@ -328,6 +331,8 @@ def test_verify_work_is_pinned(suite, monkeypatch):
     _count_calls(monkeypatch, counts, heisenberg, "_create", "_create")
     _count_calls(monkeypatch, counts, heisenberg, "_sign", "_sign")
     _count_calls(monkeypatch, counts, fock, "fock_mul", "fock_mul")
+    _count_calls(monkeypatch, counts, FockElement, "__post_init__",
+                 "FockElement.__post_init__")
     assert run().all_passed
     assert {k: counts[k] for k in want} == want
 

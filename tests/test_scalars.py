@@ -12,6 +12,7 @@ from wreathfock.heisenberg import SuperFockSpace
 from wreathfock.scalars import (Cyclotomic, ScalarError, conj,
                                 cyclotomic_polynomial, div, euler_product,
                                 graded_dim_series)
+from wreathfock.wreath import enumerate_types
 
 
 def frac_list(xs):
@@ -309,7 +310,7 @@ class TestGradedDimSeries:
         model listed degree by degree."""
         space = SuperFockSpace(d0, d1)
         assert graded_dim_series(d0, d1, 6) == \
-            [len(space.types(n)) for n in range(7)]
+            [len(enumerate_types(space, n)) for n in range(7)]
 
     def test_values_are_ints(self):
         for coeffs in (euler_product(-3, 8), graded_dim_series(2, 3, 8)):

@@ -74,7 +74,7 @@ class TestTypes:
         for t in (a, b):
             assert t.degree == sum(sum(lam) for _, lam in t.parts)
             assert t.length == sum(len(lam) for _, lam in t.parts)
-            assert WreathType(t.parts) is WreathType.of(t.parts) is t
+            assert WreathType(t.parts) is t
             assert hash(t) == hash(WreathType(t.parts))
             assert repr(t) == repr(WreathType(t.parts))
         u = a.union(b)
@@ -103,7 +103,7 @@ class TestTypes:
         a = WreathType(((0, (2, 1)),))
         b = WreathType(((0, (2, 1)),))
         c = WreathType(((0, (3,)),))
-        assert a == b and a is b is WreathType.of(a.parts)
+        assert a == b and a is b is WreathType(a.parts)
         assert len({a, b}) == 1 and hash(a) == hash(b) and a != c
         assert (a < c) == (a.parts < c.parts)
         assert a <= b <= c and c > a and c >= c
@@ -127,7 +127,6 @@ class TestTypes:
         reached += [type_of(group, rng.choice(
             element_model(group, n).perms)) for _ in range(3)]
         for t in reached:
-            assert WreathType.of(t.parts) is t
             direct = WreathType(t.parts)
             assert direct is t
             assert direct == t and hash(direct) == hash(t)
