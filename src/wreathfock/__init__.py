@@ -22,8 +22,7 @@ from .gsets import (GSet, GSetError, PowerGSet, coset_gset, euler_series_check,
                     theorem_main_dim_check)
 from .heisenberg import (HeisenbergOp, SuperFockSpace, a_minus, a_plus,
                          commutator_check, heisenberg_verify,
-                         irreducibility_check, sf_a_minus, sf_a_plus,
-                         sf_commutator_check, vacuum)
+                         irreducibility_check, sf_commutator_check, vacuum)
 from .lambda_ops import (E_series, H_series, additivity_check, boxtimes_power,
                          ch_n, free_lambda_basis_check, h_e_identities,
                          h_virtual, lambda_n, lambda_verify, omega_n, phi_n,

@@ -392,9 +392,12 @@ def oracle_comul_value(f: FockElement, alpha: WreathType,
 
 # -- verification ----------------------------------------------------------
 
+# past this many target types times |G_n|, the induction oracle samples
+ORACLE_FULL_COST = 300_000
+
+
 def hopf_verify(group: FiniteGroup, max_degree: int,
-                oracle_limit: int = 50_000,
-                oracle_full_cost: int = 300_000) -> Report:
+                oracle_limit: int = 50_000) -> Report:
     """Hopf axioms on the sigma basis up to the given total degree, plus
     element-level induction/restriction oracles where group sizes allow."""
     rep = Report(f"hopf_verify({group.name}, N={max_degree})")
@@ -509,7 +512,7 @@ def hopf_verify(group: FiniteGroup, max_degree: int,
                  for r2 in by_degree[total - a]] for a in range(1, total)]
         splits = [s for cut in cuts for s in cut]
         label = "full"
-        if len(reps) * wreath_order(g, total) > oracle_full_cost:
+        if len(reps) * wreath_order(g, total) > ORACLE_FULL_COST:
             # a seeded sample of 5 target types and one split per cut
             rng, k = random.Random(0), min(5, len(reps))
             label = (f"sampled {k}/{len(reps)} types, "

@@ -489,14 +489,15 @@ def all_subgroup_element_sets(g: FiniteGroup, limit: int | None = None
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """One exact value per conjugacy class of a finite group."""
+    """One exact value per label of a label space: on a finite group, per
+    conjugacy class; on the super Fock model, a vector of its (d0|d1)."""
 
-    group: FiniteGroup
+    group: LabelSpace
     values: tuple[Scalar, ...]
 
     def __post_init__(self):
-        if len(self.values) != self.group.num_classes:
-            raise GroupError("need one value per conjugacy class")
+        if len(self.values) != len(self.group.weights):
+            raise GroupError("need one value per label")
 
     @classmethod
     def from_rationals(cls, group: FiniteGroup, values) -> "ClassFunction":
@@ -544,10 +545,10 @@ class ClassFunction:
         return f"ClassFunction({self.group.name}, {list(self.values)})"
 
 
-def sigma_basis(group: FiniteGroup, c: int) -> ClassFunction:
-    """Indicator of class c scaled by the centralizer order zeta_c."""
-    vals = [0] * group.num_classes
-    vals[c] = group.zeta(c)
+def sigma_basis(group: LabelSpace, c: int) -> ClassFunction:
+    """Indicator of label c scaled by its weight; on G, by zeta_c."""
+    vals = [0] * len(group.weights)
+    vals[c] = group.weights[c]
     return ClassFunction.from_rationals(group, vals)
 
 
@@ -567,17 +568,17 @@ def adams_psi(n: int, chi: ClassFunction) -> ClassFunction:
 class DualFunctional:
     """Linear functional on class functions: <eta, V> = sum_c eta_c V(c)."""
 
-    group: FiniteGroup
+    group: LabelSpace
     coeffs: tuple[Scalar, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != self.group.num_classes:
-            raise GroupError("need one coefficient per conjugacy class")
+        if len(self.coeffs) != len(self.group.weights):
+            raise GroupError("need one coefficient per label")
 
     @classmethod
-    def delta(cls, group: FiniteGroup, c: int) -> "DualFunctional":
+    def delta(cls, group: LabelSpace, c: int) -> "DualFunctional":
         return cls(group, tuple(int(d == c)
-                                for d in range(group.num_classes)))
+                                for d in range(len(group.weights))))
 
     def pair(self, v: ClassFunction) -> Scalar:
         if v.group is not self.group:
@@ -662,15 +663,19 @@ def conjugate_subgroup_data(g: FiniteGroup, emb_h: SubgroupEmbedding,
     return emb_hs_in_l, transport
 
 
-def mackey_verify(g: FiniteGroup, max_subgroups: int = 40):
+# mackey_verify refuses a group with more subgroups than this
+MAX_SUBGROUPS = 40
+
+
+def mackey_verify(g: FiniteGroup):
     """Mackey's formula over every subgroup pair, with the sigma basis of
     each H as test functions.  Returns a Report."""
     from .report import Report
     rep = Report(f"mackey_verify({g.name})")
     try:
-        subs = all_subgroup_element_sets(g, max_subgroups)
+        subs = all_subgroup_element_sets(g, MAX_SUBGROUPS)
     except GroupError:
-        raise GroupError(f"subgroup lattice exceeds cap {max_subgroups}"
+        raise GroupError(f"subgroup lattice exceeds cap {MAX_SUBGROUPS}"
                          ) from None
     embeddings = [subgroup_from_elements(g, s) for s in subs]
     rep.check(f"Mackey formula over {len(subs)}^2 subgroup pairs",

@@ -7,19 +7,22 @@ monomial sigma^rho is a `WreathType` rho, a vector a `FockElement`.  Odd
 generators anticommute, so an odd label takes distinct parts (Macdonald,
 Ch. I, App. B); the monomial is ordered canonically: labels ascending,
 parts descending at each label.  F_G has the classes of G as labels, all
-even.  The super model `SuperFockSpace(d0, d1)` has labels 0..d0-1 even
-and d0..d0+d1-1 odd, generator (parity, index) at label index + parity d0.
+even, of weight zeta_c.  The super model `SuperFockSpace(d0, d1)` has
+labels 0..d0-1 even and d0..d0+d1-1 odd, all of weight 1.
 
-Creation a_m multiplies from the left by a linear form sum_c x_c sigma_m(c)
-(for F_G, omega_m(V), with x_c = V(c)/zeta_c; for the super model one
-generator); annihilation a_{-m} is the derivation sum_c x_c d/d sigma_m(c)
-(for F_G, x_c = m <eta, sigma_c>; for the super model x_c = m at the
-generator's label).  Both carry the Koszul sign of `_sign`.  An
-evaluation-style restriction oracle is the independent cross-check on F_G.
+An operator's payload is a vector on the labels of the space, whichever
+it is, and one rule with the space's weights w gives its linear form
+sum_c x_c sigma_m(c).  Creation a_m(V) multiplies from the left by
+omega_m(V), with x_c = V(c)/w(c); annihilation a_{-m}(eta) is the
+derivation sum_c x_c d/d sigma_m(c), with x_c = m <eta, sigma_c> =
+m eta_c w(c).  On the super model the payloads `sigma_basis(space, c)`
+and `DualFunctional.delta(space, c)` give the generator at label c.  Both
+carry the Koszul sign of `_sign`.  An evaluation-style restriction oracle
+is the independent cross-check on F_G.
 What an operator needs apart from the vector it acts on, its form, is
-computed once, when the operator is built, and the relation checks compute
-the image of every basis vector under every operator once per check, and
-`_bracket_is` compares each bracket with its value term by term.
+computed once, when the operator is built; both relation checks compute
+the image of every basis vector under every operator once, in `_image_table`,
+and `_bracket_is` compares each bracket with its value term by term.
 """
 from __future__ import annotations
 
@@ -117,17 +120,28 @@ def _bracket_is(space: LabelSpace, a: Entry, b: Entry, i: int, x: Scalar,
     return first.coeffs == need
 
 
+def _image_table(modes, basis: list[FockElement], make,
+                 payloads: list) -> dict[tuple[int, int], Entry]:
+    """(m, c) -> (the operator make(m, payloads[c]), c, its images of the
+    basis): each operator applied to each basis vector once."""
+    ops = {(m, c): make(m, payload)
+           for m in modes for c, payload in enumerate(payloads)}
+    return {(m, c): (op, c, [op(u) for u in basis])
+            for (m, c), op in ops.items()}
+
+
 @dataclass(frozen=True)
 class HeisenbergOp:
-    """a_m(V) for sign +1 (payload a ClassFunction), a_{-m}(eta) for sign
-    -1 (payload a DualFunctional)."""
+    """a_m(V) for sign +1 (payload a ClassFunction V), a_{-m}(eta) for sign
+    -1 (payload a DualFunctional eta).  It acts on the vectors of the
+    payload's label space, F_G or a super Fock model, and refuses others."""
 
     sign: int
     mode: int
     payload: object
-    # the form: for a_m(V) the coefficients of omega_m(V), for a_{-m}(eta)
-    # the weights m <eta, sigma_c>, both indexed by class c; an integer
-    # weight is an int, as it is for every basis payload
+    # the form: for a_m(V) the coefficients V(c)/w(c) of omega_m(V), for
+    # a_{-m}(eta) the coefficients m <eta, sigma_c>, both indexed by label
+    # c; an integer coefficient is an int, as it is for every basis payload
     _form: Form = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -139,13 +153,13 @@ class HeisenbergOp:
         if not isinstance(self.payload, want):
             raise HeisenbergError(f"payload must be a {want.__name__}")
         g, m = self.payload.group, self.mode
+        labels = range(len(g.weights))
         if self.sign == 1:
             omega = omega_n(self.payload, m).coeffs
-            coeffs = (omega.get(n_cycle_type(c, m), 0)
-                      for c in range(g.num_classes))
+            coeffs = (omega.get(n_cycle_type(c, m), 0) for c in labels)
         else:
             coeffs = (self.payload.pair(sigma_basis(g, c)) * m
-                      for c in range(g.num_classes))
+                      for c in labels)
         object.__setattr__(self, "_form", tuple(
             (c, n_cycle_type(c, m), x)
             for c, x in enumerate(coeffs) if x))
@@ -165,7 +179,7 @@ def a_minus(m: int, eta: DualFunctional) -> HeisenbergOp:
     return HeisenbergOp(-1, m, eta)
 
 
-def vacuum(group: FiniteGroup) -> FockElement:
+def vacuum(group: LabelSpace) -> FockElement:
     return FockElement.unit(group)
 
 
@@ -203,17 +217,8 @@ def commutator_check(group: FiniteGroup, max_degree: int,
     vees = [sigma_basis(g, c) for c in classes]
     pairings = [[eta.pair(v) for v in vees] for eta in etas]
     modes = range(1, max_mode + 1)
-
-    def table(make, payloads) -> dict[tuple[int, int], Entry]:
-        """(m, c) -> (operator of the payload at c, c, images of the basis)"""
-        out = {}
-        for m in modes:
-            for c, payload in enumerate(payloads):
-                op = make(m, payload)
-                out[m, c] = (op, c, [op(u) for u in basis])
-        return out
-
-    downs, ups = table(a_minus, etas), table(a_plus, vees)
+    downs = _image_table(modes, basis, a_minus, etas)
+    ups = _image_table(modes, basis, a_plus, vees)
     pairs = [(m, l) for m in modes for l in modes]
 
     def bracket_is(a, b, x):
@@ -267,58 +272,48 @@ def irreducibility_check(group: FiniteGroup, max_degree: int) -> bool:
 
 # -- the (d0|d1) super Fock model -------------------------------------------
 
-Generator = tuple[int, int]          # (parity, index); parity 0 even, 1 odd
+_SPACES: dict[tuple[int, int], "SuperFockSpace"] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuperFockSpace(LabelSpace):
     """S(direct sum over r >= 1 of W[r]) for W of dimension (d0 | d1): the
     labels 0..d0-1 (even) and d0..d0+d1-1 (odd), all of weight 1.  Its
-    vectors are `FockElement`s with this space as their group."""
+    vectors are `FockElement`s with this space as their group.
+    `SuperFockSpace(d0, d1)` is the one object per (d0, d1) in `_SPACES`,
+    built and checked on first use, as `WreathType` interns its parts: so
+    equality and hash are identity, and copies return the interned object."""
 
     d0: int
     d1: int
 
-    def __post_init__(self):
-        if min(self.d0, self.d1) < 0:
-            raise HeisenbergError(f"no super space ({self.d0}|{self.d1})")
-        object.__setattr__(self, "odd", self.d0)
-        object.__setattr__(self, "weights", (1,) * (self.d0 + self.d1))
+    def __new__(cls, d0: int, d1: int):
+        # the dataclass __init__ then sets d0 and d1 again, to their values
+        self = _SPACES.get((d0, d1))
+        if self is None:
+            if min(d0, d1) < 0:
+                raise HeisenbergError(f"no super space ({d0}|{d1})")
+            self = _SPACES[d0, d1] = super().__new__(cls)
+            for name, v in (("odd", d0), ("weights", (1,) * (d0 + d1)),
+                            ("name", f"({d0}|{d1})")):
+                object.__setattr__(self, name, v)
+        return self
 
-    def generators(self) -> list[Generator]:
-        """The generators in label order: the k-th is at label k."""
+    def __reduce__(self):
+        return SuperFockSpace, (self.d0, self.d1)
+
+    def generators(self) -> list[tuple[int, int]]:
+        """The generators (parity, index), parity 0 even and 1 odd, in label
+        order: the k-th is at label k."""
         return [(0, i) for i in range(self.d0)] + \
                [(1, i) for i in range(self.d1)]
-
-    def form(self, w: Generator, m: int, x: Scalar) -> Form:
-        """x sigma_m(w) as a form; refuses a bad generator or mode."""
-        parity, idx = w
-        bound = self.d0 if parity == 0 else self.d1
-        if not (parity in (0, 1) and 0 <= idx < bound):
-            raise HeisenbergError(f"no generator {w} in ({self.d0}|{self.d1})")
-        if m < 1:
-            raise HeisenbergError("mode must be >= 1")
-        c = idx + parity * self.d0
-        return ((c, n_cycle_type(c, m), x),)
-
-
-def sf_a_plus(space: SuperFockSpace, w: Generator, m: int):
-    """Creation: supersymmetric multiplication by the mode-m copy of w."""
-    form = space.form(w, m, 1)
-    return lambda u: _create(m, form, u)
-
-
-def sf_a_minus(space: SuperFockSpace, eta: Generator, m: int):
-    """Annihilation: superderivation contracting mode-m copies of the
-    generator dual to eta, with coefficient m <eta, w> = m."""
-    form = space.form(eta, m, m)
-    return lambda u: _annihilate(m, form, u)
 
 
 def sf_commutator_check(d0: int, d1: int, max_degree: int,
                         max_mode: int) -> Report:
     """Theorem 5.1 super relations on SuperFockSpace(d0, d1): commutators,
-    with anticommutators on odd-odd pairs, plus the graded dimension."""
+    with anticommutators on odd-odd pairs, plus the graded dimension.  A
+    witness names a label by its generator (parity, index)."""
     space = SuperFockSpace(d0, d1)
     rep = Report(f"sf_commutator_check({d0},{d1}, N={max_degree}, M={max_mode})")
     by_degree = [enumerate_types(space, n) for n in range(max_degree + 1)]
@@ -326,40 +321,37 @@ def sf_commutator_check(d0: int, d1: int, max_degree: int,
     basis = [FockElement(space, {rho: 1})
              for types in by_degree for rho in types]
     gens = space.generators()
+    labels = range(len(gens))
 
     modes = range(1, max_mode + 1)
     pairs = [(m, l) for m in modes for l in modes]
+    ops = {"create": _image_table(modes, basis, a_plus,
+                                  [sigma_basis(space, c) for c in labels]),
+           "annihilate": _image_table(
+               modes, basis, a_minus,
+               [DualFunctional.delta(space, c) for c in labels])}
 
-    def table(make) -> dict[tuple[int, Generator], Entry]:
-        """(m, w) -> (operator, label of w, its images of the basis)"""
-        out = {}
-        for m in modes:
-            for c, w in enumerate(gens):
-                op = make(space, w, m)
-                out[m, w] = (op, c, [op(u) for u in basis])
-        return out
-
-    ops = {"create": table(sf_a_plus), "annihilate": table(sf_a_minus)}
-
-    def eq24(m, l, eta, w):
-        down, up = ops["annihilate"][m, eta], ops["create"][l, w]
-        x = l if (m, eta) == (l, w) else 0
+    def eq24(m, l, ce, cw):
+        down, up = ops["annihilate"][m, ce], ops["create"][l, cw]
+        x = l if (m, ce) == (l, cw) else 0
         return all(_bracket_is(space, down, up, i, x, u)
                    for i, u in enumerate(basis))
 
     rep.check("super Eq. (24): [a_-m(eta), a_l(w)] = l delta delta",
-              ((m, l, eta, w) for m, l in pairs for eta in gens for w in gens),
-              eq24, lambda m, l, eta, w: f"m={m},l={l},eta={eta},w={w}")
+              ((m, l, ce, cw) for m, l in pairs for ce in labels
+               for cw in labels),
+              eq24,
+              lambda m, l, ce, cw: f"m={m},l={l},eta={gens[ce]},w={gens[cw]}")
 
     # each unordered pair once; the diagonal stays, since a^2 = 0 for an
     # odd generator is a real check
     rep.check("super Eq. (25)/(26): like operators super-commute",
-              ((kind, m, l, w1, w2, i) for m, l in pairs for w1 in gens
-               for w2 in gens if (m, w1) <= (l, w2)
+              ((kind, m, l, c1, c2, i) for m, l in pairs for c1 in labels
+               for c2 in labels if (m, c1) <= (l, c2)
                for i in range(len(basis))
                for kind in ("create", "annihilate")),
-              lambda kind, m, l, w1, w2, i: _bracket_is(
-                  space, ops[kind][m, w1], ops[kind][l, w2], i, 0, basis[i]),
+              lambda kind, m, l, c1, c2, i: _bracket_is(
+                  space, ops[kind][m, c1], ops[kind][l, c2], i, 0, basis[i]),
               lambda kind, m, l, *_: f"{kind} m={m},l={l}")
 
     counts = [len(types) for types in by_degree]

@@ -53,13 +53,13 @@ def _outer_power_coeffs(v: ClassFunction, n: int) -> dict:
 
 
 def omega_n(v: ClassFunction, n: int) -> FockElement:
-    """sum_c V(c)/zeta_c sigma_n(c): value n V(c) at the n-cycle type
-    over c."""
+    """sum_c V(c)/w(c) sigma_n(c), w the weights of the label space (on G,
+    w(c) = zeta_c): value n V(c) at the n-cycle type over c."""
     if n < 1:
         raise WreathError("omega_n needs n >= 1")
-    g = v.group
-    return FockElement(g, {n_cycle_type(c, n): div(v.value(c), g.zeta(c))
-                           for c in range(g.num_classes)})
+    w = v.group.weights
+    return FockElement(v.group, {n_cycle_type(c, n): div(v.value(c), w[c])
+                                 for c in range(len(w))})
 
 
 def phi_n(v: ClassFunction, n: int) -> FockElement:

@@ -263,6 +263,8 @@ GOLDEN_RUNS = {
                          "verify_heisenberg_s3_N3_M3.txt"),
     "heisenberg-z3-json": ("verify heisenberg --group z3 -N 3 -M 2 "
                            "--format json", "verify_heisenberg_z3_N3_M2.json"),
+    "heisenberg-q8-M2": ("verify heisenberg --group q8 -N 3 -M 2",
+                         "verify_heisenberg_q8_N3_M2.txt"),
     "hopf-z3-N4": ("verify hopf --group z3 -N 4", "verify_hopf_z3_N4.txt"),
     "hopf-s3-N5": ("verify hopf --group s3 -N 5 --limit 100",
                    "verify_hopf_s3_N5_limit100.txt"),

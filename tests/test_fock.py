@@ -86,12 +86,13 @@ class TestProduct:
             f1, f2 = class_function(a, v1), class_function(b, v2)
             assert oracle_product(f1, f2).equals(fock_mul(f1, f2))
 
-    def test_sampled_induction_oracle_is_seeded_and_labelled(self):
+    def test_sampled_induction_oracle_is_seeded_and_labelled(
+            self, monkeypatch):
         """Past the full-coverage cost the oracle checks a seeded sample
         and says how much of it: k of n target types, one split of each
         cut's m."""
-        runs = [hopf_verify(cyclic(2), 3, oracle_full_cost=0)
-                for _ in range(2)]
+        monkeypatch.setattr(fock, "ORACLE_FULL_COST", 0)
+        runs = [hopf_verify(cyclic(2), 3) for _ in range(2)]
         assert runs[0].to_table() == runs[1].to_table()
         assert runs[0].all_passed
         assert [c.name for c in runs[0].checks[-2:]] == [

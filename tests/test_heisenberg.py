@@ -1,4 +1,6 @@
 """Heisenberg operators on F_G and the super Fock space model."""
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -15,8 +17,7 @@ from wreathfock.groups import (ClassFunction, DualFunctional, GroupError,
 from wreathfock.heisenberg import (HeisenbergError, SuperFockSpace, a_minus,
                                    a_minus_oracle, a_plus, commutator_check,
                                    heisenberg_verify, irreducibility_check,
-                                   sf_a_minus, sf_a_plus, sf_commutator_check,
-                                   vacuum)
+                                   sf_commutator_check, vacuum)
 from wreathfock.lambda_ops import omega_n
 from wreathfock.linalg import matrix_rank
 from wreathfock.report import Report
@@ -222,14 +223,14 @@ class TestRelations:
 class TestSuperFock:
     def test_odd_square_is_zero(self):
         space = SuperFockSpace(0, 1)
-        op = sf_a_plus(space, (1, 0), 1)
+        op = a_plus(1, sigma_basis(space, 0))
         assert op(op(vacuum(space))).equals(FockElement.zero(space))
 
     def test_odd_anticommutator(self):
         space = SuperFockSpace(0, 1)
         for m in (1, 2, 3):
-            up = sf_a_plus(space, (1, 0), m)
-            dn = sf_a_minus(space, (1, 0), m)
+            up = a_plus(m, sigma_basis(space, 0))
+            dn = a_minus(m, DualFunctional.delta(space, 0))
             u = vacuum(space)
             got = dn(up(u)) + up(dn(u))
             assert got.equals(u * Fraction(m))
@@ -246,11 +247,35 @@ class TestSuperFock:
         assert got == want
 
     def test_bad_generator(self):
+        """A payload needs one entry per label, and a mode >= 1."""
         space = SuperFockSpace(1, 1)
+        with pytest.raises(GroupError):
+            a_plus(1, ClassFunction(space, (1,)))
+        with pytest.raises(GroupError):
+            a_minus(1, DualFunctional(space, (0, 0, 1)))
         with pytest.raises(HeisenbergError):
-            sf_a_plus(space, (0, 1), 1)
-        with pytest.raises(HeisenbergError):
-            sf_a_plus(space, (0, 0), 0)
+            a_plus(0, sigma_basis(space, 0))
+
+    def test_operator_refuses_a_foreign_space(self):
+        """An operator on the (2|0) space does not act on a (1|1) vector,
+        although both have two labels; its repr names its space."""
+        op = a_plus(1, sigma_basis(SuperFockSpace(2, 0), 1))
+        with pytest.raises(GroupError):
+            op(vacuum(SuperFockSpace(1, 1)))
+        assert "ClassFunction((2|0), [0, 1])" in repr(op)
+
+    def test_equal_spaces_are_one_space(self):
+        """SuperFockSpace(d0, d1) is interned: vectors built from two calls
+        add and compare as vectors of one space."""
+        space = SuperFockSpace(1, 1)
+        assert space is SuperFockSpace(1, 1) is SuperFockSpace(d0=1, d1=1)
+        assert space is not SuperFockSpace(2, 0)
+        assert copy.deepcopy(space) is space
+        assert pickle.loads(pickle.dumps(space)) is space
+        u = FockElement.unit(SuperFockSpace(1, 1))
+        total = u + FockElement.unit(SuperFockSpace(1, 1))
+        assert total.equals(u * 2)
+        assert u.equals(FockElement.unit(SuperFockSpace(1, 1)))
 
     @pytest.mark.parametrize("d0,d1", [(-1, 2), (2, -1), (0, -1), (-1, 0)])
     def test_negative_dimensions_refused(self, d0, d1):
@@ -299,12 +324,6 @@ class TestSuperFock:
 
 # -- Koszul-sign oracle: words of generators, sorted by bubble sort ---------
 
-def _generator(space, k):
-    """The k-th generator (parity, index) and its label."""
-    w = space.generators()[k]
-    return w, w[1] + w[0] * space.d0
-
-
 def _word_product(space, word):
     """The product of the word's generators (mode, label), left to right,
     as a vector: bubble-sort into canonical order (labels ascending, modes
@@ -344,12 +363,9 @@ class TestKoszulOracle:
         """a(p_k) ... a(p_1) |0> is the product p_k ... p_1."""
         space, word, _ = case
         u = vacuum(space)
-        product = []
-        for m, k in word:
-            w, c = _generator(space, k)
-            u = sf_a_plus(space, w, m)(u)
-            product.insert(0, (m, c))
-        assert u.equals(_word_product(space, product))
+        for m, c in word:
+            u = a_plus(m, sigma_basis(space, c))(u)
+        assert u.equals(_word_product(space, word[::-1]))
 
     @settings(max_examples=200, deadline=None)
     @given(super_words())
@@ -357,9 +373,7 @@ class TestKoszulOracle:
         """a_-m(w) on the product p_1 ... p_k is m times the sum over the
         positions j with p_j = (m, w) of the product without p_j, signed
         by the odd generators before p_j when w is odd."""
-        space, word, (m, k) = case
-        w, c = _generator(space, k)
-        product = [(r, _generator(space, j)[1]) for r, j in word]
+        space, product, (m, c) = case
         want = FockElement.zero(space)
         odd_before = 0
         for j, p in enumerate(product):
@@ -368,5 +382,6 @@ class TestKoszulOracle:
                 rest = _word_product(space, product[:j] + product[j + 1:])
                 want = want + rest * Fraction(m * sign)
             odd_before += p[1] >= space.d0
-        got = sf_a_minus(space, w, m)(_word_product(space, product))
+        eta = DualFunctional.delta(space, c)
+        got = a_minus(m, eta)(_word_product(space, product))
         assert got.equals(want)
