@@ -27,7 +27,7 @@ from .wreath import (WreathError, brute_force_classes, decode_element,
 LIMIT = 50_000  # default --limit; also bounds series graded-dim
 
 _ERRORS = (GroupError, GSetError, WreathError, ScalarError, ValueError,
-           OSError, json.JSONDecodeError)
+           OSError)
 
 _SHORTHAND = [
     (re.compile(r"^z(\d+)$"), "cyclic"),

@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -47,17 +46,16 @@ class FockError(ValueError):
     pass
 
 
-@dataclass
 class FockElement:
     """u = sum of coeffs[rho] sigma^rho over types rho, finitely supported.
     Zero coefficients are dropped.  `group` is the label space of the
     types: G, or a `heisenberg.SuperFockSpace` for the super Fock model."""
 
-    group: LabelSpace
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("group", "coeffs")
 
-    def __post_init__(self):
-        coeffs = self.coeffs  # one copy, filtered only if a zero is in it
+    def __init__(self, group: LabelSpace, coeffs: dict):
+        self.group = group
+        # one copy, filtered only if a zero is in it
         self.coeffs = dict(coeffs) if all(coeffs.values()) else {
             k: v for k, v in coeffs.items() if v}
 

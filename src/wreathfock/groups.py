@@ -12,16 +12,30 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import attrgetter
 
 from .scalars import Scalar, div
 
 
 class GroupError(ValueError):
     pass
+
+
+class ByValue:
+    """Equality and hash by the tuple of fields that the class attribute
+    `_key`, an `operator.attrgetter`, reads, as a frozen dataclass has."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and \
+            self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
 
 
 def closure(seeds, moves, limit: int | None = None) -> set:
@@ -418,16 +432,16 @@ def builtin(name: str, parameter: int | None = None) -> FiniteGroup:
 
 # -- subgroups -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubgroupEmbedding:
+class SubgroupEmbedding(ByValue):
     """An injective homomorphism from a small group into a bigger one."""
 
-    source: FiniteGroup
-    target: FiniteGroup
-    mapping: tuple[int, ...]
+    __slots__ = ("source", "target", "mapping")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        h, g, f = self.source, self.target, self.mapping
+    def __init__(self, source: FiniteGroup, target: FiniteGroup,
+                 mapping: tuple[int, ...]):
+        self.source, self.target, self.mapping = source, target, mapping
+        h, g, f = source, target, mapping
         if len(f) != h.order:
             raise GroupError("mapping must cover every source element")
         if len(set(f)) != len(f):
@@ -487,16 +501,16 @@ def all_subgroup_element_sets(g: FiniteGroup, limit: int | None = None
 
 # -- class functions -------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(ByValue):
     """One exact value per label of a label space: on a finite group, per
     conjugacy class; on the super Fock model, a vector of its (d0|d1)."""
 
-    group: LabelSpace
-    values: tuple[Scalar, ...]
+    __slots__ = ("group", "values")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        if len(self.values) != len(self.group.weights):
+    def __init__(self, group: LabelSpace, values: tuple[Scalar, ...]):
+        self.group, self.values = group, values
+        if len(values) != len(group.weights):
             raise GroupError("need one value per label")
 
     @classmethod
@@ -545,8 +559,14 @@ class ClassFunction:
         return f"ClassFunction({self.group.name}, {list(self.values)})"
 
 
+def _check_label(group: LabelSpace, c: int):
+    if not 0 <= c < len(group.weights):
+        raise GroupError(f"no label {c} on {group.name}")
+
+
 def sigma_basis(group: LabelSpace, c: int) -> ClassFunction:
     """Indicator of label c scaled by its weight; on G, by zeta_c."""
+    _check_label(group, c)
     vals = [0] * len(group.weights)
     vals[c] = group.weights[c]
     return ClassFunction.from_rationals(group, vals)
@@ -564,19 +584,23 @@ def adams_psi(n: int, chi: ClassFunction) -> ClassFunction:
     return ClassFunction(g, tuple(vals))
 
 
-@dataclass(frozen=True)
-class DualFunctional:
+class DualFunctional(ByValue):
     """Linear functional on class functions: <eta, V> = sum_c eta_c V(c)."""
 
-    group: LabelSpace
-    coeffs: tuple[Scalar, ...]
+    __slots__ = ("group", "coeffs")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        if len(self.coeffs) != len(self.group.weights):
+    def __init__(self, group: LabelSpace, coeffs: tuple[Scalar, ...]):
+        self.group, self.coeffs = group, coeffs
+        if len(coeffs) != len(group.weights):
             raise GroupError("need one coefficient per label")
+
+    def __repr__(self):
+        return f"DualFunctional(group={self.group!r}, coeffs={self.coeffs!r})"
 
     @classmethod
     def delta(cls, group: LabelSpace, c: int) -> "DualFunctional":
+        _check_label(group, c)
         return cls(group, tuple(int(d == c)
                                 for d in range(len(group.weights))))
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
+from operator import attrgetter
 
 from .fock import graded_dim
-from .groups import FiniteGroup, binary_dihedral, binary_octahedral, \
-    cyclic, json_count, json_rows, orbits, sl2_f3, sl2_f5
+from .groups import ByValue, FiniteGroup, binary_dihedral, \
+    binary_octahedral, cyclic, json_count, json_rows, orbits, sl2_f3, sl2_f5
 from .report import Report
 from .scalars import euler_product
 from .wreath import ElementModel, element_model, type_of, wreath_order
@@ -32,17 +32,17 @@ class GSetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GSet:
+class GSet(ByValue):
     """A finite G-set on points 0..size-1; action[g][x] = g . x."""
 
-    group: FiniteGroup
-    size: int
-    action: tuple[tuple[int, ...], ...]
-    name: str = "X"
+    __slots__ = ("group", "size", "action", "name")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        g = self.group
+    def __init__(self, group: FiniteGroup, size: int,
+                 action: tuple[tuple[int, ...], ...], name: str = "X"):
+        self.group, self.size, self.action, self.name = \
+            group, size, action, name
+        g = group
         if len(self.action) != g.order:
             raise GSetError("need one action row per group element")
         for row in self.action:
@@ -123,15 +123,14 @@ def gset_from_json(group: FiniteGroup, text: str, name: str = "X") -> GSet:
 
 # -- wreath powers ----------------------------------------------------------
 
-@dataclass(frozen=True)
 class PowerGSet:
     """X^n with its G_n action a.(x_1..x_n) = (g_i x_{s^-1(i)})_i.  Point t
     is the t-th tuple of itertools.product(range(|X|), repeat=n), so
     t = sum of x_i |X|^(n-1-i); elements are `wreath.ElementModel`
     permutations, read through p[i |G|] = s(i) |G| + g_s(i)."""
 
-    base: GSet
-    n: int
+    def __init__(self, base: GSet, n: int):
+        self.base, self.n = base, n
 
     @property
     def size(self) -> int:

@@ -26,11 +26,11 @@ and `_bracket_is` compares each bracket with its value term by term.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .fock import FockElement, sigma_rho
-from .groups import (ClassFunction, DualFunctional, FiniteGroup, GroupError,
-                     LabelSpace, sigma_basis)
+from .groups import (ByValue, ClassFunction, DualFunctional, FiniteGroup,
+                     GroupError, LabelSpace, sigma_basis)
 from .lambda_ops import omega_n
 from .report import Report
 from .scalars import Scalar, graded_dim_series
@@ -130,39 +130,39 @@ def _image_table(modes, basis: list[FockElement], make,
             for (m, c), op in ops.items()}
 
 
-@dataclass(frozen=True)
-class HeisenbergOp:
+class HeisenbergOp(ByValue):
     """a_m(V) for sign +1 (payload a ClassFunction V), a_{-m}(eta) for sign
     -1 (payload a DualFunctional eta).  It acts on the vectors of the
-    payload's label space, F_G or a super Fock model, and refuses others."""
+    payload's label space, F_G or a super Fock model, and refuses others.
+    Its form `_form`: for a_m(V) the coefficients V(c)/w(c) of omega_m(V),
+    for a_{-m}(eta) the coefficients m <eta, sigma_c>, both indexed by label
+    c; an integer coefficient is an int, as it is for every basis payload."""
 
-    sign: int
-    mode: int
-    payload: object
-    # the form: for a_m(V) the coefficients V(c)/w(c) of omega_m(V), for
-    # a_{-m}(eta) the coefficients m <eta, sigma_c>, both indexed by label
-    # c; an integer coefficient is an int, as it is for every basis payload
-    _form: Form = field(init=False, repr=False, compare=False)
+    __slots__ = ("sign", "mode", "payload", "_form")
+    _key = attrgetter("sign", "mode", "payload")
 
-    def __post_init__(self):
-        if self.mode < 1:
+    def __init__(self, sign: int, mode: int, payload):
+        self.sign, self.mode, self.payload = sign, mode, payload
+        if mode < 1:
             raise HeisenbergError("mode must be >= 1")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise HeisenbergError("sign must be +1 or -1")
-        want = ClassFunction if self.sign == 1 else DualFunctional
-        if not isinstance(self.payload, want):
+        want = ClassFunction if sign == 1 else DualFunctional
+        if not isinstance(payload, want):
             raise HeisenbergError(f"payload must be a {want.__name__}")
-        g, m = self.payload.group, self.mode
+        g, m = payload.group, mode
         labels = range(len(g.weights))
-        if self.sign == 1:
-            omega = omega_n(self.payload, m).coeffs
+        if sign == 1:
+            omega = omega_n(payload, m).coeffs
             coeffs = (omega.get(n_cycle_type(c, m), 0) for c in labels)
         else:
-            coeffs = (self.payload.pair(sigma_basis(g, c)) * m
-                      for c in labels)
-        object.__setattr__(self, "_form", tuple(
-            (c, n_cycle_type(c, m), x)
-            for c, x in enumerate(coeffs) if x))
+            coeffs = (payload.pair(sigma_basis(g, c)) * m for c in labels)
+        self._form = tuple((c, n_cycle_type(c, m), x)
+                           for c, x in enumerate(coeffs) if x)
+
+    def __repr__(self):
+        return (f"HeisenbergOp(sign={self.sign!r}, mode={self.mode!r}, "
+                f"payload={self.payload!r})")
 
     def __call__(self, u: FockElement) -> FockElement:
         if u.group is not self.payload.group:
@@ -275,7 +275,6 @@ def irreducibility_check(group: FiniteGroup, max_degree: int) -> bool:
 _SPACES: dict[tuple[int, int], "SuperFockSpace"] = {}
 
 
-@dataclass(frozen=True, eq=False)
 class SuperFockSpace(LabelSpace):
     """S(direct sum over r >= 1 of W[r]) for W of dimension (d0 | d1): the
     labels 0..d0-1 (even) and d0..d0+d1-1 (odd), all of weight 1.  Its
@@ -284,20 +283,18 @@ class SuperFockSpace(LabelSpace):
     built and checked on first use, as `WreathType` interns its parts: so
     equality and hash are identity, and copies return the interned object."""
 
-    d0: int
-    d1: int
-
     def __new__(cls, d0: int, d1: int):
-        # the dataclass __init__ then sets d0 and d1 again, to their values
         self = _SPACES.get((d0, d1))
         if self is None:
             if min(d0, d1) < 0:
                 raise HeisenbergError(f"no super space ({d0}|{d1})")
             self = _SPACES[d0, d1] = super().__new__(cls)
-            for name, v in (("odd", d0), ("weights", (1,) * (d0 + d1)),
-                            ("name", f"({d0}|{d1})")):
-                object.__setattr__(self, name, v)
+            self.d0, self.d1, self.odd = d0, d1, d0
+            self.weights, self.name = (1,) * (d0 + d1), f"({d0}|{d1})"
         return self
+
+    def __repr__(self):
+        return f"SuperFockSpace(d0={self.d0}, d1={self.d1})"
 
     def __reduce__(self):
         return SuperFockSpace, (self.d0, self.d1)

@@ -2,14 +2,17 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    witness: str | None = None
+    __slots__ = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: str | None = None):
+        self.name, self.passed, self.witness = name, passed, witness
+
+    def __repr__(self):
+        return (f"CheckResult(name={self.name!r}, passed={self.passed!r}, "
+                f"witness={self.witness!r})")
 
     def to_json_obj(self):
         obj = {"name": self.name, "status": "pass" if self.passed else "fail"}
@@ -18,13 +21,14 @@ class CheckResult:
         return obj
 
 
-@dataclass
 class Report:
     """Deterministic run report: serialized output is byte-stable across
     runs."""
 
-    command: str
-    checks: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("command", "checks")
+
+    def __init__(self, command: str):
+        self.command, self.checks = command, []
 
     def add(self, name: str, passed: bool, witness: str | None = None):
         self.checks.append(CheckResult(name, passed, witness))

@@ -6,11 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wreathfock import groups
 from wreathfock.cli import main, parse_group, parse_gset
 from wreathfock.fock import graded_dim
-from wreathfock.groups import GroupError, symmetric
+from wreathfock.groups import GroupError, cyclic, symmetric
 
 
 class TestParsing:
@@ -246,6 +248,60 @@ class TestFileIngestion:
                      "--gset", str(gset), "-N", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+# JSON values of at most 6 x 6, with the keys a group file is read by; a
+# permutation degree is at most 5, so a valid file has at most 120 elements
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 5) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(
+        st.sampled_from(["order", "table", "degree", "generators"])
+        | st.text(max_size=3), inner, max_size=4),
+    max_leaves=36)
+
+
+@st.composite
+def near_miss_groups(draw):
+    """{"order", "table"} one to three edits from a group of order <= 6:
+    entries changed, a row or a column dropped, the order off or a
+    string."""
+    table = [list(row) for row in draw(st.sampled_from(
+        [cyclic(n).table for n in range(1, 7)] + [symmetric(3).table]))]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(table))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.integers(-1, 6))
+    cut = draw(st.sampled_from(["none", "row", "column"]))
+    if cut != "none" and len(table) > 1:
+        for row in table if cut == "column" else [table]:
+            del row[draw(st.integers(0, len(row) - 1))]
+    order = draw(st.sampled_from([len(table), len(table) + 1, "2", None]))
+    return {"table": table} if order is None else \
+        {"order": order, "table": table}
+
+
+@st.composite
+def group_files(draw):
+    """A JSON value or a near miss, one time in four cut short, so that it
+    is mostly not JSON."""
+    text = json.dumps(draw(st.one_of(json_values, near_miss_groups())))
+    if draw(st.integers(0, 3)) == 0:
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=group_files())
+def test_group_file_fuzz_exits_0_or_2(text, tmp_path, capsys):
+    """Whatever a --group file holds, `group info` reads it as a group
+    (exit 0) or refuses it with one error line (exit 2): no traceback."""
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code = main(["group", "info", "--group", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 2) and "Traceback" not in err
+    assert (err == "") == (code == 0)
 
 
 GOLDEN = Path(__file__).parent / "golden"

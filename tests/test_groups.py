@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathfock.groups import (ClassFunction, DualFunctional, FiniteGroup,
-                               GroupError, adams_psi,
+                               GroupError, SubgroupEmbedding, adams_psi,
                                all_subgroup_element_sets, binary_dihedral,
                                binary_octahedral, builtin, closure, cyclic,
                                dihedral, group_from_cayley_json,
@@ -17,7 +17,9 @@ from wreathfock.groups import (ClassFunction, DualFunctional, FiniteGroup,
                                mackey_verify, orbits, restrict_cf,
                                sigma_basis, sl2_f3, subgroup_from_elements,
                                symmetric, trivial_character, trivial_group)
-from wreathfock.scalars import Scalar, conj
+from wreathfock.gsets import GSet, regular_gset
+from wreathfock.heisenberg import SuperFockSpace, a_minus, a_plus
+from wreathfock.scalars import Cyclotomic, Scalar, conj
 
 def regular_character(group: FiniteGroup) -> ClassFunction:
     vals = [0] * group.num_classes
@@ -191,6 +193,64 @@ class TestClassFunctions:
         induced = induce_cf(a3, ClassFunction.from_rationals(
             a3.source, [1] + [0] * (a3.source.num_classes - 1)))
         assert induced.values[0] == 2 and type(induced.values[0]) is int
+
+    @pytest.mark.parametrize("make", [
+        lambda: sigma_basis(cyclic(3), -1),
+        lambda: DualFunctional.delta(cyclic(3), 7),
+        lambda: sigma_basis(SuperFockSpace(1, 1), 2),
+    ], ids=["sigma-negative", "delta-past-end", "super-sigma-past-end"])
+    def test_label_outside_the_space_is_refused(self, make):
+        """A label is one of 0..len(weights)-1: a negative one does not
+        wrap round to the last class, and one past the end is not a zero
+        functional or a bare IndexError."""
+        with pytest.raises(GroupError, match="no label"):
+            make()
+
+
+# (two constructions with equal fields, one with a field changed)
+VALUE_CLASSES = {
+    "ClassFunction": lambda: (sigma_basis(cyclic(3), 1),
+                              ClassFunction(cyclic(3), (0, 3, 0)),
+                              ClassFunction(cyclic(3), (0, 0, 3))),
+    "DualFunctional": lambda: (DualFunctional.delta(cyclic(3), 1),
+                               DualFunctional(cyclic(3), (0, 1, 0)),
+                               DualFunctional(cyclic(4), (0, 1, 0, 0))),
+    "GSet": lambda: (regular_gset(cyclic(2)),
+                     GSet(cyclic(2), 2, ((0, 1), (1, 0)), name="regular"),
+                     GSet(cyclic(2), 2, ((0, 1), (1, 0)))),
+    "SubgroupEmbedding": lambda: (
+        SubgroupEmbedding(cyclic(2), symmetric(3), (0, 1)),
+        SubgroupEmbedding(cyclic(2), symmetric(3), (0, 1)),
+        SubgroupEmbedding(cyclic(2), symmetric(3), (0, 2))),
+    "HeisenbergOp": lambda: (a_plus(2, sigma_basis(cyclic(3), 1)),
+                             a_plus(2, ClassFunction(cyclic(3), (0, 3, 0))),
+                             a_plus(1, sigma_basis(cyclic(3), 1))),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_CLASSES)
+def test_equal_fields_give_equal_values(name):
+    """Equal fields compare equal and hash equal, as the cache keys
+    (`GSet`, `ClassFunction`) need; a changed field compares unequal."""
+    a, same, other = VALUE_CLASSES[name]()
+    assert a is not same and type(a).__name__ == name
+    assert a == same and hash(a) == hash(same) and not a != same
+    assert a != other and not a == other
+
+
+def test_reprs_are_pinned():
+    """The field-by-field reprs that a witness or a test may print."""
+    w = Cyclotomic.root(3)
+    assert repr(DualFunctional.delta(cyclic(3), 1)) == \
+        "DualFunctional(group=FiniteGroup(Z3, order=3, classes=3), " \
+        "coeffs=(0, 1, 0))"
+    assert repr(DualFunctional(cyclic(3), (w, Fraction(2), w * w - w))) == \
+        "DualFunctional(group=FiniteGroup(Z3, order=3, classes=3), " \
+        "coeffs=(Cyc(1*z^1; m=3), Fraction(2, 1), Cyc(-1*z^0 + -2*z^1; m=3)))"
+    eta = DualFunctional.delta(SuperFockSpace(1, 1), 1)
+    assert repr(a_minus(1, eta)) == \
+        "HeisenbergOp(sign=-1, mode=1, payload=DualFunctional(" \
+        "group=SuperFockSpace(d0=1, d1=1), coeffs=(0, 1)))"
 
 
 class TestInductionRestriction:

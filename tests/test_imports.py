@@ -1,6 +1,10 @@
-"""Static hygiene: no module of the package imports a name it never uses,
-and no public function or class lives in the package only for tests."""
+"""Import hygiene: no module of the package imports a name it never uses,
+no public function or class lives in the package only for tests, and
+start-up loads no module that only a dataclass needs."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +105,17 @@ def test_no_definition_lives_only_for_tests():
     assert names - ENTRY_POINTS == set(), unused
     # an entry point that gained a caller leaves the list
     assert ENTRY_POINTS - names == set()
+
+
+def test_cli_start_up_loads_no_dataclasses_or_inspect():
+    """Every command pays its imports first: `import wreathfock.cli` loads
+    neither `dataclasses` nor `inspect` (which brings ast, dis and
+    tokenize).  -S keeps a site hook from loading them before the package."""
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import wreathfock.cli; import sys; print(sorted(sys.modules))"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent))).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "wreathfock.cli" in loaded
+    assert loaded & {"dataclasses", "inspect"} == set()

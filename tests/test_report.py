@@ -21,6 +21,15 @@ from wreathfock.scalars import Cyclotomic
 from test_heisenberg import z3_commutators
 
 
+def test_check_result_repr_is_pinned():
+    rep = Report("r")
+    rep.add("a", True)
+    rep.add("b", False, "w=1")
+    assert [repr(c) for c in rep.checks] == [
+        "CheckResult(name='a', passed=True, witness=None)",
+        "CheckResult(name='b', passed=False, witness='w=1')"]
+
+
 def test_check_stops_at_first_failure():
     seen, witnessed = [], []
 
@@ -291,7 +300,7 @@ WORK = {
     "commutator_check": (lambda: commutator_check(cyclic(2), 3, 2), {
         "HeisenbergOp.__call__": 1152, "fock_mul": 0,
         "Cyclotomic.__mul__": 0, "_create": 576, "_sign": 0,
-        "FockElement.__post_init__": 1246}),
+        "FockElement.__init__": 1246}),
     "hopf_verify": (lambda: hopf_verify(cyclic(2), 3), {
         "HeisenbergOp.__call__": 0, "fock_mul": 195,
         "Cyclotomic.__mul__": 0, "_create": 0, "_sign": 0}),
@@ -301,7 +310,7 @@ WORK = {
     "sf_commutator_check": (lambda: sf_commutator_check(1, 1, 3, 2), {
         "HeisenbergOp.__call__": 1200, "fock_mul": 0,
         "Cyclotomic.__mul__": 0, "_create": 600, "_sign": 250,
-        "FockElement.__post_init__": 1219}),
+        "FockElement.__init__": 1219}),
 }
 
 
@@ -319,8 +328,8 @@ def test_verify_work_is_pinned(suite, monkeypatch):
     _count_calls(monkeypatch, counts, heisenberg, "_create", "_create")
     _count_calls(monkeypatch, counts, heisenberg, "_sign", "_sign")
     _count_calls(monkeypatch, counts, fock, "fock_mul", "fock_mul")
-    _count_calls(monkeypatch, counts, FockElement, "__post_init__",
-                 "FockElement.__post_init__")
+    _count_calls(monkeypatch, counts, FockElement, "__init__",
+                 "FockElement.__init__")
     assert run().all_passed
     assert {k: counts[k] for k in want} == want
 
