@@ -20,15 +20,16 @@ and `DualFunctional.delta(space, c)` give the generator at label c.  Both
 carry the Koszul sign of `_sign`.  An evaluation-style restriction oracle
 is the independent cross-check on F_G.
 What an operator needs apart from the vector it acts on, its form, is
-computed once, when the operator is built; both relation checks compute
-the image of every basis vector under every operator once, in `_image_table`,
-and `_bracket_is` compares each bracket with its value term by term.
+computed once, when the operator is built.  One `relation_check` checks
+Eq. (24)-(26) on any label space: the image of every basis vector under
+every operator is computed once, in `_image_table`, and `_bracket_is`
+compares each bracket with its value term by term.
 """
 from __future__ import annotations
 
 from operator import attrgetter
 
-from .fock import FockElement, sigma_rho
+from .fock import FockElement
 from .groups import (ByValue, ClassFunction, DualFunctional, FiniteGroup,
                      GroupError, LabelSpace, sigma_basis)
 from .lambda_ops import omega_n
@@ -199,73 +200,96 @@ def a_minus_oracle(m: int, eta: DualFunctional,
     return FockElement.from_values(g, out)
 
 
-# -- verification on F_G ----------------------------------------------------
+# -- the relations on any label space ----------------------------------------
 
-def commutator_check(group: FiniteGroup, max_degree: int,
-                     max_mode: int) -> Report:
-    """Eq. (24)-(26) on the sigma^rho spanning set with basis payloads.
-    Each operator is applied to each basis vector once, up front; each
-    relation applies one more operator to those images.  Like operators
-    are checked once per unordered pair of distinct operators."""
-    g = group
-    rep = Report(f"commutator_check({g.name}, N={max_degree}, M={max_mode})")
-    basis = [sigma_rho(g, rho)
+def relation_check(rep: Report, space: LabelSpace, max_degree: int,
+                   max_mode: int, eq24: str, like, names):
+    """Eq. (24)-(26) on the sigma^rho of degree <= max_degree, for the basis
+    payloads of modes <= max_mode, as rows of `rep`: `eq24`, whose witness
+    names labels c, c' by `names(c, c')`, and per (name, kinds) in `like`
+    the super-commutators of those kinds, each unordered pair once; an
+    operator meets itself only at an odd label, where a^2 = 0 is a real
+    check (at an even one [a, a] = 0 by construction).  Returns the basis
+    and the annihilation table for the caller's own rows."""
+    labels = range(len(space.weights))
+    if max_mode < 1 or max_degree < 0 or not labels:
+        raise HeisenbergError(f"no relations to check on {space.name} at "
+                              f"N={max_degree}, M={max_mode}")
+    basis = [FockElement(space, {rho: 1})
              for n in range(max_degree + 1)
-             for rho in enumerate_types(g, n)]
-    classes = range(g.num_classes)
-    etas = [DualFunctional.delta(g, c) for c in classes]
-    vees = [sigma_basis(g, c) for c in classes]
+             for rho in enumerate_types(space, n)]
+    etas = [DualFunctional.delta(space, c) for c in labels]
+    vees = [sigma_basis(space, c) for c in labels]
     pairings = [[eta.pair(v) for v in vees] for eta in etas]
     modes = range(1, max_mode + 1)
-    downs = _image_table(modes, basis, a_minus, etas)
-    ups = _image_table(modes, basis, a_plus, vees)
     pairs = [(m, l) for m in modes for l in modes]
+    ops = {"create": _image_table(modes, basis, a_plus, vees),
+           "annihilate": _image_table(modes, basis, a_minus, etas)}
 
     def bracket_is(a, b, x):
         """Whether [a, b] = x on every basis vector."""
-        return all(_bracket_is(g, a, b, i, x, u) for i, u in enumerate(basis))
+        return all(_bracket_is(space, a, b, i, x, u)
+                   for i, u in enumerate(basis))
 
-    rep.check("Eq. (24): [a_-m(eta), a_l(V)] = l delta_ml <eta,V>",
-              ((m, l, ci, cj) for m, l in pairs for ci in classes
-               for cj in classes),
-              lambda m, l, ci, cj: bracket_is(
-                  downs[m, ci], ups[l, cj],
-                  pairings[ci][cj] * (l if m == l else 0)),
-              lambda m, l, ci, cj: f"m={m},l={l},c={ci},c'={cj}")
+    rep.check(eq24,
+              ((m, l, ce, cw) for m, l in pairs for ce in labels
+               for cw in labels),
+              lambda m, l, ce, cw: bracket_is(
+                  ops["annihilate"][m, ce], ops["create"][l, cw],
+                  pairings[ce][cw] * (l if m == l else 0)),
+              lambda m, l, ce, cw: f"m={m},l={l},{names(ce, cw)}")
+    for name, kinds in like:
+        rep.check(name,
+                  ((kind, m, l, ops[kind][m, c1], ops[kind][l, c2])
+                   for m, l in pairs for c1 in labels for c2 in labels
+                   if (m, c1) < (l, c2) or (m, c1) == (l, c2)
+                   and c1 >= space.odd
+                   for kind in kinds),
+                  lambda kind, m, l, a, b: bracket_is(a, b, 0),
+                  lambda kind, m, l, *_: f"{kind} m={m},l={l}"
+                  if len(kinds) > 1 else f"m={m},l={l}")
+    return basis, ops["annihilate"]
 
-    for label, ops in (("Eq. (25): creation", ups),
-                       ("Eq. (26): annihilation", downs)):
-        rep.check(f"{label} operators commute",
-                  ((m, l, ci, cj) for m, l in pairs for ci in classes
-                   for cj in classes if (m, ci) < (l, cj)),
-                  lambda m, l, ci, cj: bracket_is(ops[m, ci], ops[l, cj], 0),
-                  lambda m, l, *_: f"m={m},l={l}")
 
+def commutator_check(group: FiniteGroup, max_degree: int,
+                     max_mode: int) -> Report:
+    """The relations on F_G, with Eq. (25) and (26) as two rows, and the
+    annihilation operators against the evaluation-restriction oracle."""
+    g = group
+    rep = Report(f"commutator_check({g.name}, N={max_degree}, M={max_mode})")
+    basis, downs = relation_check(
+        rep, g, max_degree, max_mode,
+        "Eq. (24): [a_-m(eta), a_l(V)] = l delta_ml <eta,V>",
+        (("Eq. (25): creation operators commute", ("create",)),
+         ("Eq. (26): annihilation operators commute", ("annihilate",))),
+        lambda ci, cj: f"c={ci},c'={cj}")
     rep.check("annihilation matches evaluation-restriction oracle",
-              ((m, u, eta, downs[m, ci][2][i]) for m in modes
-               for ci, eta in enumerate(etas) for i, u in enumerate(basis)),
+              ((m, u, op.payload, images[i])
+               for (m, _), (op, _, images) in downs.items()
+               for i, u in enumerate(basis)),
               lambda m, u, eta, image: image.equals(
                   a_minus_oracle(m, eta, u)),
               lambda m, u, *_: f"m={m},deg={u.degree}")
     return rep
 
 
-def irreducibility_check(group: FiniteGroup, max_degree: int) -> bool:
-    """Monomials in the a_m(sigma_c) applied to the vacuum span each
-    graded piece: rank equals dim C(G_n) per degree.  The monomial over the
-    parts of rho must give exactly sigma^rho; equality with the basis is the
-    whole test, since the sigma^rho of degree n are linearly independent
-    and there are dim C(G_n) of them."""
-    g = group
-    ups = {(r, c): a_plus(r, sigma_basis(g, c))
-           for r in range(1, max_degree + 1) for c in range(g.num_classes)}
+def irreducibility_check(space: LabelSpace, max_degree: int) -> bool:
+    """Monomials in the a_m(sigma_c) applied to the vacuum span each graded
+    piece: the creations over the parts of rho, in reverse canonical order
+    so that each lands in front with Koszul sign +1, give exactly sigma^rho,
+    and the sigma^rho of degree n are a basis of that piece."""
+    if max_degree < 0:
+        raise HeisenbergError("max_degree must be >= 0")
+    ups = {(r, c): a_plus(r, sigma_basis(space, c))
+           for r in range(1, max_degree + 1)
+           for c in range(len(space.weights))}
     for n in range(max_degree + 1):
-        for rho in enumerate_types(g, n):
-            vec = vacuum(g)
-            for c, lam in rho.parts:
-                for r in lam:
+        for rho in enumerate_types(space, n):
+            vec = vacuum(space)
+            for c, lam in reversed(rho.parts):
+                for r in reversed(lam):
                     vec = ups[r, c](vec)
-            if not vec.equals(sigma_rho(g, rho)):
+            if not vec.equals(FockElement(space, {rho: 1})):
                 return False
     return True
 
@@ -308,50 +332,19 @@ class SuperFockSpace(LabelSpace):
 
 def sf_commutator_check(d0: int, d1: int, max_degree: int,
                         max_mode: int) -> Report:
-    """Theorem 5.1 super relations on SuperFockSpace(d0, d1): commutators,
-    with anticommutators on odd-odd pairs, plus the graded dimension.  A
-    witness names a label by its generator (parity, index)."""
+    """Theorem 5.1 super relations on SuperFockSpace(d0, d1), Eq. (25) and
+    (26) as one row, plus the graded dimension.  A witness names a label
+    by its generator (parity, index)."""
     space = SuperFockSpace(d0, d1)
     rep = Report(f"sf_commutator_check({d0},{d1}, N={max_degree}, M={max_mode})")
-    by_degree = [enumerate_types(space, n) for n in range(max_degree + 1)]
-    # the super operators have integer coefficients
-    basis = [FockElement(space, {rho: 1})
-             for types in by_degree for rho in types]
     gens = space.generators()
-    labels = range(len(gens))
-
-    modes = range(1, max_mode + 1)
-    pairs = [(m, l) for m in modes for l in modes]
-    ops = {"create": _image_table(modes, basis, a_plus,
-                                  [sigma_basis(space, c) for c in labels]),
-           "annihilate": _image_table(
-               modes, basis, a_minus,
-               [DualFunctional.delta(space, c) for c in labels])}
-
-    def eq24(m, l, ce, cw):
-        down, up = ops["annihilate"][m, ce], ops["create"][l, cw]
-        x = l if (m, ce) == (l, cw) else 0
-        return all(_bracket_is(space, down, up, i, x, u)
-                   for i, u in enumerate(basis))
-
-    rep.check("super Eq. (24): [a_-m(eta), a_l(w)] = l delta delta",
-              ((m, l, ce, cw) for m, l in pairs for ce in labels
-               for cw in labels),
-              eq24,
-              lambda m, l, ce, cw: f"m={m},l={l},eta={gens[ce]},w={gens[cw]}")
-
-    # each unordered pair once; the diagonal stays, since a^2 = 0 for an
-    # odd generator is a real check
-    rep.check("super Eq. (25)/(26): like operators super-commute",
-              ((kind, m, l, c1, c2, i) for m, l in pairs for c1 in labels
-               for c2 in labels if (m, c1) <= (l, c2)
-               for i in range(len(basis))
-               for kind in ("create", "annihilate")),
-              lambda kind, m, l, c1, c2, i: _bracket_is(
-                  space, ops[kind][m, c1], ops[kind][l, c2], i, 0, basis[i]),
-              lambda kind, m, l, *_: f"{kind} m={m},l={l}")
-
-    counts = [len(types) for types in by_degree]
+    relation_check(
+        rep, space, max_degree, max_mode,
+        "super Eq. (24): [a_-m(eta), a_l(w)] = l delta delta",
+        (("super Eq. (25)/(26): like operators super-commute",
+          ("create", "annihilate")),),
+        lambda ce, cw: f"eta={gens[ce]},w={gens[cw]}")
+    counts = [len(enumerate_types(space, n)) for n in range(max_degree + 1)]
     want = graded_dim_series(d0, d1, max_degree)
     rep.check("graded dimension matches (1+q^r)^d1/(1-q^r)^d0",
               enumerate(counts),

@@ -286,6 +286,29 @@ class TestSuperFock:
         with pytest.raises(HeisenbergError):
             sf_commutator_check(d0, d1, 3, 2)
 
+    @pytest.mark.parametrize("check", [
+        lambda: commutator_check(cyclic(2), 3, 0),
+        lambda: commutator_check(cyclic(2), -1, 2),
+        lambda: sf_commutator_check(0, 0, 3, 2),
+        lambda: sf_commutator_check(1, 1, 3, 0),
+        lambda: sf_commutator_check(1, 1, -1, 2),
+        lambda: irreducibility_check(cyclic(2), -1),
+        lambda: irreducibility_check(SuperFockSpace(1, 1), -1),
+    ], ids=["no-modes", "negative-degree", "no-labels", "super-no-modes",
+            "super-negative-degree", "irreducibility-negative-degree",
+            "super-irreducibility-negative-degree"])
+    def test_vacuous_checks_refused(self, check):
+        """A relation check with no mode, no degree or no label would pass
+        every row with zero cases; it is refused instead."""
+        with pytest.raises(HeisenbergError):
+            check()
+
+    @pytest.mark.parametrize("d0,d1", [(0, 1), (1, 1), (2, 2), (0, 3)])
+    def test_vacuum_is_cyclic(self, d0, d1):
+        """The creation monomials on the vacuum give each basis vector
+        sigma^rho, with sign +1, up to degree 5."""
+        assert irreducibility_check(SuperFockSpace(d0, d1), 5)
+
     @pytest.mark.parametrize("d0,d1", [(1, 0), (0, 1), (1, 1), (2, 1)])
     def test_value_api_uses_unit_weights(self, d0, d1):
         """On super vectors, value, from_values and inner read
