@@ -24,7 +24,8 @@ from .scalars import ScalarError, euler_product, graded_dim_series
 from .wreath import (WreathError, brute_force_classes, decode_element,
                      enumerate_types, type_counts, type_of, z_rho)
 
-LIMIT = 50_000  # default --limit; also bounds series graded-dim
+LIMIT = 50_000  # default --limit; also bounds series graded-dim --group
+MAX_SERIES_DEGREE = 2_000  # the q-series recurrence is quadratic in -N
 
 _ERRORS = (GroupError, GSetError, WreathError, ScalarError, ValueError,
            OSError)
@@ -143,11 +144,14 @@ def cmd_wreath(args) -> int:
 def cmd_series(args) -> int:
     if args.what == "mckay":
         return _emit_report(mckay_table(), args.format)
-    if args.what == "euler-product":
-        coeffs = euler_product(args.e, args.max_degree)
-    elif args.group is not None:
+    if args.what == "graded-dim" and args.group is not None:
         # exit 2 above LIMIT
         coeffs = type_counts(parse_group(args.group), args.max_degree, LIMIT)
+    elif args.max_degree > MAX_SERIES_DEGREE:
+        raise ValueError(f"-N must be <= {MAX_SERIES_DEGREE}, "
+                         f"got {args.max_degree}")
+    elif args.what == "euler-product":
+        coeffs = euler_product(args.e, args.max_degree)
     else:
         coeffs = graded_dim_series(args.d0, args.d1, args.max_degree)
     print(" ".join(map(str, coeffs)))
@@ -223,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d0", type=int, default=1)
     p.add_argument("--d1", type=int, default=0)
     p.add_argument("--group", help="for graded-dim: count types of this group")
-    p.add_argument("-N", "--max-degree", type=int, default=5)
+    p.add_argument("-N", "--max-degree", type=int, default=5,
+                   help=f"highest degree; at most {MAX_SERIES_DEGREE} "
+                        "except for graded-dim --group")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_series)
 

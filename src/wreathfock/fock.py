@@ -22,16 +22,16 @@ A coefficient is an ``int`` where it is an integer, a ``Fraction`` after a
 division, and a ``Cyclotomic`` when it is irrational.  The structure
 constants are integers (merged monomials, binomial counts, signs), so
 sigma^rho, the unit and everything the Hopf operations make of them stay
-``int``; every division goes through `scalars.div`, so none is a float.
+``int``; every division goes through `scalars.div`, so none is a float,
+and an integral quotient is an ``int``.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from .groups import FiniteGroup, LabelSpace
 from .linalg import matrix_rank
@@ -118,6 +118,10 @@ class FockElement:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, d) -> "FockElement":
+        return FockElement(self.group,
+                           {k: div(v, d) for k, v in self.coeffs.items()})
+
     def star(self, other: "FockElement") -> "FockElement":
         """Typewise product of values (tensor product of G_n
         representations)."""
@@ -135,9 +139,6 @@ class FockElement:
 
     def equals(self, other: "FockElement") -> bool:
         return self.group is other.group and self.coeffs == other.coeffs
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __repr__(self):
         inner = ", ".join(f"{k!r}: {v!r}" for k, v in self.coeffs.items())
@@ -204,6 +205,16 @@ def fock_mul(u: FockElement, v: FockElement,
     if nu is None or nv is None:
         nu, nv = (1, u.coeffs), (1, v.coeffs)
     (du, left), (dv, right) = nu, nv
+    out = _merge(left, right, max_degree)
+    d = du * dv
+    if d != 1:
+        out = {rho: div(x, d) for rho, x in out.items()}
+    return FockElement(u.group, out)
+
+
+def _merge(left: dict, right: dict, max_degree: int | None) -> dict:
+    """The product of two coefficient maps, sigma^rho sigma^tau =
+    sigma^(rho u tau), without degrees past max_degree; zeros are kept."""
     by_degree: dict[int, list] = {}
     for tau, b in right.items():
         by_degree.setdefault(tau.degree, []).append((tau, b))
@@ -216,26 +227,26 @@ def fock_mul(u: FockElement, v: FockElement,
             for tau, b in terms:
                 key = unions[tau]
                 out[key] = out.get(key, 0) + a * b
-    d = du * dv
-    if d != 1:
-        out = {rho: div(x, d) for rho, x in out.items()}
-    return FockElement(u.group, out)
+    return out
 
 
 def fock_exp(u: FockElement, max_degree: int) -> FockElement:
-    """exp inside F_G of an element with no degree-0 part, truncated."""
+    """exp inside F_G of an element u = v/d with no degree-0 part,
+    truncated: sum_k v^k d^(N-k) N!/k! over one denominator d^N N!.  With
+    a Cyclotomic coefficient d = 1 and v = u, as in `fock_mul`."""
     if EMPTY_TYPE in u.coeffs:
         raise FockError("fock_exp needs vanishing degree-0 component")
-    out = FockElement.unit(u.group)
-    power = FockElement.unit(u.group)
-    fact = 1
-    for k in range(1, max_degree + 1):
-        power = fock_mul(power, u, max_degree=max_degree)
-        fact *= k
-        out = out + power * Fraction(1, fact)
-        if power.is_zero():
-            break
-    return out
+    d, v = _numerators(u.coeffs) or (1, u.coeffs)
+    n = max_degree
+    denom = weight = d ** n * factorial(n)
+    power, out = {EMPTY_TYPE: 1}, {EMPTY_TYPE: denom}
+    for k in range(1, n + 1):
+        power = _merge(power, v, n)     # v^k
+        weight //= d * k                # d^(N-k) N!/k!
+        for rho, x in power.items():
+            out[rho] = out.get(rho, 0) + x * weight
+    return FockElement(u.group, {rho: div(x, denom)
+                                 for rho, x in out.items()})
 
 
 @lru_cache(maxsize=None)

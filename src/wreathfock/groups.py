@@ -10,7 +10,6 @@ and integer values stay ``int``s.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
@@ -206,6 +205,28 @@ def _check_associative(table) -> list[int]:
     return gens
 
 
+def _cayley_table(elems, gens, mul) -> list[tuple[int, ...]]:
+    """The Cayley table of the group on elems (identity first) that gens
+    generate: right multiplication by each generator takes |G||S|
+    products, and then a breadth-first spanning tree from the identity
+    fills column z = y s from column y, as x z = (x y) s, by lookups only.
+    Raises GroupError if the generators do not reach every element."""
+    index = {x: i for i, x in enumerate(elems)}
+    right = [[index[mul(x, s)] for x in elems] for s in gens]
+    cols = {0: range(len(elems))}
+    queue = [0]
+    for y in queue:
+        col = cols[y]
+        for r in right:
+            z = r[y]
+            if z not in cols:
+                cols[z] = [r[v] for v in col]
+                queue.append(z)
+    if len(cols) != len(elems):
+        raise GroupError(f"generators reach {len(cols)} of {len(elems)}")
+    return list(zip(*(cols[z] for z in range(len(elems)))))
+
+
 def json_rows(value, what: str, error=GroupError) -> list[list[int]]:
     """A JSON value that must be a list of lists of integers."""
     if not (isinstance(value, list) and all(
@@ -245,9 +266,8 @@ def group_from_permutations(generators, degree: int, limit: int = 100_000,
     elems = closure([ident], [lambda p, g=g: tuple(p[i] for i in g)
                               for g in gens], limit)
     ordered = [ident] + sorted(elems - {ident})
-    index = {p: i for i, p in enumerate(ordered)}
-    table = [[index[tuple(a[b[i]] for i in range(degree))] for b in ordered]
-             for a in ordered]
+    table = _cayley_table(ordered, gens,
+                          lambda a, b: tuple([a[i] for i in b]))
     return FiniteGroup(table, name=name)
 
 
@@ -277,11 +297,10 @@ def cyclic(n: int) -> FiniteGroup:
 def symmetric(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError("symmetric(n) needs n >= 1")
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(a[b[i]] for i in range(n))] for b in perms]
-             for a in perms]
-    return FiniteGroup(table, name=f"S{n}")
+    gens = [(*range(1, n), 0)]              # the n-cycle
+    if n > 1:
+        gens.append((1, 0, *range(2, n)))   # and a transposition
+    return group_from_permutations(gens, n, name=f"S{n}")
 
 
 @lru_cache(maxsize=None)
@@ -298,8 +317,7 @@ def dihedral(n: int) -> FiniteGroup:
         return ((k - l) % n, 1 - d)
 
     elems = [(k, e) for e in (0, 1) for k in range(n)]
-    index = {x: i for i, x in enumerate(elems)}
-    table = [[index[mul(a, b)] for b in elems] for a in elems]
+    table = _cayley_table(elems, [(1, 0), (0, 1)], mul)
     return FiniteGroup(table, name=f"D{n}")
 
 
@@ -321,31 +339,23 @@ def binary_dihedral(m: int) -> FiniteGroup:
         return ((k - l + m) % n, 0)
 
     elems = [(k, e) for e in (0, 1) for k in range(n)]
-    index = {x: i for i, x in enumerate(elems)}
-    table = [[index[mul(a, b)] for b in elems] for a in elems]
+    table = _cayley_table(elems, [(1, 0), (0, 1)], mul)
     return FiniteGroup(table, name=f"BD{m}")
 
 
 def _sl2(p: int, name: str) -> FiniteGroup:
-    mats = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p == 1:
-                        mats.append((a, b, c, d))
-    ident = (1, 0, 0, 1)
-    mats = [ident] + sorted(m for m in mats if m != ident)
-    index = {m: i for i, m in enumerate(mats)}
-
     def mul(x, y):
         a, b, c, d = x
         e, f, g, h = y
         return ((a * e + b * g) % p, (a * f + b * h) % p,
                 (c * e + d * g) % p, (c * f + d * h) % p)
 
-    table = [[index[mul(x, y)] for y in mats] for x in mats]
-    return FiniteGroup(table, name=name)
+    # S = [[0, -1], [1, 0]] and T = [[1, 1], [0, 1]] generate SL2(F_p)
+    gens = [(0, p - 1, 1, 0), (1, 1, 0, 1)]
+    ident = (1, 0, 0, 1)
+    mats = closure([ident], [lambda x, s=s: mul(x, s) for s in gens])
+    ordered = [ident] + sorted(mats - {ident})
+    return FiniteGroup(_cayley_table(ordered, gens, mul), name=name)
 
 
 @lru_cache(maxsize=None)
@@ -396,9 +406,7 @@ def binary_octahedral() -> FiniteGroup:
     if len(elems) != 48:
         raise GroupError(f"binary octahedral closure has size {len(elems)}")
     ordered = [ident] + sorted(elems - {ident})
-    index = {q: k for k, q in enumerate(ordered)}
-    table = [[index[qmul(x, y)] for y in ordered] for x in ordered]
-    return FiniteGroup(table, name="BO48")
+    return FiniteGroup(_cayley_table(ordered, gens, qmul), name="BO48")
 
 
 _BUILTIN_PARAMETRIC = {
@@ -717,9 +725,17 @@ def mackey_check(g: FiniteGroup, emb_h: SubgroupEmbedding,
                  emb_l: SubgroupEmbedding, f: ClassFunction) -> bool:
     """Res_L Ind_H^G f = sum over double cosets of Ind_{H_s}^L f^s."""
     lhs = restrict_cf(emb_l, induce_cf(emb_h, f))
-    l = emb_l.source
-    rhs = ClassFunction.zero(l)
-    for s in double_cosets(g, emb_h, emb_l):
-        emb_hs, transport = conjugate_subgroup_data(g, emb_h, emb_l, s)
+    rhs = ClassFunction.zero(emb_l.source)
+    for emb_hs, transport in _mackey_terms(g, emb_h, emb_l):
         rhs = rhs + induce_cf(emb_hs, transport(f))
     return lhs.equals(rhs)
+
+
+@lru_cache(maxsize=1)
+def _mackey_terms(g: FiniteGroup, emb_h: SubgroupEmbedding,
+                  emb_l: SubgroupEmbedding) -> tuple:
+    """`conjugate_subgroup_data` for every double coset of H\\G/L, built
+    once per pair (H, L): mackey_verify checks the classes of H one after
+    another for each pair."""
+    return tuple(conjugate_subgroup_data(g, emb_h, emb_l, s)
+                 for s in double_cosets(g, emb_h, emb_l))

@@ -12,7 +12,6 @@ oracle.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from .fock import (FockElement, fock_exp, fock_mul, sigma_r_c, sigma_rho,
@@ -71,8 +70,7 @@ def phi_n(v: ClassFunction, n: int) -> FockElement:
     power = boxtimes_power(v, n)
     total = FockElement.zero(g)
     for c in range(g.num_classes):
-        term = power.star(sigma_r_c(g, n, c)) * Fraction(1, g.zeta(c))
-        total = total + term
+        total = total + power.star(sigma_r_c(g, n, c)) / g.zeta(c)
     return total
 
 
@@ -144,7 +142,7 @@ def h_virtual(pluses: list[ClassFunction], minuses: list[ClassFunction],
             acc = acc + v
         for w in minuses:
             acc = acc - w
-        arg = arg + omega_n(acc, r) * Fraction(1, r)
+        arg = arg + omega_n(acc, r) / r
     return fock_exp(arg, max_degree)
 
 
@@ -159,9 +157,11 @@ def boxed_binomial(v: ClassFunction, w: ClassFunction,
         right = boxtimes_power(w, j)
         if j >= 1:
             right = right.star(sign_char(g, j))
-        term = fock_mul(left, right) * (-1) ** j
-        total = total + term
-    return total
+        term = fock_mul(left, right)
+        total = total - term if j % 2 else total + term
+    # a sum of Fractions stays a Fraction: dividing by 1 through `div`
+    # turns the integral ones into ints
+    return total / 1
 
 
 def additivity_check(v: ClassFunction, w: ClassFunction, n: int) -> bool:

@@ -7,8 +7,9 @@ element of the field Q(zeta_m) stored as its phi(m) power-basis
 coefficients reduced modulo the cyclotomic polynomial Phi_m.  A cyclotomic
 result that reduces to a rational comes back as a ``Fraction``, so ``==``
 is equality of numbers and ``bool`` is "nonzero".  Values of different
-moduli meet in Q(zeta_lcm) through one private lift.  The only divisions ever needed are
-by nonzero rationals, and `div` makes them exact also for an ``int``.
+moduli meet in Q(zeta_lcm) through one private lift.  The only divisions
+ever needed are by nonzero rationals, and `div` makes them exact, with an
+``int`` wherever the quotient is an integer.
 
 Every q-series the library evaluates is a product
 prod_r (1 + q^r)^d1 / (1 - q^r)^d0 with integer coefficients;
@@ -207,12 +208,14 @@ Scalar = Union[int, Fraction, Cyclotomic]
 
 
 def div(x, d: RatLike) -> Scalar:
-    """x / d for a nonzero rational d, exact: an ``int`` x gives an ``int``
-    when d divides it and a ``Fraction`` otherwise, never a float."""
+    """x / d for a nonzero rational d, exact and never a float: an
+    integral rational quotient is an ``int``, another rational one a
+    ``Fraction``."""
     if isinstance(x, int):
         q, r = divmod(x, d)
         return q if not r else Fraction(x, d)
-    return x / d
+    q = x / d
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
 
 
 def conj(x: Scalar) -> Scalar:

@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wreathfock import groups
-from wreathfock.cli import main, parse_group, parse_gset
+from wreathfock.cli import (MAX_SERIES_DEGREE, main, parse_group,
+                            parse_gset)
 from wreathfock.fock import graded_dim
 from wreathfock.groups import GroupError, cyclic, symmetric
 
@@ -58,6 +59,32 @@ class TestCommands:
     def test_bad_series_arguments_exit_2(self, argv, message, capsys):
         assert main(["series", *argv]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["euler-product", "-N", "100000000"],
+        ["euler-product", "-e", "3", "-N", "2001"],
+        ["graded-dim", "--d0", "3", "--d1", "2", "-N", "100000000"],
+        ["graded-dim", "-N", "2001"],
+    ])
+    def test_series_degree_above_cap_exit_2(self, argv, capsys):
+        """The q-series recurrence is quadratic in -N: above the cap it is
+        refused before any coefficient is computed."""
+        assert main(["series", *argv]) == 2
+        got = argv[argv.index("-N") + 1]
+        assert capsys.readouterr() == (
+            "", f"error: -N must be <= {MAX_SERIES_DEGREE}, got {got}\n")
+
+    @pytest.mark.parametrize("what", ["euler-product", "graded-dim"])
+    def test_series_degree_at_cap(self, what, capsys):
+        assert main(["series", what, "-N", str(MAX_SERIES_DEGREE)]) == 0
+        coeffs = capsys.readouterr().out.split()
+        assert len(coeffs) == MAX_SERIES_DEGREE + 1
+        assert coeffs[:6] == ["1", "1", "2", "3", "5", "7"]
+
+    def test_series_help_states_the_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["series", "--help"])
+        assert f"at most {MAX_SERIES_DEGREE}" in capsys.readouterr().out
 
     def test_series_graded_dim_group(self, capsys):
         assert main(["series", "graded-dim", "--group", "z2", "-N", "4"]) == 0

@@ -1,5 +1,6 @@
 """Fock space layer: product, coproduct, antipode, oracles, graded dims."""
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -368,6 +369,58 @@ def test_coefficients_are_never_floats(monkeypatch):
     diff = fock_mul(sigma_rho(g, a) + sigma_rho(g, b),
                     sigma_rho(g, a) - sigma_rho(g, b))
     assert diff.coeffs == {aa: 1, bb: -1}
+
+
+def integral_fractions(u: FockElement) -> list:
+    return [x for x in u.coeffs.values()
+            if type(x) is Fraction and x.denominator == 1]
+
+
+@pytest.mark.parametrize("group", [sl2_f3(), symmetric(3)],
+                         ids=lambda g: g.name)
+def test_integral_lambda_coefficients_are_ints(group):
+    """phi_n, omega_n, fock_exp, h_virtual and boxed_binomial hold an int
+    wherever a coefficient is an integer, never a Fraction of denominator
+    1, so later products take fock_mul's integer paths."""
+    vs = lambda_ops._basis_and_combos(group)
+    made = []
+    for n in range(1, 5):
+        made += [f(v, n) for f in (lambda_ops.phi_n, lambda_ops.omega_n)
+                 for v in vs]
+        made += [lambda_ops.boxed_binomial(v, w, n) for v in vs for w in vs]
+        made += [lambda_ops.h_virtual([v], [w], n) for v in vs for w in vs]
+        made += [lambda_ops.h_virtual([], [v], n) for v in vs]
+        made += [fock_exp(sum((lambda_ops.omega_n(v, r) / (r + 1)
+                               for r in range(1, n + 1)),
+                              FockElement.zero(group)), n) for v in vs]
+    assert not [bad for u in made if (bad := integral_fractions(u))]
+    assert any(type(x) is int for u in made
+               for rho, x in u.coeffs.items() if rho.degree)
+
+
+def exp_term_by_term(u: FockElement, n: int) -> FockElement:
+    """sum_k u^k / k! up to degree n, one power and one division at a
+    time."""
+    out = power = FockElement.unit(u.group)
+    for k in range(1, n + 1):
+        power = fock_mul(power, u, max_degree=n)
+        out = out + power * Fraction(1, math.factorial(k))
+    return out
+
+
+def test_exp_matches_term_by_term_series():
+    """One denominator for the whole series, or none with a Cyclotomic
+    coefficient: the same element as the series summed term by term."""
+    v, _, _ = z3_payload_data()
+    g = v.group
+    rational = (lambda_ops.omega_n(sigma_basis(g, 1), 1) * Fraction(2, 3)
+                + lambda_ops.omega_n(sigma_basis(g, 2), 2) / 5)
+    cyclotomic = lambda_ops.omega_n(v, 1) + lambda_ops.omega_n(v, 2) / 2
+    assert any(isinstance(x, Cyclotomic) for x in cyclotomic.coeffs.values())
+    for u in (rational, cyclotomic, rational + cyclotomic,
+              FockElement.zero(g)):
+        for n in range(5):
+            assert fock_exp(u, n).equals(exp_term_by_term(u, n))
 
 
 class TestFockElement:

@@ -1,4 +1,5 @@
 """Group layer: constructors, conjugacy, class functions, induction, Mackey."""
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -9,14 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathfock.groups import (ClassFunction, DualFunctional, FiniteGroup,
-                               GroupError, SubgroupEmbedding, adams_psi,
-                               all_subgroup_element_sets, binary_dihedral,
-                               binary_octahedral, builtin, closure, cyclic,
-                               dihedral, group_from_cayley_json,
+                               GroupError, SubgroupEmbedding, _cayley_table,
+                               adams_psi, all_subgroup_element_sets,
+                               binary_dihedral, binary_octahedral, builtin,
+                               closure, cyclic, dihedral,
+                               group_from_cayley_json,
                                group_from_permutations, induce_cf,
                                mackey_verify, orbits, restrict_cf,
-                               sigma_basis, sl2_f3, subgroup_from_elements,
-                               symmetric, trivial_character, trivial_group)
+                               sigma_basis, sl2_f3, sl2_f5,
+                               subgroup_from_elements, symmetric,
+                               trivial_character, trivial_group)
 from wreathfock.gsets import GSet, regular_gset
 from wreathfock.heisenberg import SuperFockSpace, a_minus, a_plus
 from wreathfock.scalars import Cyclotomic, Scalar, conj
@@ -302,6 +305,121 @@ def test_binary_octahedral_table_is_recorded():
     earlier exact-Fraction construction, element numbering included."""
     path = Path(__file__).parent / "golden" / "binary_octahedral.json"
     assert binary_octahedral().to_json() == path.read_text()
+
+
+# -- Cayley tables from generators against all |G|^2 products ---------------
+
+def all_pairs_table(elems, mul) -> list[list[int]]:
+    """The Cayley table by one product per pair, on elems in their order:
+    the oracle of `groups._cayley_table`."""
+    index = {x: i for i, x in enumerate(elems)}
+    return [[index[mul(a, b)] for b in elems] for a in elems]
+
+
+def compose(a, b):
+    return tuple(a[i] for i in b)
+
+
+def permutation_elements(gens, degree: int) -> list:
+    """The group the permutations generate: the identity, then the rest
+    in sorted order."""
+    ident = tuple(range(degree))
+    elems = closure([ident], [lambda x, g=g: compose(x, g) for g in gens])
+    return [ident] + sorted(elems - {ident})
+
+
+def sl2_oracle(p: int) -> list[list[int]]:
+    mats = [(a, b, c, d) for a, b, c, d in itertools.product(range(p),
+                                                             repeat=4)
+            if (a * d - b * c) % p == 1 and (a, b, c, d) != (1, 0, 0, 1)]
+
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return ((a * e + b * g) % p, (a * f + b * h) % p,
+                (c * e + d * g) % p, (c * f + d * h) % p)
+
+    return all_pairs_table([(1, 0, 0, 1)] + sorted(mats), mul)
+
+
+def binary_octahedral_oracle() -> list[list[int]]:
+    """Quaternions with coordinates (a + b sqrt2)/2, stored as (a, b)."""
+    def qmul(q, r):
+        (a, b, c, d), (e, f, g, h) = q, r
+        rows = (((1, a, e), (-1, b, f), (-1, c, g), (-1, d, h)),
+                ((1, a, f), (1, b, e), (1, c, h), (-1, d, g)),
+                ((1, a, g), (-1, b, h), (1, c, e), (1, d, f)),
+                ((1, a, h), (1, b, g), (-1, c, f), (1, d, e)))
+        return tuple((sum(s * (x[0] * y[0] + 2 * x[1] * y[1])
+                          for s, x, y in row) // 2,
+                      sum(s * (x[0] * y[1] + x[1] * y[0])
+                          for s, x, y in row) // 2) for row in rows)
+
+    zero = (0, 0)
+    ident = ((2, 0), zero, zero, zero)
+    gens = [(zero, (2, 0), zero, zero), ((-1, 0), (1, 0), (1, 0), (1, 0)),
+            ((0, 1), (0, 1), zero, zero)]
+    elems = closure([ident], [lambda q, g=g: qmul(q, g) for g in gens])
+    return all_pairs_table([ident] + sorted(elems - {ident}), qmul)
+
+
+def dihedral_oracle(n: int, binary: bool) -> list[list[int]]:
+    """D_n as (k, e) = r^k s^e; with binary, s^2 = r^(n/2) instead of 1."""
+    def mul(x, y):
+        (k, e), (l, d) = x, y
+        if e == 0:
+            return ((k + l) % n, d)
+        if binary and d == 1:
+            return ((k - l + n // 2) % n, 0)
+        return ((k - l) % n, 1 - d)
+
+    return all_pairs_table([(k, e) for e in (0, 1) for k in range(n)], mul)
+
+
+def symmetric_oracle(n: int) -> list[list[int]]:
+    return all_pairs_table(sorted(itertools.permutations(range(n))), compose)
+
+
+CAYLEY_ORACLES = {
+    "sl2_f3": (sl2_f3, lambda: sl2_oracle(3)),
+    "sl2_f5": (sl2_f5, lambda: sl2_oracle(5)),
+    "binary_octahedral": (binary_octahedral, binary_octahedral_oracle),
+    **{f"S{n}": (lambda n=n: symmetric(n), lambda n=n: symmetric_oracle(n))
+       for n in range(1, 5)},
+    **{f"D{n}": (lambda n=n: dihedral(n),
+                 lambda n=n: dihedral_oracle(n, False)) for n in range(1, 6)},
+    **{f"BD{m}": (lambda m=m: binary_dihedral(m),
+                  lambda m=m: dihedral_oracle(2 * m, True))
+       for m in range(1, 5)},
+}
+
+
+@pytest.mark.parametrize("name", CAYLEY_ORACLES)
+def test_builtin_cayley_table_matches_all_pairs(name):
+    """Built from generators, each builtin table is the all-pairs table
+    of the same elements in the same order."""
+    build, oracle = CAYLEY_ORACLES[name]
+    assert [list(row) for row in build().table] == oracle()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_permutation_cayley_table_matches_all_pairs(seed):
+    rng = random.Random(seed)
+    degree = rng.randint(3, 6)
+    gens = [tuple(rng.sample(range(degree), degree))
+            for _ in range(rng.randint(1, 3))]
+    want = all_pairs_table(permutation_elements(gens, degree), compose)
+    got = group_from_permutations(gens, degree).table
+    assert [list(row) for row in got] == want
+
+
+def test_cayley_table_needs_generators_that_generate():
+    elems = permutation_elements([(1, 0, 2), (1, 2, 0)], 3)
+    assert len(_cayley_table(elems, [(1, 0, 2), (1, 2, 0)], compose)) == 6
+    with pytest.raises(GroupError, match="reach 2 of 6"):
+        _cayley_table(elems, [(1, 0, 2)], compose)
+    with pytest.raises(GroupError, match="reach 1 of 6"):
+        _cayley_table(elems, [], compose)
 
 
 @st.composite

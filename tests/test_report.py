@@ -10,8 +10,8 @@ import pytest
 
 from wreathfock import fock, gsets, groups, heisenberg, lambda_ops, wreath
 from wreathfock.fock import FockElement, hopf_verify
-from wreathfock.groups import (cyclic, mackey_verify, symmetric,
-                               trivial_group)
+from wreathfock.groups import (FiniteGroup, cyclic, dihedral, mackey_verify,
+                               sl2_f3, symmetric, trivial_group)
 from wreathfock.gsets import regular_gset, theorem_main_dim_check
 from wreathfock.heisenberg import (HeisenbergOp, commutator_check,
                                    heisenberg_verify, sf_commutator_check)
@@ -314,6 +314,15 @@ WORK = {
         "HeisenbergOp.__call__": 1080, "fock_mul": 0,
         "Cyclotomic.__mul__": 0, "_create": 540, "_sign": 250,
         "FockElement.__init__": 1099}),
+    # D4's 10 subgroups, and one H_s per double coset of each of the 100
+    # subgroup pairs, built once per pair (481 and 471 when they were
+    # built once per class of H)
+    "mackey_verify": (lambda: mackey_verify(dihedral(4)), {
+        "FiniteGroup.__init__": 205, "conjugate_subgroup_data": 195}),
+    # fock_exp sums its series by the integer kernel, not by fock_mul
+    # (2146 calls when it did)
+    "lambda_verify": (lambda: lambda_verify(sl2_f3(), 4), {
+        "fock_mul": 2046}),
 }
 
 
@@ -331,8 +340,13 @@ def test_verify_work_is_pinned(suite, monkeypatch):
     _count_calls(monkeypatch, counts, heisenberg, "_create", "_create")
     _count_calls(monkeypatch, counts, heisenberg, "_sign", "_sign")
     _count_calls(monkeypatch, counts, fock, "fock_mul", "fock_mul")
+    _count_calls(monkeypatch, counts, lambda_ops, "fock_mul", "fock_mul")
     _count_calls(monkeypatch, counts, FockElement, "__init__",
                  "FockElement.__init__")
+    _count_calls(monkeypatch, counts, FiniteGroup, "__init__",
+                 "FiniteGroup.__init__")
+    _count_calls(monkeypatch, counts, groups, "conjugate_subgroup_data",
+                 "conjugate_subgroup_data")
     assert run().all_passed
     assert {k: counts[k] for k in want} == want
 

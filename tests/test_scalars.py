@@ -136,8 +136,8 @@ class TestCyclotomic:
             Cyclotomic(0, [1])
 
     def test_div_is_exact(self):
-        """div gives an int when d divides an int x, else a Fraction; a
-        Fraction or Cyclotomic x is divided as it is; never a float."""
+        """div gives an int when the quotient is an integer, else a
+        Fraction or a Cyclotomic; never a float."""
         for x, d, want in ((6, 3, 2), (-6, 3, -2), (0, 5, 0), (6, -4, None),
                            (7, 2, None), (6, Fraction(3, 2), 4),
                            (2 ** 60 + 1, 2, None)):
@@ -146,7 +146,10 @@ class TestCyclotomic:
                 assert type(got) is Fraction and got == Fraction(x, d)
             else:
                 assert type(got) is int and got == want
-        assert type(div(Fraction(4), 2)) is Fraction
+        assert type(div(Fraction(4), 2)) is int
+        assert type(div(Fraction(3, 2), 3)) is Fraction
+        assert type(div(Cyclotomic.root(3) + Cyclotomic.root(3, 2), -1)) \
+            is int
         assert div(Cyclotomic.root(3) * 6, 3) == Cyclotomic.root(3) * 2
 
     def test_division_by_rational_only(self):
