@@ -15,8 +15,8 @@ from pathlib import Path
 from .fock import hopf_verify
 from .groups import (FiniteGroup, GroupError, builtin, group_from_cayley_json,
                      group_from_permutations_json, mackey_verify)
-from .gsets import (GSet, GSetError, euler_verify, gset_from_json,
-                    mckay_table, point_gset, regular_gset)
+from .gsets import (GSet, GSetError, euler_limits, euler_verify,
+                    gset_from_json, mckay_table, point_gset, regular_gset)
 from .heisenberg import heisenberg_verify
 from .lambda_ops import lambda_verify
 from .report import Report
@@ -26,6 +26,7 @@ from .wreath import (WreathError, brute_force_classes, decode_element,
 
 LIMIT = 50_000  # default --limit; also bounds series graded-dim --group
 MAX_SERIES_DEGREE = 2_000  # the q-series recurrence is quadratic in -N
+MAX_SERIES_EXPONENT = 10_000  # |-e|, --d0, --d1: coefficients < 4300 digits
 
 _ERRORS = (GroupError, GSetError, WreathError, ScalarError, ValueError,
            OSError)
@@ -150,6 +151,9 @@ def cmd_series(args) -> int:
     elif args.max_degree > MAX_SERIES_DEGREE:
         raise ValueError(f"-N must be <= {MAX_SERIES_DEGREE}, "
                          f"got {args.max_degree}")
+    elif max(abs(args.e), args.d0, args.d1) > MAX_SERIES_EXPONENT:
+        raise ValueError(f"|-e|, --d0, --d1 must be <= {MAX_SERIES_EXPONENT}, "
+                         f"got {args.e}, {args.d0}, {args.d1}")
     elif args.what == "euler-product":
         coeffs = euler_product(args.e, args.max_degree)
     else:
@@ -175,18 +179,19 @@ def cmd_verify(args) -> int:
     if args.what == "heisenberg":
         return _emit_report(heisenberg_verify(g, args.max_degree,
                                               args.max_mode), fmt)
+    x = parse_gset(args.gset, g)
     if args.what == "euler":
-        x = parse_gset(args.gset, g)
         return _emit_report(euler_verify(x, args.max_degree,
                                          limit=args.limit), fmt)
-    # all
+    # all: the euler suite's size is refused before any suite runs
+    euler_limits(x, min(args.max_degree, 3), args.limit)
     rep = Report(f"verify_all({g.name}, N={args.max_degree})")
     rep.extend(hopf_verify(g, args.max_degree,
                            oracle_limit=args.limit).checks)
     rep.extend(lambda_verify(g, args.max_degree).checks)
     rep.extend(heisenberg_verify(g, args.max_degree, args.max_mode).checks)
-    rep.extend(euler_verify(parse_gset(args.gset, g),
-                            min(args.max_degree, 3), limit=args.limit).checks)
+    rep.extend(euler_verify(x, min(args.max_degree, 3),
+                            limit=args.limit).checks)
     try:
         rep.extend(mackey_verify(g).checks)
     except GroupError as exc:
@@ -223,7 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="q-series")
     p.add_argument("what", choices=("euler-product", "graded-dim", "mckay"))
-    p.add_argument("-e", type=int, default=1, help="euler-product exponent")
+    p.add_argument("-e", type=int, default=1,
+                   help=f"euler-product exponent; |-e|, --d0, --d1 are at "
+                        f"most {MAX_SERIES_EXPONENT}")
     p.add_argument("--d0", type=int, default=1)
     p.add_argument("--d1", type=int, default=0)
     p.add_argument("--group", help="for graded-dim: count types of this group")

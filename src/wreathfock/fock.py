@@ -13,7 +13,9 @@ the coefficient of sigma^alpha tensor sigma^beta.
 In these coordinates the product merges monomials,
 sigma^rho sigma^tau = sigma^(rho u tau); the coproduct splits them
 (sigma_r(c) is primitive); the antipode is S(sigma^rho) =
-(-1)^l(rho) sigma^rho.  None of them needs Z_rho.  Values are read only
+(-1)^l(rho) sigma^rho.  None of them needs Z_rho.  Odd generators
+anticommute: one kernel, `_merge`, gives the product with the Koszul sign
+`_koszul`, and the coproduct refuses odd labels.  Values are read only
 where they are the definition or the comparison: `value`, `inner`,
 `star`, `from_values` and the element-level induction and restriction
 oracles, which pin the conventions down.
@@ -27,8 +29,8 @@ and an integral quotient is an ``int``.
 """
 from __future__ import annotations
 
-import itertools
 import random
+from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -187,14 +189,37 @@ def _numerators(coeffs: dict) -> tuple[int, dict] | None:
                for rho, x in coeffs.items()}
 
 
+def _first_odd(space: LabelSpace) -> int | None:
+    """The first odd label of the space, None when every label is even."""
+    return space.odd if space.odd < len(space.weights) else None
+
+
+def _koszul(rho: WreathType, tau: WreathType, odd: int) -> int:
+    """The sign in sigma^rho sigma^tau = sign sigma^(rho u tau), the labels
+    >= odd being odd: (-1) to the number of pairs of odd parts, one of each
+    type, with tau's part first in canonical order (labels ascending, parts
+    descending at a label); 0 when the two types share an odd part."""
+    crossed = 0
+    for c, lam in rho.parts:
+        for cc, mu in tau.parts:
+            if odd <= cc <= c:
+                for r in lam:
+                    for q in mu:
+                        if cc == c and q == r:
+                            return 0
+                        crossed += cc < c or q > r
+    return -1 if crossed % 2 else 1
+
+
 def fock_mul(u: FockElement, v: FockElement,
              max_degree: int | None = None) -> FockElement:
-    """sigma^rho sigma^tau = sigma^(rho u tau), dropping degrees past
-    max_degree: integer numerators of rational operands, one division per
-    output coefficient (none with a Cyclotomic coefficient).  Two int
-    monomials merge directly."""
+    """sigma^rho sigma^tau = sign sigma^(rho u tau), the Koszul sign, past
+    max_degree dropped: integer numerators of rational operands, one
+    division per output coefficient (none with a Cyclotomic coefficient).
+    Two int monomials over even labels merge directly."""
     u._check(v)
-    if len(u.coeffs) == 1 == len(v.coeffs):
+    odd = _first_odd(u.group)
+    if odd is None and len(u.coeffs) == 1 == len(v.coeffs):
         (rho, a), = u.coeffs.items()
         (tau, b), = v.coeffs.items()
         if type(a) is int and type(b) is int:
@@ -205,28 +230,37 @@ def fock_mul(u: FockElement, v: FockElement,
     if nu is None or nv is None:
         nu, nv = (1, u.coeffs), (1, v.coeffs)
     (du, left), (dv, right) = nu, nv
-    out = _merge(left, right, max_degree)
+    out = _merge(left.items(), right.items(), odd, max_degree)
     d = du * dv
     if d != 1:
         out = {rho: div(x, d) for rho, x in out.items()}
     return FockElement(u.group, out)
 
 
-def _merge(left: dict, right: dict, max_degree: int | None) -> dict:
-    """The product of two coefficient maps, sigma^rho sigma^tau =
-    sigma^(rho u tau), without degrees past max_degree; zeros are kept."""
-    by_degree: dict[int, list] = {}
-    for tau, b in right.items():
-        by_degree.setdefault(tau.degree, []).append((tau, b))
+def _merge(left, right, odd: int | None = None,
+           max_degree: int | None = None) -> dict:
+    """The product kernel: sigma^rho sigma^tau = sign sigma^(rho u tau)
+    over (type, coefficient) pairs, rho from left (walked once per term of
+    right), without degrees past max_degree; zeros are kept.  odd is the
+    first odd label, or None: `_koszul` is asked only of two types with odd
+    parts, and a pair of sign 0 adds nothing."""
+    if max_degree is not None:  # the terms that fit beside tau: a prefix
+        left = sorted(left, key=lambda t: t[0].degree)
+        degrees = [t[0].degree for t in left]
     out: dict = {}
-    for rho, a in left.items():
-        unions = rho.unions
-        for d2, terms in by_degree.items():
-            if max_degree is not None and rho.degree + d2 > max_degree:
-                continue
-            for tau, b in terms:
-                key = unions[tau]
-                out[key] = out.get(key, 0) + a * b
+    for tau, b in right:
+        terms = left if max_degree is None else left[
+            :bisect_right(degrees, max_degree - tau.degree)]
+        unions = tau.unions
+        signed = odd is not None and tau.parts and tau.parts[-1][0] >= odd
+        for rho, a in terms:
+            if signed and rho.parts and rho.parts[-1][0] >= odd:
+                sign = _koszul(rho, tau, odd)
+                if not sign:
+                    continue
+                a *= sign
+            key = unions[rho]
+            out[key] = out.get(key, 0) + b * a
     return out
 
 
@@ -237,11 +271,11 @@ def fock_exp(u: FockElement, max_degree: int) -> FockElement:
     if EMPTY_TYPE in u.coeffs:
         raise FockError("fock_exp needs vanishing degree-0 component")
     d, v = _numerators(u.coeffs) or (1, u.coeffs)
-    n = max_degree
+    n, odd = max_degree, _first_odd(u.group)
     denom = weight = d ** n * factorial(n)
     power, out = {EMPTY_TYPE: 1}, {EMPTY_TYPE: denom}
     for k in range(1, n + 1):
-        power = _merge(power, v, n)     # v^k
+        power = _merge(v.items(), power.items(), odd, n)  # v^k
         weight //= d * k                # d^(N-k) N!/k!
         for rho, x in power.items():
             out[rho] = out.get(rho, 0) + x * weight
@@ -250,42 +284,21 @@ def fock_exp(u: FockElement, max_degree: int) -> FockElement:
 
 
 @lru_cache(maxsize=None)
-def _partition_submultisets(lam: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-    """(sub, complement, multiplicity) for all sub-multisets of a partition;
-    multiplicity = product of binomials over part sizes."""
-    items = sorted(set(lam), reverse=True)
-    out = [((), (), 1)]
-    for r in items:
-        m = lam.count(r)
-        new = []
-        for sub, rest, coef in out:
-            for a in range(m + 1):
-                new.append((sub + (r,) * a, rest + (r,) * (m - a),
-                            coef * comb(m, a)))
-        out = new
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def comul_splits(rho: WreathType) -> tuple[tuple[WreathType, WreathType, int], ...]:
-    """All (alpha, beta, coefficient) with alpha u beta = rho in the
-    basis expansion of the coproduct of sigma^rho; memoized on rho."""
-    choices = []
-    for c, lam in rho.parts:
-        per_class = [(c, sub, rest, coef)
-                     for sub, rest, coef in _partition_submultisets(lam)]
-        choices.append(per_class)
+    """The (alpha, beta, coefficient) with alpha u beta = rho of the
+    coproduct of sigma^rho: k of its m largest parts r at the first label go
+    to alpha, in (m choose k) ways, beside each split of the rest; memoized."""
+    if rho is EMPTY_TYPE:
+        return ((EMPTY_TYPE, EMPTY_TYPE, 1),)
+    c, lam = rho.parts[0]
+    r, m = lam[0], lam.count(lam[0])
+    rest = WreathType.from_dict(dict(rho.parts) | {c: lam[m:]})
     out = []
-    for combo in itertools.product(*choices):
-        da, db = {}, {}
-        coef = 1
-        for c, sub, rest, k in combo:
-            if sub:
-                da[c] = sub
-            if rest:
-                db[c] = rest
-            coef *= k
-        out.append((WreathType.from_dict(da), WreathType.from_dict(db), coef))
+    for k in range(m + 1):
+        a = WreathType.from_dict({c: (r,) * k})         # to alpha
+        b = WreathType.from_dict({c: (r,) * (m - k)})   # to beta
+        out += [(a.unions[alpha], b.unions[beta], comb(m, k) * x)
+                for alpha, beta, x in comul_splits(rest)]
     return tuple(out)
 
 
@@ -294,7 +307,10 @@ def fock_comul(
     """Restriction coproduct as {(alpha, beta): coefficient of
     sigma^alpha tensor sigma^beta}: sigma_r(c) is primitive and the
     coproduct is an algebra map, so sigma^rho splits over the sub-multisets
-    of its parts.  Zero coefficients are dropped."""
+    of its parts.  Zero coefficients are dropped.  Odd labels, where a
+    split carries a Koszul sign, are refused."""
+    if _first_odd(u.group) is not None:
+        raise FockError(f"fock_comul needs even labels, not {u.group.name}")
     out: dict = {}
     for rho, c in u.coeffs.items():
         for alpha, beta, k in comul_splits(rho):
@@ -324,9 +340,9 @@ def antipode(u: FockElement) -> FockElement:
                                  for rho, c in u.coeffs.items()})
 
 
-def graded_dim(group: FiniteGroup, max_degree: int) -> list[int]:
+def graded_dim(space: LabelSpace, max_degree: int) -> list[int]:
     """q-dimension of F_G(pt): the number of degree-n types per degree."""
-    return [len(enumerate_types(group, n)) for n in range(max_degree + 1)]
+    return [len(enumerate_types(space, n)) for n in range(max_degree + 1)]
 
 
 # -- element-level oracles --------------------------------------------------

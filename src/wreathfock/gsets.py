@@ -387,12 +387,22 @@ def mckay_table() -> Report:
     return rep
 
 
-def euler_verify(x: GSet, max_degree: int, limit: int = 50_000) -> Report:
-    """The orbifold-Euler suite for one G-set.  Refused before any row
-    when the Lemma 1.6 row, |G_2| |X|^2 point tables, is past the limit."""
+def euler_limits(x: GSet, max_degree: int, limit: int = 50_000) -> None:
+    """Refuse `euler_verify` before its work, with the error it would meet
+    part way: past the limit, the Lemma 1.6 row's |G_2| |X|^2 point tables,
+    then |X|^n and |G_n| for n = 1..max_degree."""
     lemma_cost = wreath_order(x.group, 2) * x.size ** 2
     if lemma_cost > limit:
         raise GSetError(f"|G_2| |X|^2 = {lemma_cost} exceeds --limit {limit}")
+    for n in range(1, max_degree + 1):
+        gset_power(x, n, limit)
+        wreath_order(x.group, n, limit)
+
+
+def euler_verify(x: GSet, max_degree: int, limit: int = 50_000) -> Report:
+    """The orbifold-Euler suite for one G-set, refused before any row by
+    `euler_limits` when it would pass the limit."""
+    euler_limits(x, max_degree, limit)
     rep = Report(f"euler_verify({x.group.name}, {x.name}, N={max_degree})")
     try:
         e = orbifold_euler(x)

@@ -12,13 +12,13 @@ labels 0..d0-1 even and d0..d0+d1-1 odd, all of weight 1.
 
 An operator's payload is a vector on the labels of the space, whichever
 it is, and one rule with the space's weights w gives its linear form
-sum_c x_c sigma_m(c).  Creation a_m(V) multiplies from the left by
-omega_m(V), with x_c = V(c)/w(c); annihilation a_{-m}(eta) is the
-derivation sum_c x_c d/d sigma_m(c), with x_c = m <eta, sigma_c> =
-m eta_c w(c).  On the super model the payloads `sigma_basis(space, c)`
-and `DualFunctional.delta(space, c)` give the generator at label c.  Both
-carry the Koszul sign of `_sign`.  An evaluation-style restriction oracle
-is the independent cross-check on F_G.
+sum_c x_c sigma_m(c).  Creation a_m(V) is left multiplication by
+omega_m(V), x_c = V(c)/w(c), in `fock_mul`'s kernel `fock._merge`;
+annihilation a_{-m}(eta) is the derivation sum_c x_c d/d sigma_m(c), with
+x_c = m <eta, sigma_c> = m eta_c w(c).  On the super model the payloads
+`sigma_basis(space, c)` and `DualFunctional.delta(space, c)` give the
+generator at label c.  Both carry the Koszul sign `fock._koszul`.  An
+evaluation-style restriction oracle is the independent cross-check on F_G.
 What an operator needs apart from the vector it acts on, its form, is
 computed once, when the operator is built.  One `relation_check` checks
 Eq. (24)-(26) on any label space: the image of every basis vector under
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .fock import FockElement
+from .fock import FockElement, _first_odd, _koszul, _merge, graded_dim
 from .groups import (ByValue, ClassFunction, DualFunctional, FiniteGroup,
                      GroupError, LabelSpace, sigma_basis)
 from .lambda_ops import omega_n
@@ -42,48 +42,9 @@ class HeisenbergError(ValueError):
     pass
 
 
-# the nonzero terms (label c, the type of sigma_m(c), coefficient x_c) of a
-# linear form in the mode-m generators
+# an annihilation form: its nonzero terms (label c, sigma_m(c)'s type, x_c)
 Form = tuple[tuple[int, WreathType, Scalar], ...]
 Entry = tuple[object, int, list[FockElement]]  # operator, label, images
-
-
-def _sign(rho: WreathType, m: int, c: int, odd: int) -> int:
-    """The Koszul sign in sigma_m(c) sigma^rho = sign sigma^(rho u m at c),
-    the labels >= odd being odd.  It is +1 for an even label c; for an odd
-    one it is (-1) to the number of odd parts of rho before (m, c) in
-    canonical order, and 0 when rho already has the part m at c."""
-    if c < odd:
-        return 1
-    crossed = 0
-    for cc, lam in rho.parts:
-        if cc > c:
-            break
-        if cc < odd:
-            continue
-        if cc < c:
-            crossed += len(lam)
-        elif m in lam:
-            return 0
-        else:
-            crossed += sum(1 for r in lam if r > m)
-    return -1 if crossed % 2 else 1
-
-
-def _create(m: int, form: Form, u: FockElement) -> FockElement:
-    """Left multiplication by the form's sum_c x_c sigma_m(c)."""
-    out: dict[WreathType, Scalar] = {}
-    odd = u.group.odd
-    for rho, a in u.coeffs.items():
-        for c, tau, x in form:
-            if c >= odd:
-                sign = _sign(rho, m, c, odd)
-                if not sign:
-                    continue
-                x = x * sign
-            key = rho.unions[tau]
-            out[key] = out.get(key, 0) + a * x
-    return FockElement(u.group, out)
 
 
 def _annihilate(m: int, form: Form, u: FockElement) -> FockElement:
@@ -93,12 +54,12 @@ def _annihilate(m: int, form: Form, u: FockElement) -> FockElement:
     out: dict[WreathType, Scalar] = {}
     odd = u.group.odd
     for rho, a in u.coeffs.items():
-        for c, _, x in form:
+        for c, tau, x in form:
             mult = rho.partition(c).count(m)
             if not mult:
                 continue
             new = rho.remove_part(m, c)
-            k = _sign(new, m, c, odd) if c >= odd else mult
+            k = _koszul(tau, new, odd) if c >= odd else mult
             out[new] = out.get(new, 0) + a * x * k
     return FockElement(u.group, out)
 
@@ -135,11 +96,11 @@ class HeisenbergOp(ByValue):
     """a_m(V) for sign +1 (payload a ClassFunction V), a_{-m}(eta) for sign
     -1 (payload a DualFunctional eta).  It acts on the vectors of the
     payload's label space, F_G or a super Fock model, and refuses others.
-    Its form `_form`: for a_m(V) the coefficients V(c)/w(c) of omega_m(V),
-    for a_{-m}(eta) the coefficients m <eta, sigma_c>, both indexed by label
-    c; an integer coefficient is an int, as it is for every basis payload."""
+    a_m(V) multiplies by `_omega`, the terms of omega_m(V), from the left
+    in `fock._merge`; a_{-m}(eta) keeps its form `_form`, the coefficients
+    m <eta, sigma_c> by label c.  Integral coefficients are ints."""
 
-    __slots__ = ("sign", "mode", "payload", "_form")
+    __slots__ = ("sign", "mode", "payload", "_omega", "_odd", "_form")
     _key = attrgetter("sign", "mode", "payload")
 
     def __init__(self, sign: int, mode: int, payload):
@@ -152,12 +113,12 @@ class HeisenbergOp(ByValue):
         if not isinstance(payload, want):
             raise HeisenbergError(f"payload must be a {want.__name__}")
         g, m = payload.group, mode
-        labels = range(len(g.weights))
         if sign == 1:
-            omega = omega_n(payload, m).coeffs
-            coeffs = (omega.get(n_cycle_type(c, m), 0) for c in labels)
-        else:
-            coeffs = (payload.pair(sigma_basis(g, c)) * m for c in labels)
+            self._omega = tuple(omega_n(payload, m).coeffs.items())
+            self._odd = _first_odd(g)
+            return
+        coeffs = (payload.pair(sigma_basis(g, c)) * m
+                  for c in range(len(g.weights)))
         self._form = tuple((c, n_cycle_type(c, m), x)
                            for c, x in enumerate(coeffs) if x)
 
@@ -168,8 +129,10 @@ class HeisenbergOp(ByValue):
     def __call__(self, u: FockElement) -> FockElement:
         if u.group is not self.payload.group:
             raise GroupError("operator and vector need a common group")
-        apply = _create if self.sign == 1 else _annihilate
-        return apply(self.mode, self._form, u)
+        if self.sign == 1:
+            return FockElement(u.group, _merge(self._omega, u.coeffs.items(),
+                                               self._odd))
+        return _annihilate(self.mode, self._form, u)
 
 
 def a_plus(m: int, v: ClassFunction) -> HeisenbergOp:
@@ -344,7 +307,7 @@ def sf_commutator_check(d0: int, d1: int, max_degree: int,
         (("super Eq. (25)/(26): like operators super-commute",
           ("create", "annihilate")),),
         lambda ce, cw: f"eta={gens[ce]},w={gens[cw]}")
-    counts = [len(enumerate_types(space, n)) for n in range(max_degree + 1)]
+    counts = graded_dim(space, max_degree)
     want = graded_dim_series(d0, d1, max_degree)
     rep.check("graded dimension matches (1+q^r)^d1/(1-q^r)^d0",
               enumerate(counts),

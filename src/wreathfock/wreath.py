@@ -239,8 +239,12 @@ def z_rho(space: LabelSpace, rho: WreathType) -> int:
     return z
 
 
-def wreath_order(group: FiniteGroup, n: int) -> int:
-    return group.order ** n * factorial(n)
+def wreath_order(group: FiniteGroup, n: int, limit: int | None = None) -> int:
+    """|G_n| = |G|^n n!, refused with a WreathError past the limit."""
+    total = group.order ** n * factorial(n)
+    if limit is not None and total > limit:
+        raise WreathError(f"|G_n| = {total} exceeds limit {limit}")
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -420,9 +424,7 @@ def _commutes(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
 def element_model(group: FiniteGroup, n: int,
                   limit: int = 200_000) -> ElementModel:
     """The compiled G_n, built once per (G, n); raises past the limit."""
-    total = wreath_order(group, n)
-    if total > limit:
-        raise WreathError(f"|G_n| = {total} exceeds limit {limit}")
+    wreath_order(group, n, limit)
     return _element_model(group, n)
 
 

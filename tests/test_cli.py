@@ -9,9 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wreathfock import groups
-from wreathfock.cli import (MAX_SERIES_DEGREE, main, parse_group,
-                            parse_gset)
+from wreathfock import cli, groups
+from wreathfock.cli import (MAX_SERIES_DEGREE, MAX_SERIES_EXPONENT, main,
+                            parse_group, parse_gset)
 from wreathfock.fock import graded_dim
 from wreathfock.groups import GroupError, cyclic, symmetric
 
@@ -85,6 +85,43 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["series", "--help"])
         assert f"at most {MAX_SERIES_DEGREE}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,what,size", [
+        ("-e", "euler-product", MAX_SERIES_EXPONENT),
+        ("-e", "euler-product", -MAX_SERIES_EXPONENT),
+        ("--d0", "graded-dim", MAX_SERIES_EXPONENT),
+        ("--d1", "graded-dim", MAX_SERIES_EXPONENT)])
+    def test_series_exponent_cap(self, flag, what, size, capsys):
+        """The digits of the coefficients grow with |-e|, --d0 and --d1:
+        one past the cap is refused before any coefficient is computed,
+        the cap itself runs."""
+        assert main(["series", what, flag, str(size)]) == 0
+        assert len(capsys.readouterr().out.split()) == 6
+        past = size + (1 if size > 0 else -1)
+        assert main(["series", what, flag, str(past)]) == 2
+        got = {"-e": 1, "--d0": 1, "--d1": 0} | {flag: past}
+        assert capsys.readouterr() == ("", (
+            f"error: |-e|, --d0, --d1 must be <= {MAX_SERIES_EXPONENT}, "
+            f"got {got['-e']}, {got['--d0']}, {got['--d1']}\n"))
+
+    def test_series_negative_dimension_keeps_its_refusal(self, capsys):
+        assert main(["series", "graded-dim", "--d0",
+                     str(-2 * MAX_SERIES_EXPONENT)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: dimensions must be nonnegative\n")
+
+    def test_series_huge_exponent_refused_at_once(self, capsys):
+        """-e 10^40 at the degree cap would run for minutes: it is refused
+        before the recurrence starts."""
+        assert main(["series", "euler-product", "-e", str(10 ** 40),
+                     "-N", str(MAX_SERIES_DEGREE)]) == 2
+        assert capsys.readouterr().err.startswith("error: |-e|")
+
+    def test_series_help_states_the_exponent_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["series", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"|-e|, --d0, --d1 are at most {MAX_SERIES_EXPONENT}" in out
 
     def test_series_graded_dim_group(self, capsys):
         assert main(["series", "graded-dim", "--group", "z2", "-N", "4"]) == 0
@@ -246,6 +283,18 @@ class TestFileIngestion:
         else:
             assert err == "" and "Lemma 1.6" in out \
                 and out.endswith("7/7 checks passed\n")
+
+    def test_verify_all_refuses_before_any_suite(self, monkeypatch, capsys):
+        """|G_3| = 82944 for SL2(F3) is past the limit of the euler suite,
+        which `verify all` runs last at min(N, 3): it is refused before
+        hopf, the first suite, runs."""
+        def never(*args, **kwargs):
+            raise AssertionError("hopf_verify ran before the refusal")
+
+        monkeypatch.setattr(cli, "hopf_verify", never)
+        assert main(["verify", "all", "--group", "sl2_f3", "-N", "4"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: |G_n| = 82944 exceeds limit 50000\n")
 
     def test_bad_gset_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathfock import heisenberg
-from wreathfock.fock import (FockElement, fock_mul, graded_dim, sigma_r_c,
-                             sigma_rho)
+from wreathfock.fock import (FockElement, FockError, fock_comul, fock_mul,
+                             graded_dim, sigma_r_c, sigma_rho)
 from wreathfock.groups import (ClassFunction, DualFunctional, GroupError,
                                cyclic, sigma_basis, symmetric, trivial_group)
 from wreathfock.heisenberg import (HeisenbergError, SuperFockSpace, a_minus,
@@ -41,17 +41,16 @@ class TestCreation:
 
 
 def test_basis_payload_weights_are_ints():
-    """The forms of basis-payload operators hold int weights: the omega_m
-    coefficients zeta_c / zeta_c = 1 and the pairings m <delta_c, sigma_c>
-    = m zeta_c."""
+    """Basis-payload operators hold int weights: the omega_m coefficients
+    zeta_c / zeta_c = 1 and the pairings m <delta_c, sigma_c> = m zeta_c."""
     for g in (cyclic(3), symmetric(3)):
         for c in range(g.num_classes):
             for m in (1, 2, 3):
-                up = a_plus(m, sigma_basis(g, c))._form
-                down = a_minus(m, DualFunctional.delta(g, c))._form
-                assert [x for _, _, x in up] == [1]
-                assert [x for _, _, x in down] == [m * g.zeta(c)]
-                assert all(type(x) is int for _, _, x in up + down)
+                up = [x for _, x in a_plus(m, sigma_basis(g, c))._omega]
+                down = [x for _, _, x in
+                        a_minus(m, DualFunctional.delta(g, c))._form]
+                assert up == [1] and down == [m * g.zeta(c)]
+                assert all(type(x) is int for x in up + down)
 
 
 class TestAnnihilation:
@@ -408,3 +407,139 @@ class TestKoszulOracle:
         eta = DualFunctional.delta(space, c)
         got = a_minus(m, eta)(_word_product(space, product))
         assert got.equals(want)
+
+
+# -- the supersymmetric product, against the word oracle ---------------------
+
+SUPER_SPACES = [(1, 1), (2, 2), (0, 3)]
+SUPER_DEGREE = 4
+
+
+def _word(rho):
+    """The generators (mode, label) of sigma^rho in canonical order."""
+    return [(r, c) for c, lam in rho.parts for r in lam]
+
+
+def _parity(rho, space):
+    """The number of odd generators of sigma^rho, mod 2."""
+    return sum(len(lam) for c, lam in rho.parts if c >= space.d0) % 2
+
+
+def _monomials(space, max_degree):
+    return [FockElement(space, {rho: 1}) for n in range(max_degree + 1)
+            for rho in enumerate_types(space, n)]
+
+
+@pytest.fixture(params=SUPER_SPACES, ids=lambda d: f"{d[0]}|{d[1]}")
+def super_space(request):
+    return SuperFockSpace(*request.param)
+
+
+class TestSuperProduct:
+    """fock_mul on the super model is the product of words of generators:
+    bubble-sorting the concatenated words counts the inversions of their
+    odd generators, which is the Koszul sign (`_word_product`)."""
+
+    def test_product_is_the_sorted_word(self, super_space):
+        space = super_space
+        basis = _monomials(space, SUPER_DEGREE)
+        for u in basis:
+            (rho,), n = u.coeffs, u.degree
+            for v in basis:
+                (tau,), k = v.coeffs, v.degree
+                if n + k > SUPER_DEGREE:
+                    continue
+                got = fock_mul(u, v)
+                assert got.equals(
+                    _word_product(space, _word(rho) + _word(tau))), (rho, tau)
+                assert set(got.coeffs) <= set(enumerate_types(space, n + k))
+
+    def test_graded_commutative(self, super_space):
+        space = super_space
+        basis = _monomials(space, SUPER_DEGREE)
+        for u in basis:
+            (rho,) = u.coeffs
+            for v in basis:
+                (tau,) = v.coeffs
+                if u.degree + v.degree <= SUPER_DEGREE:
+                    sign = -1 if _parity(rho, space) * _parity(tau, space) \
+                        else 1
+                    assert fock_mul(u, v).equals(fock_mul(v, u) * sign)
+
+    def test_associative(self, super_space):
+        space = super_space
+        basis = _monomials(space, SUPER_DEGREE)
+        for u in basis:
+            for v in basis:
+                rest = SUPER_DEGREE - u.degree - v.degree
+                if rest < 0:
+                    continue
+                uv = fock_mul(u, v)
+                for w in basis:
+                    if w.degree <= rest:
+                        assert fock_mul(uv, w).equals(
+                            fock_mul(u, fock_mul(v, w)))
+
+    def test_bilinear_on_rational_sums(self, super_space):
+        """Sums with Fraction coefficients go through the integer
+        numerators and one division: the product of sums is the sum of the
+        monomial products."""
+        space = super_space
+        basis = _monomials(space, 2)
+        x = sum((u * Fraction(i + 1, 2) for i, u in enumerate(basis)),
+                FockElement.zero(space))
+        y = sum((u * Fraction(1, 3 - i % 2) * (-1) ** i
+                 for i, u in enumerate(basis)), FockElement.zero(space))
+        want = FockElement.zero(space)
+        for rho, a in x.coeffs.items():
+            for tau, b in y.coeffs.items():
+                want = want + fock_mul(FockElement(space, {rho: 1}),
+                                       FockElement(space, {tau: 1})) * (a * b)
+        assert fock_mul(x, y).equals(want)
+
+    def test_repeated_odd_part_is_zero(self):
+        space = SuperFockSpace(1, 1)
+        odd = FockElement(space, {WreathType.from_dict({1: (1,)}): 1})
+        assert fock_mul(odd, odd).equals(FockElement.zero(space))
+        line = SuperFockSpace(0, 1)
+        s21 = WreathType.from_dict({0: (2, 1)})
+        omega = omega_n(sigma_basis(line, 0), 1)
+        got = fock_mul(omega, FockElement(line, {s21: 1}))
+        assert got.equals(FockElement.zero(line))
+
+    def test_odd_generators_anticommute(self):
+        """On (0|1): sigma_1 sigma_2 = -sigma^[2,1] = -sigma_2 sigma_1, as
+        a_1(sigma) gives on sigma_2."""
+        line = SuperFockSpace(0, 1)
+        s1, s2 = (FockElement(line, {WreathType.from_dict({0: (r,)}): 1})
+                  for r in (1, 2))
+        s21 = FockElement(line, {WreathType.from_dict({0: (2, 1)}): 1})
+        assert fock_mul(s1, s2).equals(s21 * -1)
+        assert fock_mul(s2, s1).equals(s21)
+        assert a_plus(1, sigma_basis(line, 0))(s2).equals(s21 * -1)
+
+    def test_creation_is_multiplication_by_omega(self, super_space):
+        """a_m(V) u = omega_m(V) u, for each basis payload and a payload
+        with a rational value at every label."""
+        space = super_space
+        labels = range(space.d0 + space.d1)
+        payloads = [sigma_basis(space, c) for c in labels] + [ClassFunction(
+            space, tuple(Fraction(c + 1, 2) * (-1) ** c for c in labels))]
+        basis = _monomials(space, SUPER_DEGREE)
+        for v in payloads:
+            for m in (1, 2, 3):
+                op, omega = a_plus(m, v), omega_n(v, m)
+                for u in basis:
+                    assert op(u).equals(fock_mul(omega, u))
+
+    def test_comul_refuses_odd_labels(self):
+        """The coproduct splits sigma^rho unsigned, which is right only
+        without odd labels; an even super space still splits as F_G of
+        the trivial group does."""
+        s21 = WreathType.from_dict({0: (2, 1)})
+        with pytest.raises(FockError):
+            fock_comul(FockElement(SuperFockSpace(0, 1), {s21: 1}))
+        even, g = SuperFockSpace(1, 0), trivial_group()
+        for rho in enumerate_types(g, 4):
+            assert fock_comul(FockElement(even, {rho: 1})) == \
+                fock_comul(sigma_rho(g, rho))

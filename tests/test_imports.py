@@ -67,33 +67,34 @@ ENTRY_POINTS = {
 
 
 def unused_definitions(sources: dict[str, str]) -> list[str]:
-    """Public top-level functions and classes that no source names, other
-    than at their own definition; a quoted annotation such as
-    "WreathType" names one too."""
+    """Top-level functions and classes, public or private, that no source
+    names, other than at their own definition; a quoted annotation such
+    as "WreathType" names one too.  A private helper that lost its last
+    caller is dead code."""
     defined, used = {}, set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) \
-                    and not node.name.startswith("_"):
-                defined[node.name] = f"{module}:{node.lineno}"
+                                 ast.ClassDef)):
+                defined[module, node.name] = node.lineno
         trees = [tree] + [ast.parse(c.value, mode="eval")
                           for a in _annotations(tree) if a is not None
                           for c in ast.walk(a) if isinstance(c, ast.Constant)
                           and isinstance(c.value, str)]
         used |= {n.id for t in trees for n in ast.walk(t)
                  if isinstance(n, ast.Name)}
-    return [f"{name} ({where})" for name, where in defined.items()
-            if name not in used]
+    return [f"{name} ({module}:{line})"
+            for (module, name), line in defined.items() if name not in used]
 
 
 def test_scan_finds_an_unused_definition():
     sources = {"a.py": "def used():\n    pass\n\n\ndef planted():\n"
                        "    pass\n\n\nclass _Private:\n    pass\n",
                "b.py": "x: 'used'\n"}
-    assert unused_definitions(sources) == ["planted (a.py:5)"]
-    sources["b.py"] += "planted()\n"
+    assert unused_definitions(sources) == ["planted (a.py:5)",
+                                           "_Private (a.py:9)"]
+    sources["b.py"] += "planted()\n_Private()\n"
     assert unused_definitions(sources) == []
 
 

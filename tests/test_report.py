@@ -86,9 +86,11 @@ def _annihilation_oracle_zero(monkeypatch):
 
 def _creation_sign_flip(monkeypatch):
     """Creation negates its result; the shared Koszul sign is left alone,
-    since a flip there would cancel in every bracket."""
-    orig = heisenberg._create
-    monkeypatch.setattr(heisenberg, "_create", lambda *args: orig(*args) * -1)
+    since a flip there would cancel in every bracket.  The relation checks
+    call fock_mul nowhere, so every product kernel call is a creation."""
+    orig = heisenberg._merge
+    monkeypatch.setattr(heisenberg, "_merge", lambda *args: {
+        k: -v for k, v in orig(*args).items()})
     return sf_commutator_check(1, 1, 3, 2)
 
 
@@ -130,10 +132,12 @@ def _super_annihilation_1_tripled(monkeypatch):
 def _odd_square_nonzero(monkeypatch):
     """The Koszul sign is +1 where an odd label already has the part, so
     creation makes a repeated odd part instead of zero and a(w)^2 = 0
-    fails for the odd generator w."""
-    orig = heisenberg._sign
-    monkeypatch.setattr(heisenberg, "_sign",
-                        lambda *args: orig(*args) or 1)
+    fails for the odd generator w.  The product kernel and annihilation
+    both ask `_koszul`."""
+    orig = fock._koszul
+    faulty = lambda *args: orig(*args) or 1
+    monkeypatch.setattr(fock, "_koszul", faulty)
+    monkeypatch.setattr(heisenberg, "_koszul", faulty)
     return sf_commutator_check(1, 1, 3, 2)
 
 
@@ -293,26 +297,29 @@ def _count_calls(monkeypatch, counts, owner, name, key):
 
 # calls made by one warm run of each suite; the Z2 suites are all rational,
 # so they build no Cyclotomic.  Every operator of F_G and of the super
-# model is a `HeisenbergOp`, and creation is `_create` on both; only odd
-# labels ask `_sign`.  The relation checks build no bracket: their
-# FockElements are the basis, the operator images, the creation forms
-# omega_m(sigma_c) and, on F_G, the oracle's values.  The like-operator
-# rows pair an operator with itself only at an odd label, where a^2 = 0 is
-# a real check.
+# model is a `HeisenbergOp`, and creation is one call of the product
+# kernel `_merge` on both (fock_mul calls it too, but not in these
+# suites, and not on the int monomials of hopf_verify); only two types
+# with odd parts ask `_koszul`: 184 calls on the super model, 250 when
+# creation asked its sign at every odd label of its form.  The relation
+# checks build no bracket: their FockElements are the basis, the operator
+# images, the creation elements omega_m(sigma_c) and, on F_G, the
+# oracle's values.  The like-operator rows pair an operator with itself
+# only at an odd label, where a^2 = 0 is a real check.
 WORK = {
     "commutator_check": (lambda: commutator_check(cyclic(2), 3, 2), {
         "HeisenbergOp.__call__": 1152, "fock_mul": 0,
-        "Cyclotomic.__mul__": 0, "_create": 576, "_sign": 0,
+        "Cyclotomic.__mul__": 0, "_merge": 576, "_koszul": 0,
         "FockElement.__init__": 1246}),
     "hopf_verify": (lambda: hopf_verify(cyclic(2), 3), {
         "HeisenbergOp.__call__": 0, "fock_mul": 195,
-        "Cyclotomic.__mul__": 0, "_create": 0, "_sign": 0}),
+        "Cyclotomic.__mul__": 0, "_merge": 0, "_koszul": 0}),
     "z3_commutators": (z3_commutators, {
         "HeisenbergOp.__call__": 1260, "fock_mul": 0,
-        "Cyclotomic.__mul__": 1978, "_create": 630, "_sign": 0}),
+        "Cyclotomic.__mul__": 1978, "_merge": 630, "_koszul": 0}),
     "sf_commutator_check": (lambda: sf_commutator_check(1, 1, 3, 2), {
         "HeisenbergOp.__call__": 1080, "fock_mul": 0,
-        "Cyclotomic.__mul__": 0, "_create": 540, "_sign": 250,
+        "Cyclotomic.__mul__": 0, "_merge": 540, "_koszul": 184,
         "FockElement.__init__": 1099}),
     # D4's 10 subgroups, and one H_s per double coset of each of the 100
     # subgroup pairs, built once per pair (481 and 471 when they were
@@ -337,8 +344,9 @@ def test_verify_work_is_pinned(suite, monkeypatch):
                  "HeisenbergOp.__call__")
     _count_calls(monkeypatch, counts, Cyclotomic, "__mul__",
                  "Cyclotomic.__mul__")
-    _count_calls(monkeypatch, counts, heisenberg, "_create", "_create")
-    _count_calls(monkeypatch, counts, heisenberg, "_sign", "_sign")
+    for module in (fock, heisenberg):
+        _count_calls(monkeypatch, counts, module, "_merge", "_merge")
+        _count_calls(monkeypatch, counts, module, "_koszul", "_koszul")
     _count_calls(monkeypatch, counts, fock, "fock_mul", "fock_mul")
     _count_calls(monkeypatch, counts, lambda_ops, "fock_mul", "fock_mul")
     _count_calls(monkeypatch, counts, FockElement, "__init__",
