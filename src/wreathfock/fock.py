@@ -51,14 +51,15 @@ class FockError(ValueError):
 class FockElement:
     """u = sum of coeffs[rho] sigma^rho over types rho, finitely supported.
     Zero coefficients are dropped.  `group` is the label space of the
-    types: G, or a `heisenberg.SuperFockSpace` for the super Fock model."""
+    types: G, or a `heisenberg.SuperFockSpace` for the super Fock model.
+    The element takes over the map it is given when no value is zero, so
+    a caller passes a fresh map or a copy, and nobody changes it after."""
 
     __slots__ = ("group", "coeffs")
 
     def __init__(self, group: LabelSpace, coeffs: dict):
         self.group = group
-        # one copy, filtered only if a zero is in it
-        self.coeffs = dict(coeffs) if all(coeffs.values()) else {
+        self.coeffs = coeffs if all(coeffs.values()) else {
             k: v for k, v in coeffs.items() if v}
 
     @classmethod
@@ -167,7 +168,7 @@ def trivial_char(group: FiniteGroup, n: int) -> FockElement:
 def sign_char(group: FiniteGroup, n: int) -> FockElement:
     """(-1)^(n - length(rho)) per type: G^n acts trivially, S_n by sign;
     each call copies the map built once per (G, n)."""
-    return FockElement(group, _sign_char_coeffs(group, n))
+    return FockElement(group, dict(_sign_char_coeffs(group, n)))
 
 
 @lru_cache(maxsize=32)

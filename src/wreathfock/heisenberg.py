@@ -18,12 +18,14 @@ annihilation a_{-m}(eta) is the derivation sum_c x_c d/d sigma_m(c), with
 x_c = m <eta, sigma_c> = m eta_c w(c).  On the super model the payloads
 `sigma_basis(space, c)` and `DualFunctional.delta(space, c)` give the
 generator at label c.  Both carry the Koszul sign `fock._koszul`.  An
-evaluation-style restriction oracle is the independent cross-check on F_G.
+evaluation-style restriction oracle, which reads a table of the values of
+its vector, is the independent cross-check on F_G.
 What an operator needs apart from the vector it acts on, its form, is
 computed once, when the operator is built.  One `relation_check` checks
 Eq. (24)-(26) on any label space: the image of every basis vector under
 every operator is computed once, in `_image_table`, and `_bracket_is`
-compares each bracket with its value term by term.
+compares each bracket with its value term by term, applying no operator
+to an image that is 0.
 """
 from __future__ import annotations
 
@@ -69,9 +71,11 @@ def _bracket_is(space: LabelSpace, a: Entry, b: Entry, i: int, x: Scalar,
     """Whether [a, b] u = x u, u the i-th basis vector.  The bracket is
     a(b u) - b(a u), or a(b u) + b(a u) when both labels are odd; it is
     never built, since a(b u) is compared with b(a u), negated for two odd
-    labels, plus x u, term by term."""
+    labels, plus x u, term by term; where b u or a u is 0, that side is 0
+    and no operator is applied."""
     (op1, c1, img1), (op2, c2, img2) = a, b
-    first, need = op1(img2[i]), op2(img1[i]).coeffs
+    first = op1(img2[i]).coeffs if img2[i].coeffs else {}
+    need = op2(img1[i]).coeffs if img1[i].coeffs else {}
     if min(c1, c2) >= space.odd:
         need = {k: -v for k, v in need.items()}
     if x:
@@ -79,7 +83,7 @@ def _bracket_is(space: LabelSpace, a: Entry, b: Entry, i: int, x: Scalar,
         for k, v in u.coeffs.items():
             need[k] = need.get(k, 0) + v * x
         need = {k: v for k, v in need.items() if v}
-    return first.coeffs == need
+    return first == need
 
 
 def _image_table(modes, basis: list[FockElement], make,
@@ -150,16 +154,20 @@ def vacuum(group: LabelSpace) -> FockElement:
 def a_minus_oracle(m: int, eta: DualFunctional,
                    f: FockElement) -> FockElement:
     """(1 tensor eta ch_m) Res, computed by evaluation: value at alpha is
-    sum_c eta_c f(alpha u (m-cycle at c)), per degree n >= m of f."""
+    sum_c eta_c f(alpha u (m-cycle at c)), per degree n >= m of f, read
+    from a table of the values of f on its support."""
     g = f.group
+    values = {rho: f.value(rho) for rho in f.coeffs}
+    cycles = [(x, n_cycle_type(c, m)) for c, x in enumerate(eta.coeffs) if x]
     out = {}
-    for n in {rho.degree for rho in f.coeffs}:
+    for n in {rho.degree for rho in values}:
         if n < m:
             continue
         for alpha in enumerate_types(g, n - m):
-            out[alpha] = sum((eta.coeffs[c]
-                              * f.value(alpha.union(n_cycle_type(c, m)))
-                              for c in range(g.num_classes)), 0)
+            unions = alpha.unions
+            v = sum((x * values.get(unions[cyc], 0) for x, cyc in cycles), 0)
+            if v:
+                out[alpha] = v
     return FockElement.from_values(g, out)
 
 

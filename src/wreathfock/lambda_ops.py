@@ -27,14 +27,14 @@ def boxtimes_power(v: ClassFunction, n: int) -> FockElement:
     product of V(c) over the cycles of rho (one factor per part).
 
     Memoized on (V, n) in a bounded cache, which holds the coefficient
-    map; each call wraps it in a new element, whose `coeffs` is a copy.
+    map; each call wraps a copy of it in a new element.
     A V with irrational values is not hashable and is built uncached."""
     if n < 0:
         raise WreathError("outer power needs n >= 0")
     build = _outer_power_coeffs
     if any(isinstance(x, Cyclotomic) for x in v.values):
         build = build.__wrapped__
-    return FockElement(v.group, build(v, n))
+    return FockElement(v.group, dict(build(v, n)))
 
 
 @lru_cache(maxsize=128)

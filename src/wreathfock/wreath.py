@@ -54,10 +54,21 @@ class _Unions(dict):
         self.rho = rho
 
     def __missing__(self, tau: "WreathType") -> "WreathType":
-        d: dict[int, list[int]] = {}
-        for c, lam in self.rho.parts + tau.parts:
-            d.setdefault(c, []).extend(lam)
-        out = self[tau] = tau.unions[self.rho] = WreathType.from_dict(d)
+        # merge the canonical parts; at a shared label, join and re-sort
+        a, b = self.rho.parts, tau.parts
+        parts, i, j = [], 0, 0
+        while i < len(a) and j < len(b):
+            c, cc = a[i][0], b[j][0]
+            if c < cc:
+                parts.append(a[i])
+            elif cc < c:
+                parts.append(b[j])
+            else:
+                parts.append((c, tuple(sorted(a[i][1] + b[j][1],
+                                              reverse=True))))
+            i, j = i + (c <= cc), j + (cc <= c)
+        out = WreathType(tuple(parts) + a[i:] + b[j:])
+        self[tau] = tau.unions[self.rho] = out
         return out
 
 

@@ -443,6 +443,29 @@ class TestFockElement:
         with pytest.raises(FockError):
             FockElement.unit(g) + FockElement.unit(h)
 
+    def test_takes_over_a_map_without_zeros(self):
+        """The element keeps the map it is given; a map with a zero is
+        filtered into a new one and left as it was."""
+        g = cyclic(2)
+        a, b = sigma_r_c(g, 1, 0), sigma_r_c(g, 1, 1)
+        full = {rho: 2 for rho in (a.coeffs | b.coeffs)}
+        assert FockElement(g, full).coeffs is full
+        with_zero = dict(full) | {EMPTY_TYPE: 0}
+        before = dict(with_zero)
+        u = FockElement(g, with_zero)
+        assert with_zero == before and u.coeffs == full
+
+    def test_sign_char_memo_hands_out_fresh_elements(self):
+        """Changing a returned sign character leaves the memoized one
+        alone."""
+        g = symmetric(3)
+        first = sign_char(g, 3)
+        want = dict(first.coeffs)
+        rho, tau = list(want)[:2]
+        first.coeffs[rho] = Fraction(99)
+        del first.coeffs[tau]
+        assert sign_char(g, 3).coeffs == want
+
 
 class TestGradedDim:
     def test_matches_euler_product(self):

@@ -1,6 +1,7 @@
 """Heisenberg operators on F_G and the super Fock space model."""
 import copy
 import pickle
+import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -13,7 +14,8 @@ from wreathfock import heisenberg
 from wreathfock.fock import (FockElement, FockError, fock_comul, fock_mul,
                              graded_dim, sigma_r_c, sigma_rho)
 from wreathfock.groups import (ClassFunction, DualFunctional, GroupError,
-                               cyclic, sigma_basis, symmetric, trivial_group)
+                               binary_dihedral, cyclic, sigma_basis,
+                               symmetric, trivial_group)
 from wreathfock.heisenberg import (HeisenbergError, SuperFockSpace, a_minus,
                                    a_minus_oracle, a_plus, commutator_check,
                                    heisenberg_verify, irreducibility_check,
@@ -22,7 +24,7 @@ from wreathfock.lambda_ops import omega_n
 from wreathfock.linalg import matrix_rank
 from wreathfock.report import Report
 from wreathfock.scalars import Cyclotomic
-from wreathfock.wreath import WreathType, enumerate_types
+from wreathfock.wreath import WreathType, enumerate_types, n_cycle_type
 
 
 class TestCreation:
@@ -164,6 +166,57 @@ class TestCyclotomicPayloads:
         assert isinstance(eta.pair(v), Cyclotomic)  # never a rational
         rep = z3_commutators()
         assert rep.all_passed, rep.to_table()
+
+
+def a_minus_oracle_by_value_calls(m: int, eta: DualFunctional,
+                                  f: FockElement) -> FockElement:
+    """The evaluation oracle with one `f.value` call per (alpha, c): value
+    at alpha is sum_c eta_c f(alpha u (m-cycle at c))."""
+    g = f.group
+    out = {}
+    for n in {rho.degree for rho in f.coeffs}:
+        if n < m:
+            continue
+        for alpha in enumerate_types(g, n - m):
+            out[alpha] = sum((eta.coeffs[c]
+                              * f.value(alpha.union(n_cycle_type(c, m)))
+                              for c in range(g.num_classes)), 0)
+    return FockElement.from_values(g, out)
+
+
+class TestOracleValueTable:
+    @pytest.mark.parametrize("group", [symmetric(3), cyclic(3),
+                                       binary_dihedral(2)],
+                             ids=["S3", "Z3", "Q8"])
+    def test_matches_one_value_call_per_term(self, group, monkeypatch):
+        """On multi-term elements of mixed degree <= 4 with int, Fraction
+        and Cyclotomic coefficients, and on 0, for modes m <= 3 and
+        functionals with zero and irrational coefficients, the oracle's
+        value table gives what reading f once per (alpha, c) gives, and
+        neither the derivation nor an operator is asked."""
+        g, w = group, Cyclotomic.root(3)
+        rng = random.Random(5)
+        types = [rho for n in range(5) for rho in enumerate_types(g, n)]
+        makers = [lambda: rng.randint(-3, 3),      # int, Fraction, Cyclotomic
+                  lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                  lambda: rng.randint(1, 3) * w + rng.randint(-2, 2)]
+        elements = [FockElement.zero(g)] + [
+            FockElement(g, {rho: make() for rho in rng.sample(types, 8)})
+            for make in makers for _ in range(3)] + [
+            FockElement(g, {rho: rng.choice(makers)()
+                            for rho in rng.sample(types, 8)})
+            for _ in range(3)]
+        etas = [DualFunctional.delta(g, c) for c in range(g.num_classes)] + [
+            DualFunctional(g, tuple(rng.choice((0, Fraction(1, 2), w, -2))
+                                    for _ in range(g.num_classes)))]
+        monkeypatch.setattr(heisenberg, "_annihilate", None)
+        monkeypatch.setattr(heisenberg.HeisenbergOp, "__call__", None)
+        for f in elements:
+            assert not f.coeffs or len({rho.degree for rho in f.coeffs}) > 1
+            for m in (1, 2, 3):
+                for eta in etas:
+                    assert a_minus_oracle(m, eta, f).equals(
+                        a_minus_oracle_by_value_calls(m, eta, f))
 
 
 class TestRelations:

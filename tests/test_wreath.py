@@ -16,7 +16,9 @@ from wreath_oracle import (WreathElement, cycle_products,
                            wreath_mul)
 from wreathfock.fock import (FockElement, hopf_verify, sigma_r_c, sigma_rho,
                              sign_char, trivial_char)
+from wreathfock import wreath
 from wreathfock.groups import cyclic, symmetric
+from wreathfock.heisenberg import SuperFockSpace
 from wreathfock.scalars import euler_product
 from wreathfock.wreath import (EMPTY_TYPE, WreathError, WreathType,
                                brute_force_classes, element_model,
@@ -85,6 +87,22 @@ class TestTypes:
         assert u.degree == a.degree + b.degree
         assert u.length == a.length + b.length
         assert a.union(b) is u is a.unions[b] is b.unions[a]
+
+    @pytest.mark.parametrize("space", [symmetric(3), SuperFockSpace(1, 1)],
+                             ids=["S3", "(1|1)"])
+    def test_union_merges_the_parts(self, space):
+        """For every pair of types of degree <= 4, a fresh union table
+        gives the type `from_dict` builds from the parts of both, the one
+        object in both types' own tables."""
+        every = [t for n in range(5) for t in enumerate_types(space, n)]
+        for rho in every:
+            fresh = wreath._Unions(rho)
+            for tau in every:
+                d: dict = {}
+                for c, lam in rho.parts + tau.parts:
+                    d.setdefault(c, []).extend(lam)
+                assert fresh[tau] is WreathType.from_dict(d) \
+                    is rho.unions[tau] is tau.unions[rho]
 
     @settings(max_examples=100, deadline=None)
     @given(types)
