@@ -41,7 +41,7 @@ from .report import Report
 from .scalars import Cyclotomic, Scalar, conj, div
 from .wreath import (EMPTY_TYPE, WreathError, WreathType, element_model,
                      enumerate_types, n_cycle_type, representative_of_type,
-                     split_type, type_of, wreath_order, z_rho)
+                     type_of, wreath_order, z_rho)
 
 
 class FockError(ValueError):
@@ -353,9 +353,13 @@ def _induction_bags(group: FiniteGroup, a: int, b: int,
     """For each target type: a Counter over (left type, right type) of the
     conjugates w^-1 z w (w in G_n) landing in the Young subgroup G_a x G_b.
     Each member of the class of z is hit |C(z)| = |G_n|/|cl(z)| times, so
-    the class is walked once with that weight."""
+    the class is walked once with that weight.  Each distinct half of a
+    member p, p[:cut] in G_a or p[cut:] - cut in G_b, is typed once."""
     model = element_model(group, a + b, limit)
     cut = a * group.order  # points of G x {0..a-1}
+    left_type = lru_cache(maxsize=None)(lambda h: type_of(group, h))
+    right_type = lru_cache(maxsize=None)(
+        lambda h: type_of(group, [v - cut for v in h]))
     bags = {}
     for pi in reps:
         members = model.classes[model.class_of[
@@ -365,7 +369,7 @@ def _induction_bags(group: FiniteGroup, a: int, b: int,
         for y in members:
             p = model.perms[y]
             if max(p[:cut]) < cut:
-                bag[split_type(group, p, a)] += weight
+                bag[left_type(p[:cut]), right_type(p[cut:])] += weight
         bags[pi] = bag
     return bags
 
@@ -410,9 +414,8 @@ def oracle_comul_value(f: FockElement, alpha: WreathType,
     """Element-level restriction: the value of Res f at the embedded pair
     of canonical representatives of (alpha, beta)."""
     g = f.group
-    left = representative_of_type(g, alpha)
-    shift = len(left)  # alpha.degree |G| points
-    right = tuple([v + shift for v in representative_of_type(g, beta)])
+    left = list(representative_of_type(g, alpha))  # alpha.degree |G| points
+    right = [v + len(left) for v in representative_of_type(g, beta)]
     return f.value(type_of(g, left + right))
 
 

@@ -136,7 +136,7 @@ class PowerGSet:
     def size(self) -> int:
         return self.base.size ** self.n
 
-    def point_table(self, p: tuple[int, ...]) -> tuple[int, ...]:
+    def point_table(self, p) -> tuple[int, ...]:
         """The point table of p: entry t is the index of p.x, x the t-th
         point.  Coordinate i of x adds g_s(i) x_i |X|^(n-1-s(i))."""
         k, n, order = self.base.size, self.n, self.base.group.order
@@ -164,7 +164,7 @@ class PowerGSet:
                 for g, row in enumerate(self.base.action)
                 for i in range(n) for j in range(n)}
 
-    def fixed_mask(self, p: tuple[int, ...]) -> int:
+    def fixed_mask(self, p) -> int:
         """The bit set of the points with x_{s(i)} = g_{s(i)} x_i, the AND
         over the coordinates i of one precomputed mask each."""
         masks, order = self._masks, self.base.group.order
@@ -174,7 +174,7 @@ class PowerGSet:
             out &= masks[g, i, j]
         return out
 
-    def fixed(self, p: tuple[int, ...]) -> list[int]:
+    def fixed(self, p) -> list[int]:
         """The points of `fixed_mask(p)`, in increasing order."""
         return _bits(self.fixed_mask(p))
 
@@ -276,7 +276,7 @@ def _orbit_counts_by_class(x: GSet) -> tuple[int, ...]:
     return tuple(k)
 
 
-def symmetric_orbit_count(x: GSet, p: tuple[int, ...]) -> int:
+def symmetric_orbit_count(x: GSet, p) -> int:
     """|(X^n)^p / Z(p)| predicted by the symmetric-product formula:
     prod over (c, r) of C(k_c + m - 1, m) with k_c = |X^c/Z_G(c)|."""
     k = _orbit_counts_by_class(x)

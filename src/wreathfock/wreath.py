@@ -10,9 +10,9 @@ to a few tens of thousands of elements are enumerated.
 
 An element (g_1..g_n; s) is its permutation of the |G| n points of
 G x {0..n-1}, (g; s).(h, i) = (g_{s(i)} h, s(i)), with point (h, i) at
-index i |G| + h; a product is a composition of two permutation tuples, and
-p[i |G|] = s(i) |G| + g_{s(i)} gives (g; s) back (`decode_element`).  The
-type is read off the block cycles of p (`split_type`).
+index i |G| + h: `bytes` up to 256 points and a tuple above.  A product is a
+composition (`_compose`), and p[i |G|] = s(i) |G| + g_{s(i)} gives (g; s) back
+(`decode_element`).  The type is read off the block cycles of p (`type_of`).
 
 The oracles share one compiled model per (G, n), `element_model`.  Ids run
 over (g_1..g_n) in lexicographic order and, for each, over the
@@ -265,14 +265,47 @@ def n_cycle_type(c: int, n: int) -> WreathType:
 
 # -- the element model (oracles) --------------------------------------------
 
-def _perm(group: FiniteGroup, gs, s) -> tuple[int, ...]:
+_IDENT = bytes(range(256))
+_BYTES_POINTS = 256     # a permutation of more points is a tuple
+
+
+def _perm(group: FiniteGroup, gs, s) -> bytes | tuple[int, ...]:
     """The permutation of (g_1..g_n; s): (h, i) -> (g_{s(i)} h, s(i))."""
     k, table = group.order, group.table
-    return tuple([j * k + v for j in s for v in table[gs[j]]])
+    out = [j * k + v for j in s for v in table[gs[j]]]
+    return bytes(out) if len(out) <= _BYTES_POINTS else tuple(out)
 
 
-def decode_element(group: FiniteGroup,
-                   p: tuple[int, ...]) -> tuple[list[int], list[int]]:
+def _compose(p, q):
+    """p o q, the permutation x -> p[q[x]]."""
+    if type(q) is bytes:
+        return q.translate(p + _IDENT[len(p):])
+    return tuple([p[x] for x in q])
+
+
+def _perm_inverse(p):
+    if type(p) is bytes:
+        return bytes.maketrans(p, _IDENT[:len(p)])[:len(p)]
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+def _conjugates(x, xi, ps):
+    """x p x^-1 for p in ps, one at a time; xi = x^-1."""
+    if type(x) is bytes:
+        tail, xt = _IDENT[len(x):], x + _IDENT[len(x):]
+        return (xi.translate(p + tail).translate(xt) for p in ps)
+    return (tuple([x[p[v]] for v in xi]) for p in ps)
+
+
+def _commutes(p, q) -> bool:
+    """One commutation test: pq == qp as permutations."""
+    return _compose(p, q) == _compose(q, p)
+
+
+def decode_element(group: FiniteGroup, p) -> tuple[list[int], list[int]]:
     """(g_1..g_n, s) of the element p: p[i |G|] = s(i) |G| + g_s(i)."""
     k = group.order
     gs, s = [0] * (len(p) // k), []
@@ -283,16 +316,14 @@ def decode_element(group: FiniteGroup,
     return gs, s
 
 
-def split_type(group: FiniteGroup, p: tuple[int, ...],
-               a: int) -> tuple[WreathType, WreathType]:
-    """The types of the cycles of the element p through the blocks below
-    a and through the others; for p in G_a x G_(n-a), its two components.
-    A cycle is walked from the point (e, i) of its first block i: it is
-    back in block i after r steps, at (h, i) with h the cycle product, so
-    it is one part r at the class of h."""
+def type_of(group: FiniteGroup, p) -> WreathType:
+    """The type of the element p, its conjugacy class in G_n.  A cycle is
+    walked from the point (e, i) of its first block i: it is back in block
+    i after r steps, at (h, i) with h the cycle product, so it is one part
+    r at the class of h."""
     k, class_of = group.order, group.class_of
     seen = [False] * (len(p) // k)
-    parts: tuple[dict, dict] = ({}, {})
+    parts: dict = {}
     for i, done in enumerate(seen):
         if done:
             continue
@@ -301,17 +332,11 @@ def split_type(group: FiniteGroup, p: tuple[int, ...],
         while not start <= x < start + k:
             seen[x // k] = True
             x, r = p[x], r + 1
-        parts[i >= a].setdefault(class_of[x - start], []).append(r)
-    return WreathType.from_dict(parts[0]), WreathType.from_dict(parts[1])
+        parts.setdefault(class_of[x - start], []).append(r)
+    return WreathType.from_dict(parts)
 
 
-def type_of(group: FiniteGroup, p: tuple[int, ...]) -> WreathType:
-    """The type of the element p, its conjugacy class in G_n."""
-    return split_type(group, p, 0)[1]
-
-
-def representative_of_type(group: FiniteGroup,
-                           rho: WreathType) -> tuple[int, ...]:
+def representative_of_type(group: FiniteGroup, rho: WreathType):
     """Canonical element of the given type: per part an r-cycle block with
     the class representative in its first slot."""
     n = rho.degree
@@ -327,7 +352,7 @@ def representative_of_type(group: FiniteGroup,
     return _perm(group, gs, s)
 
 
-def _generators(group: FiniteGroup, n: int) -> tuple[tuple[int, ...], ...]:
+def _generators(group: FiniteGroup, n: int) -> tuple:
     """(g, e, .., e; 1) for each g in `group.generators`, then for n >= 2
     the swap (0 1) and for n >= 3 the n-cycle i -> i + 1 (at n = 2 it is
     the swap), with every g_i = e: a generating set of G_n, as S_n carries
@@ -344,28 +369,27 @@ def _generators(group: FiniteGroup, n: int) -> tuple[tuple[int, ...], ...]:
 class ElementModel:
     """G_n compiled into permutation ids; see the module docstring.
 
-    Id 0 is the identity.  Products are compositions of permutation
-    tuples, `perms[a] o perms[b] = tuple([perms[a][x] for x in perms[b]])`;
-    the list comprehension sizes the tuple exactly, so the temporaries are
-    not resized into CPython's tuple free lists (which would hold on to
-    about 2000 of them per length).
+    Id 0 is the identity.  Elements are `bytes` when |G| n <= 256 and
+    tuples above, `index` is keyed by them, and `_compose`, `_conjugates`,
+    `_perm_inverse` and `_commutes` read both, on bytes in C.
     """
 
     def __init__(self, group: FiniteGroup, n: int):
-        self.group = group
-        self.n = n
         # the S_n parts: id j has the (j mod n!)-th
         self.sn = sn = tuple(itertools.permutations(range(n)))
-        self.perms = tuple(_perm(group, gs, s) for gs in itertools.product(
-            range(group.order), repeat=n) for s in sn)
+        # (g_1..g_n; s) = (g_1..g_n; 1) o (e..e; s)
+        moves = [_perm(group, (0,) * n, s) for s in sn]
+        bases = (_perm(group, gs, sn[0]) for gs in itertools.product(
+            range(group.order), repeat=n))
+        self.perms = tuple(_compose(b, t) for b in bases for t in moves)
         self.index = index = {p: i for i, p in enumerate(self.perms)}
         self.inverse = tuple(index[_perm_inverse(p)] for p in self.perms)
         self.generators = gen_perms = _generators(group, n)
         # generator_conj[t][i]: id of h_t x_i h_t^-1
         self.generator_conj = tuple(
-            tuple(index[tuple([h[p[x]] for x in hi])]
-                  for p in self.perms)
-            for h, hi in ((h, _perm_inverse(h)) for h in gen_perms))
+            tuple(map(index.__getitem__,
+                      _conjugates(h, _perm_inverse(h), self.perms)))
+            for h in gen_perms)
         class_of = [-1] * len(self.perms)
         conjugator = [0] * len(self.perms)
         classes = []
@@ -381,7 +405,7 @@ class ElementModel:
                     y = conj[x]
                     if class_of[y] < 0:
                         class_of[y] = c
-                        conjugator[y] = index[tuple([h[v] for v in cx])]
+                        conjugator[y] = index[_compose(h, cx)]
                         members.append(y)
             classes.append(tuple(sorted(members)))
         self.classes = tuple(classes)
@@ -414,22 +438,9 @@ class ElementModel:
         out = []
         for i, x in enumerate(self.conjugator):
             px, pxi = perms[x], perms[self.inverse[x]]
-            out.append(tuple(sorted(
-                index[tuple([px[q[v]] for v in pxi])]
-                for q in at_rep[self.class_of[i]])))
+            out.append(tuple(sorted(map(index.__getitem__, _conjugates(
+                px, pxi, at_rep[self.class_of[i]])))))
         return tuple(out)
-
-
-def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
-def _commutes(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
-    """One commutation test: pq == qp as permutations."""
-    return [p[x] for x in q] == [q[x] for x in p]
 
 
 def element_model(group: FiniteGroup, n: int,
@@ -450,5 +461,6 @@ def brute_force_classes(group: FiniteGroup, n: int, limit: int = 200_000
     generating set: (smallest element, class size) pairs sorted by the
     type, classes of one type in id order."""
     model = element_model(group, n, limit)
-    return sorted(((model.perms[cl[0]], len(cl)) for cl in model.classes),
+    return sorted(((tuple(model.perms[cl[0]]), len(cl))
+                   for cl in model.classes),
                   key=lambda t: type_of(group, t[0]))

@@ -380,6 +380,56 @@ def test_group_file_fuzz_exits_0_or_2(text, tmp_path, capsys):
     assert (err == "") == (code == 0)
 
 
+@st.composite
+def near_miss_gsets(draw):
+    """(|G|, a --gset document) for Z2 or Z3, up to three edits from a valid
+    G-set (trivial, or regular): a row added or dropped, a row replaced by
+    any permutation (mostly not a homomorphism), an entry out of range,
+    repeated, a bool or a float, and the size off, negative, 0 or a bool."""
+    order = draw(st.sampled_from([2, 3]))
+    points = size = draw(st.integers(0, 3))
+    regular = points == order and draw(st.booleans())
+    action = [[(g + x) % order if regular else x for x in range(points)]
+              for g in range(order)]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["add", "drop", "permute", "entry",
+                                     "size"]))
+        rows = [row for row in action if row]
+        if edit == "add":
+            action.append(list(range(points)))
+        elif edit == "drop" and action:
+            del action[draw(st.integers(0, len(action) - 1))]
+        elif edit == "permute" and action:
+            action[draw(st.integers(0, len(action) - 1))] = \
+                list(draw(st.permutations(range(points))))
+        elif edit == "entry" and rows:
+            row = draw(st.sampled_from(rows))
+            row[draw(st.integers(0, len(row) - 1))] = draw(
+                st.integers(-1, 4) | st.booleans() | st.floats())
+        elif edit == "size":
+            size = draw(st.sampled_from([-1, 0, points + 1, True, 1.0]))
+    return order, {"size": size, "action": action}
+
+
+@settings(max_examples=50, deadline=2000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=near_miss_gsets())
+def test_gset_file_fuzz_exits_cleanly(case, tmp_path, capsys):
+    """Whatever a --gset file holds, `verify euler -N 2` runs the suite
+    (exit 0 or 1) or refuses the file with one error line (exit 2); no
+    exception leaves `main`."""
+    order, doc = case
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "euler", "--group", f"z{order}",
+                 "--gset", str(path), "-N", "2"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: ") \
+            and err.count("\n") == 1
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -415,6 +465,8 @@ GOLDEN_RUNS = {
                              "wreath_classes_s3_N2.json"),
     "wreath-classes-d4-N2": ("wreath classes --group d4 -N 2 --format json",
                              "wreath_classes_d4_N2.json"),
+    "wreath-classes-z257-N1": ("wreath classes --group z257 -N 1 "
+                               "--format json", "wreath_classes_z257_N1.json"),
 }
 
 

@@ -8,7 +8,8 @@ import pytest
 from test_groups import SMALL_GROUPS
 from wreath_oracle import (enumerate_wreath_elements, perm_of, representative,
                            split_element, type_of as oracle_type,
-                           wreath_generators, wreath_inv, wreath_mul)
+                           wreath_conj, wreath_generators, wreath_inv,
+                           wreath_mul)
 from wreathfock import fock, wreath
 from wreathfock.groups import closure, cyclic, symmetric
 from wreathfock.gsets import power_orbifold_euler, regular_gset
@@ -103,16 +104,19 @@ def test_induction_bags_match_conjugation_sweep(group, n):
 
 @pytest.mark.parametrize("group,n", CASES[:3], ids=IDS[:3])
 def test_model_structure(group, n):
+    """Ids, permutations, inverses, conjugators and products against the
+    (g; s) arithmetic; a permutation is compared as the tuple of its
+    images, whatever its encoding."""
     model = element_model(group, n)
     elements = enumerate_wreath_elements(group, n)
     assert elements == sorted(elements)
     perms = [perm_of(group, a) for a in elements]
-    assert list(model.perms) == perms
-    assert model.perms[0] == tuple(range(group.order * n))
-    assert list(model.generators) == [perm_of(group, h)
-                                      for h in wreath_generators(group, n)]
+    assert [tuple(p) for p in model.perms] == perms
+    assert tuple(model.perms[0]) == tuple(range(group.order * n))
+    assert [tuple(h) for h in model.generators] == [
+        perm_of(group, h) for h in wreath_generators(group, n)]
     for i, a in enumerate(elements):
-        assert model.index[perms[i]] == i
+        assert model.index[model.perms[i]] == i
         assert elements[model.inverse[i]] == wreath_inv(group, a)
         x = elements[model.conjugator[i]]
         z = elements[model.classes[model.class_of[i]][0]]
@@ -120,7 +124,8 @@ def test_model_structure(group, n):
                           wreath_inv(group, x)) == a
         for j in (0, len(elements) // 3, len(elements) - 1):
             b = elements[j]
-            ab = tuple(map(model.perms[i].__getitem__, model.perms[j]))
+            ab = wreath._compose(model.perms[i], model.perms[j])
+            assert tuple(ab) == tuple(map(perms[i].__getitem__, perms[j]))
             assert elements[model.index[ab]] == wreath_mul(group, a, b)
 
 
@@ -165,3 +170,65 @@ def test_commutation_tests_below_all_pairs(monkeypatch):
     finally:
         clear_caches()
     assert 0 < tests["commutes"] < wreath_order(g, 2) ** 2
+
+
+def test_model_past_256_points_is_tuples():
+    """Z257 wr S_1 has 257 points, one more than a byte addresses: its
+    permutations are tuples, and its classes, inverses and conjugators
+    match the (g; s) arithmetic."""
+    group = cyclic(257)
+    model = element_model(group, 1)
+    assert {type(p) for p in model.perms} == {tuple}
+    assert len(model.perms[0]) == 257
+    assert wreath.brute_force_classes(group, 1) == [
+        (perm_of(group, rep), size) for rep, size in closure_classes(group, 1)]
+    elements = enumerate_wreath_elements(group, 1)
+    for i, a in enumerate(elements):
+        assert elements[model.inverse[i]] == wreath_inv(group, a)
+        z = elements[model.classes[model.class_of[i]][0]]
+        assert wreath_conj(group, elements[model.conjugator[i]], z) == a
+
+
+@pytest.mark.parametrize("group,n", [(symmetric(3), 2), (cyclic(3), 3)],
+                         ids=["S3wr2", "Z3wr3"])
+def test_tuple_path_builds_the_bytes_model(group, n, monkeypatch):
+    """With the point cap of the bytes encoding one below |G| n, the same
+    G_n is built from tuples, with equal tables and induction bags."""
+    reps = tuple(enumerate_types(group, n))
+    clear_caches()
+    packed = element_model(group, n)
+    packed_bags = fock._induction_bags(group, 1, n - 1, reps, 50_000)
+    monkeypatch.setattr(wreath, "_BYTES_POINTS", group.order * n - 1)
+    clear_caches()
+    try:
+        plain = element_model(group, n)
+        plain_bags = fock._induction_bags(group, 1, n - 1, reps, 50_000)
+    finally:
+        clear_caches()
+    assert {type(p) for p in packed.perms} == {bytes}
+    assert {type(p) for p in plain.perms} == {tuple}
+    assert [tuple(p) for p in packed.perms] == list(plain.perms)
+    for name in ("inverse", "generator_conj", "classes", "class_of",
+                 "conjugator", "centralizers"):
+        assert getattr(packed, name) == getattr(plain, name), name
+    assert packed_bags == plain_bags
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_induction_bags_type_each_half_once(a, monkeypatch):
+    """Z3 wr S_4 cut at a: each distinct half of a member of G_a x G_b is
+    typed once, so at most |G_a| + |G_b| types are read, not one pair per
+    member."""
+    group, b = cyclic(3), 4 - a
+    calls = Counter()
+    real_type_of = fock.type_of
+
+    def counting_type_of(g, p):
+        calls["type_of"] += 1
+        return real_type_of(g, p)
+
+    monkeypatch.setattr(fock, "type_of", counting_type_of)
+    fock._induction_bags(group, a, b, tuple(enumerate_types(group, 4)),
+                         50_000)
+    assert 0 < calls["type_of"] <= \
+        wreath_order(group, a) + wreath_order(group, b)

@@ -230,7 +230,7 @@ class TestTypes:
         for n in range(5):
             for rho in enumerate_types(g, n):
                 p = representative_of_type(g, rho)
-                assert p == perm_of(g, representative(g, rho))
+                assert tuple(p) == perm_of(g, representative(g, rho))
                 assert type_of(g, p) == rho
 
 
