@@ -66,6 +66,20 @@ def orbits(points, moves) -> list[set]:
     return out
 
 
+def conjugacy_classes(n: int, rows) -> tuple[tuple, tuple]:
+    """(classes, class_of) of a group on ids 0..n-1, rows[t][x] the id of
+    h_t x h_t^-1 for a generating set h_t: conjugating by generators
+    reaches every conjugate.  Each class is sorted, and the classes are
+    ordered by their smallest id, so class 0 is the identity's."""
+    classes = tuple(tuple(sorted(orbit)) for orbit in
+                    orbits(range(n), [row.__getitem__ for row in rows]))
+    class_of = [0] * n
+    for c, cls in enumerate(classes):
+        for x in cls:
+            class_of[x] = c
+    return classes, tuple(class_of)
+
+
 class LabelSpace:
     """The labels c = 0..len(weights)-1 of the sigma engine (`wreath`,
     `heisenberg`).  A label c >= odd is odd and takes distinct parts;
@@ -113,21 +127,13 @@ class FiniteGroup(LabelSpace):
 
     def _init_conjugacy(self):
         n, t = self.order, self.table
-        # conjugating by generators reaches every conjugate; row a maps
-        # x to a x a^-1
-        conj = [tuple(t[t[a][x]][self.inverse[a]] for x in range(n))
-                for a in self.generators]
-        classes = [tuple(sorted(orbit)) for orbit in
-                   orbits(range(n), [row.__getitem__ for row in conj])]
-        self.classes = tuple(classes)
-        self.num_classes = len(classes)
-        class_of = [0] * n
-        for idx, cls in enumerate(classes):
-            for x in cls:
-                class_of[x] = idx
-        self.class_of = tuple(class_of)
-        self.class_reps = tuple(cls[0] for cls in classes)
-        self.centralizer_orders = tuple(n // len(cls) for cls in classes)
+        # row a maps x to a x a^-1
+        self.classes, self.class_of = conjugacy_classes(n, [
+            tuple(t[t[a][x]][self.inverse[a]] for x in range(n))
+            for a in self.generators])
+        self.num_classes = len(self.classes)
+        self.class_reps = tuple(cls[0] for cls in self.classes)
+        self.centralizer_orders = tuple(n // len(cls) for cls in self.classes)
         self.weights, self.odd = self.centralizer_orders, self.num_classes
 
     def _init_exponent(self):

@@ -291,13 +291,17 @@ def symmetric_orbit_count(x: GSet, p) -> int:
 
 def lemma_16_check(x: GSet, n: int, limit: int = 50_000) -> bool:
     """For every a in G_n: the centralizer orbit count on (X^n)^a equals
-    the symmetric-product formula.  Each element acts through its point
-    table, built once."""
+    the symmetric-product formula.  One representative z per class is
+    enough, C(z) by `brute_centralizer`: x carries (X^n)^z onto
+    (X^n)^{x z x^-1} and C(z) onto C(x z x^-1), and the formula depends
+    only on the type.  Each element acts through its point table, built
+    once."""
     model = element_model(x.group, n, limit)
     power = gset_power(x, n, limit)
     moves = [power.point_table(p).__getitem__ for p in model.perms]
-    for p, row in zip(model.perms, model.centralizers):
-        cent = [moves[j] for j in row]
+    for cl in model.classes:
+        p = model.perms[cl[0]]
+        cent = [moves[j] for j in model.brute_centralizer(cl[0])]
         if len(orbits(power.fixed(p), cent)) != symmetric_orbit_count(x, p):
             return False
     return True

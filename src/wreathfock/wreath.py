@@ -17,23 +17,23 @@ composition (`_compose`), and p[i |G|] = s(i) |G| + g_{s(i)} gives (g; s) back
 The oracles share one compiled model per (G, n), `element_model`.  Ids run
 over (g_1..g_n) in lexicographic order and, for each, over the
 permutations s in lexicographic order, so the smallest id of a class is
-its smallest (g; s).  Conjugacy classes come from closure under
-conjugation by the generators, (g, e, .., e; 1) for g in the generating
-set of G that `FiniteGroup` keeps, the swap and, for n >= 3, the n-cycle
-(3 for S3 wr S_2 and 4 for S3 wr S_n, n >= 3, not |G| + 1), recording per
-element one conjugator x from its class representative z.  C(z) is found by brute force with an S_n
+its smallest (g; s).  Conjugacy classes come from the closure that gives
+those of G, `groups.conjugacy_classes`, under conjugation by the
+generators: (g, e, .., e; 1) for g in the generating set of G that
+`FiniteGroup` keeps, the swap and, for n >= 3, the n-cycle (3 for
+S3 wr S_2 and 4 for S3 wr S_n, n >= 3, not |G| + 1).  The oracles walk one
+representative z per class.  C(z) is found by brute force with an S_n
 pre-filter: id j has S_n part s_j, the (j mod n!)-th permutation, and
 since G_n -> S_n is a homomorphism only ids whose s_j commutes with s_z
-get the full commutation test with z.  C(x z x^-1) = x C(z) x^-1.  No
-|G_n|^2 table is built.
+get the full commutation test with z.  No |G_n|^2 table is built.
 """
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache, total_ordering
+from functools import lru_cache, total_ordering
 from math import factorial
 
-from .groups import FiniteGroup, LabelSpace
+from .groups import FiniteGroup, LabelSpace, conjugacy_classes
 from .scalars import product_coefficients
 
 
@@ -284,16 +284,13 @@ def _compose(p, q):
 
 
 def _perm_inverse(p):
-    if type(p) is bytes:
-        return bytes.maketrans(p, _IDENT[:len(p)])[:len(p)]
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
+    """p^-1, in the encoding of p."""
+    return type(p)(sorted(range(len(p)), key=p.__getitem__))
 
 
-def _conjugates(x, xi, ps):
-    """x p x^-1 for p in ps, one at a time; xi = x^-1."""
+def _conjugates(x, ps):
+    """x p x^-1 for p in ps, one at a time."""
+    xi = _perm_inverse(x)
     if type(x) is bytes:
         tail, xt = _IDENT[len(x):], x + _IDENT[len(x):]
         return (xi.translate(p + tail).translate(xt) for p in ps)
@@ -370,8 +367,10 @@ class ElementModel:
     """G_n compiled into permutation ids; see the module docstring.
 
     Id 0 is the identity.  Elements are `bytes` when |G| n <= 256 and
-    tuples above, `index` is keyed by them, and `_compose`, `_conjugates`,
-    `_perm_inverse` and `_commutes` read both, on bytes in C.
+    tuples above, `index` is keyed by them, and `_compose`, `_conjugates`
+    and `_commutes` read both, on bytes in C.  The classes come from
+    `conjugacy_classes` on `generator_conj`, as those of G do from its
+    Cayley table.
     """
 
     def __init__(self, group: FiniteGroup, n: int):
@@ -383,35 +382,13 @@ class ElementModel:
             range(group.order), repeat=n))
         self.perms = tuple(_compose(b, t) for b in bases for t in moves)
         self.index = index = {p: i for i, p in enumerate(self.perms)}
-        self.inverse = tuple(index[_perm_inverse(p)] for p in self.perms)
-        self.generators = gen_perms = _generators(group, n)
+        self.generators = _generators(group, n)
         # generator_conj[t][i]: id of h_t x_i h_t^-1
         self.generator_conj = tuple(
-            tuple(map(index.__getitem__,
-                      _conjugates(h, _perm_inverse(h), self.perms)))
-            for h in gen_perms)
-        class_of = [-1] * len(self.perms)
-        conjugator = [0] * len(self.perms)
-        classes = []
-        for r in range(len(self.perms)):
-            if class_of[r] >= 0:
-                continue
-            c = len(classes)
-            class_of[r] = c
-            members = [r]
-            for x in members:
-                cx = self.perms[conjugator[x]]
-                for h, conj in zip(gen_perms, self.generator_conj):
-                    y = conj[x]
-                    if class_of[y] < 0:
-                        class_of[y] = c
-                        conjugator[y] = index[_compose(h, cx)]
-                        members.append(y)
-            classes.append(tuple(sorted(members)))
-        self.classes = tuple(classes)
-        self.class_of = tuple(class_of)
-        # conjugator[i] = x with x_i = x z x^-1, z the representative
-        self.conjugator = tuple(conjugator)
+            tuple(map(index.__getitem__, _conjugates(h, self.perms)))
+            for h in self.generators)
+        self.classes, self.class_of = conjugacy_classes(len(self.perms),
+                                                        self.generator_conj)
 
     def __len__(self):
         return len(self.perms)
@@ -427,20 +404,6 @@ class ElementModel:
         p = perms[i]
         return tuple(j for k in range(0, len(perms), len(sn))
                      for j in (k + t for t in near) if _commutes(p, perms[j]))
-
-    @cached_property
-    def centralizers(self) -> tuple[tuple[int, ...], ...]:
-        """Per element, the sorted ids of its centralizer: the brute test at
-        each class representative z, and x C(z) x^-1 for x z x^-1."""
-        perms, index = self.perms, self.index
-        at_rep = [[perms[j] for j in self.brute_centralizer(cl[0])]
-                  for cl in self.classes]
-        out = []
-        for i, x in enumerate(self.conjugator):
-            px, pxi = perms[x], perms[self.inverse[x]]
-            out.append(tuple(sorted(map(index.__getitem__, _conjugates(
-                px, pxi, at_rep[self.class_of[i]])))))
-        return tuple(out)
 
 
 def element_model(group: FiniteGroup, n: int,

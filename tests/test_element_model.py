@@ -5,13 +5,13 @@ from collections import Counter
 
 import pytest
 
-from test_groups import SMALL_GROUPS
+from test_groups import SMALL_GROUPS, relabelled
 from wreath_oracle import (enumerate_wreath_elements, perm_of, representative,
                            split_element, type_of as oracle_type,
-                           wreath_conj, wreath_generators, wreath_inv,
-                           wreath_mul)
+                           wreath_generators, wreath_inv, wreath_mul)
 from wreathfock import fock, wreath
-from wreathfock.groups import closure, cyclic, symmetric
+from wreathfock.groups import (binary_dihedral, closure, cyclic, dihedral,
+                               sl2_f3, symmetric, trivial_group)
 from wreathfock.gsets import power_orbifold_euler, regular_gset
 from wreathfock.wreath import (WreathError, element_model, enumerate_types,
                                type_of, wreath_order)
@@ -73,8 +73,9 @@ def test_commuting_rows_match_all_pairs(group, n):
                 rows[i].append(j)
                 if j != i:
                     rows[j].append(i)
+    model = element_model(group, n)
     assert [tuple(sorted(r)) for r in rows] == \
-        list(element_model(group, n).centralizers)
+        [model.brute_centralizer(i) for i in range(len(model))]
 
 
 @pytest.mark.parametrize("group,n", CASES, ids=IDS)
@@ -104,8 +105,8 @@ def test_induction_bags_match_conjugation_sweep(group, n):
 
 @pytest.mark.parametrize("group,n", CASES[:3], ids=IDS[:3])
 def test_model_structure(group, n):
-    """Ids, permutations, inverses, conjugators and products against the
-    (g; s) arithmetic; a permutation is compared as the tuple of its
+    """Ids, permutations, generators and products against the (g; s)
+    arithmetic; a permutation is compared as the tuple of its
     images, whatever its encoding."""
     model = element_model(group, n)
     elements = enumerate_wreath_elements(group, n)
@@ -117,11 +118,6 @@ def test_model_structure(group, n):
         perm_of(group, h) for h in wreath_generators(group, n)]
     for i, a in enumerate(elements):
         assert model.index[model.perms[i]] == i
-        assert elements[model.inverse[i]] == wreath_inv(group, a)
-        x = elements[model.conjugator[i]]
-        z = elements[model.classes[model.class_of[i]][0]]
-        assert wreath_mul(group, wreath_mul(group, x, z),
-                          wreath_inv(group, x)) == a
         for j in (0, len(elements) // 3, len(elements) - 1):
             b = elements[j]
             ab = wreath._compose(model.perms[i], model.perms[j])
@@ -174,26 +170,23 @@ def test_commutation_tests_below_all_pairs(monkeypatch):
 
 def test_model_past_256_points_is_tuples():
     """Z257 wr S_1 has 257 points, one more than a byte addresses: its
-    permutations are tuples, and its classes, inverses and conjugators
-    match the (g; s) arithmetic."""
+    permutations are tuples, its classes match the (g; s) arithmetic, and
+    as it is abelian every id commutes with every other."""
     group = cyclic(257)
     model = element_model(group, 1)
     assert {type(p) for p in model.perms} == {tuple}
     assert len(model.perms[0]) == 257
     assert wreath.brute_force_classes(group, 1) == [
         (perm_of(group, rep), size) for rep, size in closure_classes(group, 1)]
-    elements = enumerate_wreath_elements(group, 1)
-    for i, a in enumerate(elements):
-        assert elements[model.inverse[i]] == wreath_inv(group, a)
-        z = elements[model.classes[model.class_of[i]][0]]
-        assert wreath_conj(group, elements[model.conjugator[i]], z) == a
+    assert model.brute_centralizer(1) == tuple(range(257))
 
 
 @pytest.mark.parametrize("group,n", [(symmetric(3), 2), (cyclic(3), 3)],
                          ids=["S3wr2", "Z3wr3"])
 def test_tuple_path_builds_the_bytes_model(group, n, monkeypatch):
     """With the point cap of the bytes encoding one below |G| n, the same
-    G_n is built from tuples, with equal tables and induction bags."""
+    G_n is built from tuples, with equal tables, centralizers and
+    induction bags."""
     reps = tuple(enumerate_types(group, n))
     clear_caches()
     packed = element_model(group, n)
@@ -208,9 +201,10 @@ def test_tuple_path_builds_the_bytes_model(group, n, monkeypatch):
     assert {type(p) for p in packed.perms} == {bytes}
     assert {type(p) for p in plain.perms} == {tuple}
     assert [tuple(p) for p in packed.perms] == list(plain.perms)
-    for name in ("inverse", "generator_conj", "classes", "class_of",
-                 "conjugator", "centralizers"):
+    for name in ("generator_conj", "classes", "class_of"):
         assert getattr(packed, name) == getattr(plain, name), name
+    assert [packed.brute_centralizer(i) for i in range(len(packed))] == \
+        [plain.brute_centralizer(i) for i in range(len(plain))]
     assert packed_bags == plain_bags
 
 
@@ -232,3 +226,26 @@ def test_induction_bags_type_each_half_once(a, monkeypatch):
                          50_000)
     assert 0 < calls["type_of"] <= \
         wreath_order(group, a) + wreath_order(group, b)
+
+
+# G of the shared closure test: builtins, then relabelled Cayley tables
+CLOSURE_GROUPS = {
+    "trivial": trivial_group, "z2": lambda: cyclic(2),
+    "s3": lambda: symmetric(3), "q8": lambda: binary_dihedral(2),
+    "d4": lambda: dihedral(4), "sl2_f3": sl2_f3,
+    **{f"{name}~{seed}": lambda make=make, seed=seed: relabelled(make(), seed)
+       for name, make in (("s3", lambda: symmetric(3)),
+                          ("q8", lambda: binary_dihedral(2)))
+       for seed in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", CLOSURE_GROUPS)
+def test_model_of_g1_has_the_classes_of_g(name):
+    """G_1 is G: its model's ids are the ids of G, and the closure over
+    its generator rows gives the classes and class ids of G, on builtins
+    and on relabelled tables with the identity kept at 0."""
+    group = CLOSURE_GROUPS[name]()
+    model = element_model(group, 1)
+    assert model.classes == group.classes
+    assert model.class_of == group.class_of

@@ -6,8 +6,9 @@ import pytest
 
 from wreath_oracle import act, enumerate_wreath_elements, perm_of
 from wreathfock import gsets, wreath
-from wreathfock.groups import (all_subgroup_element_sets, cyclic, orbits,
-                               sl2_f3, symmetric, trivial_group)
+from wreathfock.groups import (all_subgroup_element_sets, binary_dihedral,
+                               cyclic, orbits, sl2_f3, symmetric,
+                               trivial_group)
 from wreathfock.fock import graded_dim
 from wreathfock.gsets import (GSet, GSetError, burnside_check, coset_gset,
                               commuting_pair_sum,
@@ -166,7 +167,8 @@ def test_power_orbit_work_is_pinned(monkeypatch):
     (point, move): the moves applied on the regular S3-set at n = 2 are
     fixed.  The orbit counts k_c on X itself are taken first.  The inertia
     orbits move 72 points by the 3 generators of S3 wr S2 (2 of S3 and
-    the swap); Lemma 1.6 moves by whole centralizers."""
+    the swap); Lemma 1.6 moves by whole centralizers, one per class of
+    S3 wr S2."""
     x = regular_gset(symmetric(3))
     gsets._orbit_counts_by_class(x)
     calls = []
@@ -181,7 +183,13 @@ def test_power_orbit_work_is_pinned(monkeypatch):
     power_orbifold_euler.cache_clear()
     assert power_orbifold_euler(x, 2) == 2 and len(calls) == 216
     calls.clear()
-    assert lemma_16_check(x, 2) and len(calls) == 3024
+    centralizers = []
+    real_centralizer = wreath.ElementModel.brute_centralizer
+    monkeypatch.setattr(wreath.ElementModel, "brute_centralizer",
+                        lambda model, i: centralizers.append(i) or
+                        real_centralizer(model, i))
+    assert lemma_16_check(x, 2) and len(calls) == 2664
+    assert len(centralizers) == 9
 
 
 # (group, G-set, n): the point G-set has |X| = 1, a one-bit mask, and the
@@ -216,14 +224,57 @@ def test_fixed_mask_is_the_filtered_fixed_set(case):
 @pytest.mark.parametrize("case", SMALL_POWERS)
 def test_pair_sum_per_class_is_the_all_element_sum(case):
     """The class-weighted pair sum equals the sum over every element a and
-    every b in its centralizer (all-element `centralizers`)."""
+    every b in its centralizer (`brute_centralizer` at every id)."""
     g, make, n = SMALL_POWERS[case]
     power = gset_power(make(g), n)
     model = element_model(g, n)
     masks = [power.fixed_mask(p) for p in model.perms]
-    want = sum((masks[a] & masks[b]).bit_count()
-               for a, row in enumerate(model.centralizers) for b in row)
+    want = sum((masks[a] & masks[b]).bit_count() for a in range(len(model))
+               for b in model.brute_centralizer(a))
     assert commuting_pair_sum(masks, model) == want
+
+
+def lemma_16_every_element(x: GSet, n: int) -> bool:
+    """Lemma 1.6 walked at every element a of G_n, C(a) by
+    `brute_centralizer` at a; the orbit count is also a class function."""
+    model = element_model(x.group, n)
+    power = gset_power(x, n)
+    counts = []
+    for a, p in enumerate(model.perms):
+        cent = [power.point_table(model.perms[b]).__getitem__
+                for b in model.brute_centralizer(a)]
+        counts.append(len(orbits(power.fixed(p), cent)))
+    assert all(counts[a] == counts[cl[0]]
+               for cl in model.classes for a in cl)
+    return all(count == gsets.symmetric_orbit_count(x, p)
+               for count, p in zip(counts, model.perms))
+
+
+# the SMALL_POWERS cases, then every coset G-set G/H of S3 and Q8 at n = 2
+LEMMA_16_CASES = {
+    **{name: (make(g), n) for name, (g, make, n) in SMALL_POWERS.items()},
+    **{f"{g.name}/{len(h)}-{i}-2": (coset_gset(g, h), 2)
+       for g in (symmetric(3), binary_dihedral(2))
+       for i, h in enumerate(all_subgroup_element_sets(g))},
+}
+
+
+@pytest.mark.parametrize("case", LEMMA_16_CASES)
+@pytest.mark.parametrize("off_by_one", [False, True], ids=["exact", "fault"])
+def test_lemma_16_per_class_is_the_all_element_walk(case, off_by_one,
+                                                    monkeypatch):
+    """Lemma 1.6 at one representative per class gives the verdict of the
+    walk over every element, also with a count one too high away from
+    the identity, which both must catch."""
+    x, n = LEMMA_16_CASES[case]
+    if off_by_one:
+        real_count = gsets.symmetric_orbit_count
+        monkeypatch.setattr(gsets, "symmetric_orbit_count", lambda x, p:
+                            real_count(x, p) + (tuple(p) !=
+                                                tuple(range(len(p)))))
+    want = lemma_16_every_element(x, n)
+    assert want is not off_by_one
+    assert lemma_16_check(x, n) is want
 
 
 def test_commuting_pair_tests_are_pinned(monkeypatch):

@@ -12,7 +12,8 @@ from wreathfock import fock, gsets, groups, heisenberg, lambda_ops, wreath
 from wreathfock.fock import FockElement, hopf_verify
 from wreathfock.groups import (FiniteGroup, cyclic, dihedral, mackey_verify,
                                sl2_f3, symmetric, trivial_group)
-from wreathfock.gsets import regular_gset, theorem_main_dim_check
+from wreathfock.gsets import (euler_verify, regular_gset,
+                              theorem_main_dim_check)
 from wreathfock.heisenberg import (HeisenbergOp, commutator_check,
                                    heisenberg_verify, sf_commutator_check)
 from wreathfock.lambda_ops import lambda_verify
@@ -160,6 +161,15 @@ def _orbifold_euler_off_by_one(monkeypatch):
     return theorem_main_dim_check(regular_gset(cyclic(2)), 3)
 
 
+def _lemma_16_count_off_by_one(monkeypatch):
+    """The symmetric-product count is one too high at every type but the
+    identity's."""
+    orig = gsets.symmetric_orbit_count
+    monkeypatch.setattr(gsets, "symmetric_orbit_count", lambda x, p: orig(
+        x, p) + (tuple(p) != tuple(range(len(p)))))
+    return euler_verify(regular_gset(cyclic(2)), 2)
+
+
 def _e_series_is_h_series(monkeypatch):
     monkeypatch.setattr(lambda_ops, "E_series", lambda_ops.H_series)
     return lambda_verify(cyclic(2), 2)
@@ -259,6 +269,15 @@ FAULTS = {
     "orbifold-euler-off-by-one": (_orbifold_euler_off_by_one, """\
 [FAIL] Theorem 3.1 graded dimension, inertia_dim = 1  (n=2: 3)
 0/1 checks passed"""),
+    "lemma-16-count-off-by-one": (_lemma_16_count_off_by_one, """\
+[PASS] both e(X,G) definitions agree (value 1)
+[PASS] Burnside inertia consistency
+[PASS] Eq. (28): e(X,G) = inertia_dim
+[PASS] Theorem 6.1 series, e(X,G) = 1
+[PASS] Theorem 3.1 graded dimension, inertia_dim = 1
+[FAIL] Lemma 1.6 symmetric-product counts (n = 2)
+[PASS] Macdonald formula for |X| = 2
+6/7 checks passed"""),
     "e-series-is-h-series": (_e_series_is_h_series, """\
 [PASS] phi^n formula agrees with omega_n closed form
 [PASS] ch_n(omega_n(V)) = n V (Prop. 4.1)
