@@ -249,6 +249,16 @@ def json_count(value, what: str, error=GroupError) -> int:
     return value
 
 
+# the builtins and permutation closures refuse a larger order before any
+# table is built: a Cayley table has order^2 entries
+MAX_ORDER = 2_000
+
+
+def _check_order(order: int):
+    if order > MAX_ORDER:
+        raise GroupError(f"group order {order} exceeds cap {MAX_ORDER}")
+
+
 def group_from_cayley_json(text: str, name: str = "G") -> FiniteGroup:
     data = json.loads(text)
     if not isinstance(data, dict) or "table" not in data:
@@ -259,9 +269,10 @@ def group_from_cayley_json(text: str, name: str = "G") -> FiniteGroup:
     return FiniteGroup(table, name=name)
 
 
-def group_from_permutations(generators, degree: int, limit: int = 100_000,
+def group_from_permutations(generators, degree: int, limit: int = MAX_ORDER,
                             name: str = "perm") -> FiniteGroup:
-    """Close a set of 0-indexed permutations of {0..degree-1} under product."""
+    """Close a set of 0-indexed permutations of {0..degree-1} under product,
+    refused with a GroupError as soon as the closure passes the limit."""
     gens = []
     for g in generators:
         p = tuple(g)
@@ -269,8 +280,11 @@ def group_from_permutations(generators, degree: int, limit: int = 100_000,
             raise GroupError(f"not a permutation of 0..{degree - 1}: {g}")
         gens.append(p)
     ident = tuple(range(degree))
-    elems = closure([ident], [lambda p, g=g: tuple(p[i] for i in g)
-                              for g in gens], limit)
+    try:
+        elems = closure([ident], [lambda p, g=g: tuple(p[i] for i in g)
+                                  for g in gens], limit)
+    except GroupError:
+        raise GroupError(f"group order exceeds cap {limit}") from None
     ordered = [ident] + sorted(elems - {ident})
     table = _cayley_table(ordered, gens,
                           lambda a, b: tuple([a[i] for i in b]))
@@ -295,6 +309,7 @@ def trivial_group() -> FiniteGroup:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError("cyclic(n) needs n >= 1")
+    _check_order(n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, name=f"Z{n}")
 
@@ -314,6 +329,7 @@ def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: r^n = s^2 = 1, s r s = r^-1."""
     if n < 1:
         raise GroupError("dihedral(n) needs n >= 1")
+    _check_order(2 * n)
 
     def mul(a, b):
         k, e = a
@@ -333,6 +349,7 @@ def binary_dihedral(m: int) -> FiniteGroup:
     b a b^-1 = a^-1.  Has m + 3 conjugacy classes (type D_{m+2})."""
     if m < 1:
         raise GroupError("binary_dihedral(m) needs m >= 1")
+    _check_order(4 * m)
     n = 2 * m
 
     def mul(a, b):
@@ -473,9 +490,6 @@ class SubgroupEmbedding(ByValue):
     @property
     def image(self) -> frozenset[int]:
         return frozenset(self.mapping)
-
-    def preimage(self, g_elem: int) -> int:
-        return self.mapping.index(g_elem)
 
 
 def subgroup_from_elements(g: FiniteGroup, elements,
@@ -637,24 +651,16 @@ def restrict_cf(emb: SubgroupEmbedding, chi: ClassFunction) -> ClassFunction:
 
 
 def induce_cf(emb: SubgroupEmbedding, f: ClassFunction) -> ClassFunction:
-    """Induced class function: (Ind f)(g) = |H|^-1 sum over x with
-    x^-1 g x in H of f(x^-1 g x)."""
+    """Induced class function, by a walk over each class of G: each y in
+    cl(z) is x^-1 z x for zeta_G(z) elements x, so (Ind f)(z) =
+    zeta_G(z)/|H| sum of f(y) over y in cl(z) meet H."""
     if f.group is not emb.source:
         raise GroupError("class function must live on the embedding source")
-    g = emb.target
-    h = emb.source
-    image = emb.image
+    g, h = emb.target, emb.source
     pre = {emb(x): x for x in range(h.order)}
-    vals = []
-    for c in range(g.num_classes):
-        z = g.class_reps[c]
-        acc = 0
-        for x in range(g.order):
-            y = g.mul(g.mul(g.inv(x), z), x)
-            if y in image:
-                acc = acc + f.at(pre[y])
-        vals.append(div(acc, h.order))
-    return ClassFunction(g, tuple(vals))
+    return ClassFunction(g, tuple(
+        div(sum(f.at(pre[y]) for y in cls if y in pre) * g.zeta(c), h.order)
+        for c, cls in enumerate(g.classes)))
 
 
 def double_cosets(g: FiniteGroup, emb_h: SubgroupEmbedding,
@@ -675,30 +681,6 @@ def double_cosets(g: FiniteGroup, emb_h: SubgroupEmbedding,
             for b in l_img:
                 seen[g.mul(ax, b)] = True
     return reps
-
-
-def conjugate_subgroup_data(g: FiniteGroup, emb_h: SubgroupEmbedding,
-                            emb_l: SubgroupEmbedding, s: int):
-    """The Mackey ingredient for a double-coset representative s of HsL:
-    H_s = s^-1 H s meet L as a subgroup of L, plus the conjugated class
-    function transport H_s -> H."""
-    s_inv = g.inv(s)
-    conj_h = {g.mul(g.mul(s_inv, x), s) for x in emb_h.image}
-    inter = conj_h & emb_l.image
-    l_elems = sorted(emb_l.preimage(x) for x in inter)
-    emb_hs_in_l = subgroup_from_elements(emb_l.source, l_elems)
-
-    def transport(f: ClassFunction) -> ClassFunction:
-        # value at x in H_s is f(s x s^-1)
-        hs = emb_hs_in_l.source
-        vals = []
-        for c in range(hs.num_classes):
-            x_in_g = emb_l(emb_hs_in_l(hs.class_reps[c]))
-            y = g.mul(g.mul(s, x_in_g), s_inv)
-            vals.append(f.at(emb_h.preimage(y)))
-        return ClassFunction(hs, tuple(vals))
-
-    return emb_hs_in_l, transport
 
 
 # mackey_verify refuses a group with more subgroups than this
@@ -729,19 +711,36 @@ def mackey_verify(g: FiniteGroup):
 
 def mackey_check(g: FiniteGroup, emb_h: SubgroupEmbedding,
                  emb_l: SubgroupEmbedding, f: ClassFunction) -> bool:
-    """Res_L Ind_H^G f = sum over double cosets of Ind_{H_s}^L f^s."""
+    """Res_L Ind_H^G f = sum over double cosets HsL of Ind_{H_s}^L f^s,
+    with H_s = s^-1 H s meet L and f^s(y) = f(s y s^-1).  The left side
+    is `restrict_cf` of `induce_cf`.  The right side walks the classes of
+    L itself, (Ind_{H_s}^L f^s)(z) = zeta_L(z)/|H_s| sum of f^s(y) over y
+    in cl_L(z) meet H_s, and shares no code with `induce_cf`, so a fault
+    on either side shows."""
     lhs = restrict_cf(emb_l, induce_cf(emb_h, f))
-    rhs = ClassFunction.zero(emb_l.source)
-    for emb_hs, transport in _mackey_terms(g, emb_h, emb_l):
-        rhs = rhs + induce_cf(emb_hs, transport(f))
-    return lhs.equals(rhs)
+    lsub = emb_l.source
+    h_id = {emb_h(x): x for x in range(emb_h.source.order)}
+    terms = _mackey_terms(g, emb_h, emb_l)
+    rhs = []
+    for c, cls in enumerate(lsub.classes):
+        total = 0
+        for s, s_inv, hs in terms:
+            acc = sum(f.at(h_id[g.mul(g.mul(s, y), s_inv)])
+                      for y in map(emb_l, cls) if y in hs)
+            total = total + div(acc * lsub.zeta(c), len(hs))
+        rhs.append(total)
+    return lhs.equals(ClassFunction(lsub, tuple(rhs)))
 
 
 @lru_cache(maxsize=1)
 def _mackey_terms(g: FiniteGroup, emb_h: SubgroupEmbedding,
                   emb_l: SubgroupEmbedding) -> tuple:
-    """`conjugate_subgroup_data` for every double coset of H\\G/L, built
-    once per pair (H, L): mackey_verify checks the classes of H one after
-    another for each pair."""
-    return tuple(conjugate_subgroup_data(g, emb_h, emb_l, s)
-                 for s in double_cosets(g, emb_h, emb_l))
+    """(s, s^-1, H_s) for each double coset HsL, H_s = s^-1 H s meet L as
+    a set of ids of G, found once per pair (H, L): mackey_verify checks
+    the classes of H one after another for each pair."""
+    terms = []
+    for s in double_cosets(g, emb_h, emb_l):
+        s_inv = g.inv(s)
+        terms.append((s, s_inv, frozenset(
+            g.conj(s_inv, x) for x in emb_h.image) & emb_l.image))
+    return tuple(terms)

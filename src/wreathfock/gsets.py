@@ -91,25 +91,16 @@ def coset_gset(group: FiniteGroup, subgroup_elements) -> GSet:
         raise GSetError("subgroup must contain the identity")
     if any(group.mul(a, b) not in hset for a in h for b in h):
         raise GSetError("subgroup must be closed under the product")
-    cosets = []
-    covered = set()
+    # walking ids in order, the first id of each coset is its smallest
+    coset_of, reps = [None] * group.order, []
     for x in range(group.order):
-        if x in covered:
-            continue
-        coset = frozenset(group.mul(x, a) for a in h)
-        covered |= coset
-        cosets.append(coset)
-    index = {c: i for i, c in enumerate(cosets)}
-    rows = []
-    for g in range(group.order):
-        row = []
-        for c in cosets:
-            any_elem = min(c)
-            row.append(index[frozenset(group.mul(group.mul(g, any_elem), a)
-                                       for a in h)])
-        rows.append(tuple(row))
-    return GSet(group, len(cosets), tuple(rows),
-                name=f"cosets{len(cosets)}")
+        if coset_of[x] is None:
+            for a in h:
+                coset_of[group.mul(x, a)] = len(reps)
+            reps.append(x)
+    rows = tuple(tuple(coset_of[group.mul(g, r)] for r in reps)
+                 for g in range(group.order))
+    return GSet(group, len(reps), rows, name=f"cosets{len(reps)}")
 
 
 def gset_from_json(group: FiniteGroup, text: str, name: str = "X") -> GSet:

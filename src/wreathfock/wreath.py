@@ -252,6 +252,8 @@ def z_rho(space: LabelSpace, rho: WreathType) -> int:
 
 def wreath_order(group: FiniteGroup, n: int, limit: int | None = None) -> int:
     """|G_n| = |G|^n n!, refused with a WreathError past the limit."""
+    if n < 0:
+        raise WreathError("degree must be >= 0")
     total = group.order ** n * factorial(n)
     if limit is not None and total > limit:
         raise WreathError(f"|G_n| = {total} exceeds limit {limit}")

@@ -171,6 +171,10 @@ class TestCommands:
         assert main(["series", "graded-dim", "--group", "z2", "-N", "-1"]) == 2
         assert capsys.readouterr() == ("", "error: degree must be >= 0\n")
 
+    def test_wreath_classes_negative_degree_exit_2(self, capsys):
+        assert main(["wreath", "classes", "--group", "s3", "-N", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: degree must be >= 0\n")
+
     def test_mackey_lattice_cap_before_embeddings(self, capsys, monkeypatch):
         """sl2_f5 has 76 subgroups: refused while the lattice grows, before
         any subgroup is built."""
@@ -181,6 +185,23 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == "" and built == []
         assert err == "error: subgroup lattice exceeds cap 40\n"
+
+    @pytest.mark.parametrize("spec, error", [
+        ("z2001", "group order 2001 exceeds cap 2000"),
+        ("d1001", "group order 2002 exceeds cap 2000"),
+        ("bd501", "group order 2004 exceeds cap 2000"),
+        ("s7", "group order exceeds cap 2000")])
+    def test_group_past_order_cap_builds_no_table(self, spec, error, capsys,
+                                                  monkeypatch):
+        """A Cayley table has |G|^2 entries: a builtin of order past the
+        cap is refused before any table is built.  S7 is refused while
+        its permutations are closed."""
+        built = []
+        monkeypatch.setattr(groups, "_cayley_table",
+                            lambda *args: built.append(args))
+        assert main(["group", "info", "--group", spec]) == 2
+        assert built == []
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_verify_hopf_json(self, capsys):
         assert main(["verify", "hopf", "--group", "z2", "-N", "3",

@@ -299,6 +299,37 @@ class TestInductionRestriction:
         for g in (symmetric(3), dihedral(4), binary_dihedral(2)):
             assert mackey_verify(g).all_passed
 
+    @pytest.mark.parametrize("make", [lambda: symmetric(3),
+                                      lambda: dihedral(4),
+                                      lambda: binary_dihedral(2), sl2_f3],
+                             ids=["s3", "d4", "q8", "sl2_f3"])
+    def test_induction_is_the_all_element_sum(self, make):
+        """induce_cf walks each class of G once; the definition sums over
+        every x in G: (Ind f)(z) = |H|^-1 sum of f(x^-1 z x) over the x
+        with x^-1 z x in H.  Every subgroup, with sigma-basis, Fraction
+        and Cyclotomic values."""
+        g = make()
+        for elems in all_subgroup_element_sets(g):
+            emb = subgroup_from_elements(g, elems)
+            h = emb.source
+            pre = {y: x for x, y in enumerate(emb.mapping)}
+            fs = [sigma_basis(h, c) for c in range(h.num_classes)]
+            fs.append(ClassFunction(h, tuple(
+                Fraction(c + 1, 3) for c in range(h.num_classes))))
+            fs.append(ClassFunction(h, tuple(
+                Cyclotomic(4, [Fraction(1, c + 2), c + 1])
+                for c in range(h.num_classes))))
+            for f in fs:
+                want = []
+                for z in g.class_reps:
+                    acc = Fraction(0)
+                    for x in range(g.order):
+                        y = g.mul(g.mul(g.inv(x), z), x)
+                        if y in pre:
+                            acc = acc + f.at(pre[y])
+                    want.append(acc / h.order)
+                assert induce_cf(emb, f).values == tuple(want)
+
 
 def test_binary_octahedral_table_is_recorded():
     """The integer Z[sqrt2] construction gives the table recorded from the

@@ -10,8 +10,9 @@ import pytest
 
 from wreathfock import fock, gsets, groups, heisenberg, lambda_ops, wreath
 from wreathfock.fock import FockElement, hopf_verify
-from wreathfock.groups import (FiniteGroup, cyclic, dihedral, mackey_verify,
-                               sl2_f3, symmetric, trivial_group)
+from wreathfock.groups import (ClassFunction, FiniteGroup, cyclic, dihedral,
+                               mackey_verify, sl2_f3, symmetric,
+                               trivial_group)
 from wreathfock.gsets import (euler_verify, regular_gset,
                               theorem_main_dim_check)
 from wreathfock.heisenberg import (HeisenbergOp, commutator_check,
@@ -154,6 +155,27 @@ def _mackey_fails_late(monkeypatch):
     return mackey_verify(symmetric(3))
 
 
+def _mackey_induction_doubled(monkeypatch):
+    """`induce_cf` doubles every value away from the identity class.  Only
+    the left side of Mackey's formula induces through it; it passed when
+    the right side did too."""
+    groups._mackey_terms.cache_clear()
+    orig = groups.induce_cf
+    monkeypatch.setattr(groups, "induce_cf", lambda emb, f: ClassFunction(
+        emb.target, tuple(v * (1 + (c > 0))
+                          for c, v in enumerate(orig(emb, f).values))))
+    return mackey_verify(symmetric(3))
+
+
+def _mackey_double_coset_dropped(monkeypatch):
+    """The right side of Mackey's formula misses one double coset."""
+    groups._mackey_terms.cache_clear()
+    orig = groups.double_cosets
+    monkeypatch.setattr(groups, "double_cosets",
+                        lambda *args: orig(*args)[:-1])
+    return mackey_verify(symmetric(3))
+
+
 def _orbifold_euler_off_by_one(monkeypatch):
     orig = gsets.power_orbifold_euler
     monkeypatch.setattr(gsets, "power_orbifold_euler",
@@ -266,6 +288,12 @@ FAULTS = {
     "mackey-fails-late": (_mackey_fails_late, """\
 [FAIL] Mackey formula over 6^2 subgroup pairs  (|H|=2, |L|=3, class 0)
 0/1 checks passed"""),
+    "mackey-induction-doubled": (_mackey_induction_doubled, """\
+[FAIL] Mackey formula over 6^2 subgroup pairs  (|H|=2, |L|=2, class 1)
+0/1 checks passed"""),
+    "mackey-double-coset-dropped": (_mackey_double_coset_dropped, """\
+[FAIL] Mackey formula over 6^2 subgroup pairs  (|H|=1, |L|=1, class 0)
+0/1 checks passed"""),
     "orbifold-euler-off-by-one": (_orbifold_euler_off_by_one, """\
 [FAIL] Theorem 3.1 graded dimension, inertia_dim = 1  (n=2: 3)
 0/1 checks passed"""),
@@ -346,11 +374,11 @@ WORK = {
         "HeisenbergOp.__call__": 670, "fock_mul": 0,
         "Cyclotomic.__mul__": 0, "_merge": 332, "_koszul": 184,
         "FockElement.__init__": 689}),
-    # D4's 10 subgroups, and one H_s per double coset of each of the 100
-    # subgroup pairs, built once per pair (481 and 471 when they were
-    # built once per class of H)
+    # D4's 10 subgroups, and no group per double coset: H_s is a set of
+    # ids of G (205 builds when each H_s was built once per subgroup pair,
+    # 481 when once per class of H)
     "mackey_verify": (lambda: mackey_verify(dihedral(4)), {
-        "FiniteGroup.__init__": 205, "conjugate_subgroup_data": 195}),
+        "FiniteGroup.__init__": 10}),
     # fock_exp sums its series by the integer kernel, not by fock_mul
     # (2146 calls when it did)
     "lambda_verify": (lambda: lambda_verify(sl2_f3(), 4), {
@@ -381,8 +409,6 @@ def test_verify_work_is_pinned(suite, monkeypatch):
                  "FockElement.__init__")
     _count_calls(monkeypatch, counts, FiniteGroup, "__init__",
                  "FiniteGroup.__init__")
-    _count_calls(monkeypatch, counts, groups, "conjugate_subgroup_data",
-                 "conjugate_subgroup_data")
     assert run().all_passed
     assert {k: counts[k] for k in want} == want
 
