@@ -24,7 +24,7 @@ from .scalars import euler_product, graded_dim_series
 from .wreath import (brute_force_classes, decode_element,
                      enumerate_types, type_counts, type_of, z_rho)
 
-LIMIT = 50_000  # default --limit; also bounds series graded-dim --group
+LIMIT = 50_000  # default --limit; also caps the types of graded-dim, verify
 MAX_SERIES_DEGREE = 2_000  # the q-series recurrence is quadratic in -N
 MAX_SERIES_EXPONENT = 10_000  # |-e|, --d0, --d1: coefficients < 4300 digits
 
@@ -170,6 +170,8 @@ def cmd_verify(args) -> int:
     if args.what == "mackey":
         return _emit_report(mackey_verify(parse_group(args.group)), fmt)
     g = parse_group(args.group)
+    if args.what != "euler":  # the suites that list every type to -N
+        type_counts(g, args.max_degree, LIMIT)
     if args.what == "hopf":
         return _emit_report(hopf_verify(g, args.max_degree,
                                         oracle_limit=args.limit), fmt)

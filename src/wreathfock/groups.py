@@ -685,12 +685,16 @@ def double_cosets(g: FiniteGroup, emb_h: SubgroupEmbedding,
 
 # mackey_verify refuses a group with more subgroups than this
 MAX_SUBGROUPS = 40
+MAX_MACKEY_ORDER = 120  # and one of higher order, before its lattice
 
 
 def mackey_verify(g: FiniteGroup):
     """Mackey's formula over every subgroup pair, with the sigma basis of
     each H as test functions.  Returns a Report."""
     from .report import Report
+    if g.order > MAX_MACKEY_ORDER:
+        raise GroupError(f"group order {g.order} exceeds Mackey cap "
+                         f"{MAX_MACKEY_ORDER}")
     rep = Report(f"mackey_verify({g.name})")
     try:
         subs = all_subgroup_element_sets(g, MAX_SUBGROUPS)

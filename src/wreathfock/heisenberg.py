@@ -21,14 +21,16 @@ generator at label c.  Both carry the Koszul sign `fock._koszul`.  An
 evaluation-style restriction oracle, which reads a table of the values of
 its vector, is the independent cross-check on F_G.
 What an operator needs apart from the vector it acts on, its form, is
-computed once, when the operator is built.  One `relation_check` checks
+computed once, when the operator is built, and `HeisenbergOp.apply` maps
+coefficient maps to coefficient maps.  One `relation_check` checks
 Eq. (24)-(26) on any label space: the image of every basis vector under
 every operator is computed once, in `_image_table`, and `_bracket_is`
-compares each bracket with its value term by term, applying no operator
-to an image that is 0.
+checks a bracket on the whole basis with one comparison of two lists of
+coefficient maps, applying no operator to an image that is 0.
 """
 from __future__ import annotations
 
+from functools import partial
 from operator import attrgetter
 
 from .fock import FockElement, _first_odd, _koszul, _merge, graded_dim
@@ -46,16 +48,16 @@ class HeisenbergError(ValueError):
 
 # an annihilation form: its nonzero terms (label c, sigma_m(c)'s type, x_c)
 Form = tuple[tuple[int, WreathType, Scalar], ...]
-Entry = tuple[object, int, list[FockElement]]  # operator, label, images
+Coeffs = dict[WreathType, Scalar]
+Entry = tuple[object, int, list[Coeffs]]  # operator, label, images
 
 
-def _annihilate(m: int, form: Form, u: FockElement) -> FockElement:
-    """The derivation sum_c x_c d/d sigma_m(c): on sigma^rho, per label c,
-    x_c times (the multiplicity of part m at c, or for an odd label the
-    sign of moving sigma_m(c) to the front) sigma^{rho minus that part}."""
-    out: dict[WreathType, Scalar] = {}
-    odd = u.group.odd
-    for rho, a in u.coeffs.items():
+def _annihilate(m: int, form: Form, odd: int, coeffs: Coeffs) -> Coeffs:
+    """The derivation sum_c x_c d/d sigma_m(c), zeros kept: on sigma^rho,
+    per label c, x_c times (the multiplicity of part m at c, or for a label
+    >= odd the sign of moving sigma_m(c) to the front) sigma^{rho - part}."""
+    out: Coeffs = {}
+    for rho, a in coeffs.items():
         for c, tau, x in form:
             mult = rho.partition(c).count(m)
             if not mult:
@@ -63,36 +65,38 @@ def _annihilate(m: int, form: Form, u: FockElement) -> FockElement:
             new = rho.remove_part(m, c)
             k = _koszul(tau, new, odd) if c >= odd else mult
             out[new] = out.get(new, 0) + a * x * k
-    return FockElement(u.group, out)
+    return out
 
 
-def _bracket_is(space: LabelSpace, a: Entry, b: Entry, i: int, x: Scalar,
-                u: FockElement) -> bool:
-    """Whether [a, b] u = x u, u the i-th basis vector.  The bracket is
+def _bracket_is(odd: int, basis: list[FockElement], a: Entry, b: Entry,
+                x: Scalar) -> bool:
+    """Whether [a, b] u = x u for every basis vector u.  The bracket is
     a(b u) - b(a u), or a(b u) + b(a u) when both labels are odd; it is
-    never built, since a(b u) is compared with b(a u), negated for two odd
-    labels, plus x u, term by term; where b u or a u is 0, that side is 0
-    and no operator is applied."""
+    never built: the list of the a(b u) is compared once with the list of
+    the b(a u), negated for two odd labels, plus x u.  Where b u or a u is
+    0, that side is 0 and no operator is applied."""
     (op1, c1, img1), (op2, c2, img2) = a, b
-    first = op1(img2[i]).coeffs if img2[i].coeffs else {}
-    need = op2(img1[i]).coeffs if img1[i].coeffs else {}
-    if min(c1, c2) >= space.odd:
-        need = {k: -v for k, v in need.items()}
+    first = [op1.apply(v) if v else v for v in img2]
+    need = [op2.apply(v) if v else v for v in img1]
+    if min(c1, c2) >= odd:
+        need = [{k: -v for k, v in w.items()} for w in need]
     if x:
-        need = dict(need)
-        for k, v in u.coeffs.items():
-            need[k] = need.get(k, 0) + v * x
-        need = {k: v for k, v in need.items() if v}
+        for i, u in enumerate(basis):
+            w = need[i] = dict(need[i])
+            for k, v in u.coeffs.items():
+                w[k] = w.get(k, 0) + v * x
+                if not w[k]:
+                    del w[k]
     return first == need
 
 
 def _image_table(modes, basis: list[FockElement], make,
                  payloads: list) -> dict[tuple[int, int], Entry]:
     """(m, c) -> (the operator make(m, payloads[c]), c, its images of the
-    basis): each operator applied to each basis vector once."""
+    basis, coefficient maps): each operator applied to each vector once."""
     ops = {(m, c): make(m, payload)
            for m in modes for c, payload in enumerate(payloads)}
-    return {(m, c): (op, c, [op(u) for u in basis])
+    return {(m, c): (op, c, [op.apply(u.coeffs) for u in basis])
             for (m, c), op in ops.items()}
 
 
@@ -102,7 +106,8 @@ class HeisenbergOp(ByValue):
     payload's label space, F_G or a super Fock model, and refuses others.
     a_m(V) multiplies by `_omega`, the terms of omega_m(V), from the left
     in `fock._merge`; a_{-m}(eta) keeps its form `_form`, the coefficients
-    m <eta, sigma_c> by label c.  Integral coefficients are ints."""
+    m <eta, sigma_c> by label c.  `_odd` is the first odd label (for
+    creation None when there is none).  Integral coefficients are ints."""
 
     __slots__ = ("sign", "mode", "payload", "_omega", "_odd", "_form")
     _key = attrgetter("sign", "mode", "payload")
@@ -125,6 +130,7 @@ class HeisenbergOp(ByValue):
                   for c in range(len(g.weights)))
         self._form = tuple((c, n_cycle_type(c, m), x)
                            for c, x in enumerate(coeffs) if x)
+        self._odd = g.odd
 
     def __repr__(self):
         return (f"HeisenbergOp(sign={self.sign!r}, mode={self.mode!r}, "
@@ -133,10 +139,15 @@ class HeisenbergOp(ByValue):
     def __call__(self, u: FockElement) -> FockElement:
         if u.group is not self.payload.group:
             raise GroupError("operator and vector need a common group")
-        if self.sign == 1:
-            return FockElement(u.group, _merge(self._omega, u.coeffs.items(),
-                                               self._odd))
-        return _annihilate(self.mode, self._form, u)
+        return FockElement(u.group, self.apply(u.coeffs))
+
+    def apply(self, coeffs: Coeffs) -> Coeffs:
+        """The image of the vector with these coefficients on the payload's
+        space, as a new map without zeros."""
+        out = _merge(self._omega, coeffs.items(), self._odd) if self.sign > 0 \
+            else _annihilate(self.mode, self._form, self._odd, coeffs)
+        return out if all(out.values()) else {k: v for k, v in out.items()
+                                              if v}
 
 
 def a_plus(m: int, v: ClassFunction) -> HeisenbergOp:
@@ -196,12 +207,7 @@ def relation_check(rep: Report, space: LabelSpace, max_degree: int,
     pairs = [(m, l) for m in modes for l in modes]
     ops = {"create": _image_table(modes, basis, a_plus, vees),
            "annihilate": _image_table(modes, basis, a_minus, etas)}
-
-    def bracket_is(a, b, x):
-        """Whether [a, b] = x on every basis vector."""
-        return all(_bracket_is(space, a, b, i, x, u)
-                   for i, u in enumerate(basis))
-
+    bracket_is = partial(_bracket_is, space.odd, basis)
     rep.check(eq24,
               ((m, l, ce, cw) for m, l in pairs for ce in labels
                for cw in labels),
@@ -238,8 +244,8 @@ def commutator_check(group: FiniteGroup, max_degree: int,
               ((m, u, op.payload, images[i])
                for (m, _), (op, _, images) in downs.items()
                for i, u in enumerate(basis)),
-              lambda m, u, eta, image: image.equals(
-                  a_minus_oracle(m, eta, u)),
+              lambda m, u, eta, image: image == a_minus_oracle(
+                  m, eta, u).coeffs,
               lambda m, u, *_: f"m={m},deg={u.degree}")
     return rep
 

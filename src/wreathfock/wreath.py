@@ -54,8 +54,10 @@ class _Unions(dict):
         self.rho = rho
 
     def __missing__(self, tau: "WreathType") -> "WreathType":
-        # merge the canonical parts; at a shared label, join and re-sort
-        a, b = self.rho.parts, tau.parts
+        # merge the canonical parts; at a shared label, join and re-sort.
+        # Valid parts, so a new type is interned unchecked, its sizes summed
+        rho = self.rho
+        a, b = rho.parts, tau.parts
         parts, i, j = [], 0, 0
         while i < len(a) and j < len(b):
             c, cc = a[i][0], b[j][0]
@@ -67,9 +69,21 @@ class _Unions(dict):
                 parts.append((c, tuple(sorted(a[i][1] + b[j][1],
                                               reverse=True))))
             i, j = i + (c <= cc), j + (cc <= c)
-        out = WreathType(tuple(parts) + a[i:] + b[j:])
-        self[tau] = tau.unions[self.rho] = out
+        parts = tuple(parts) + a[i:] + b[j:]
+        out = _TYPES.get(parts) or _intern(parts, rho.degree + tau.degree,
+                                           rho.length + tau.length)
+        self[tau] = tau.unions[rho] = out
         return out
+
+
+def _intern(parts: tuple, degree: int, length: int) -> "WreathType":
+    """The new type of these canonical parts, kept in `_TYPES`: the one
+    place a type is built."""
+    self = _TYPES[parts] = object.__new__(WreathType)
+    for name, v in (("parts", parts), ("degree", degree),
+                    ("length", length), ("unions", _Unions(self))):
+        object.__setattr__(self, name, v)
+    return self
 
 
 @total_ordering
@@ -79,7 +93,8 @@ class WreathType:
     nonempty partitions only, sorted by label, parts weakly decreasing.
 
     `WreathType(parts)`, like `from_dict` and `union`, returns the one
-    object per `parts` from `_TYPES`, built and validated on first use.
+    object per `parts` from `_TYPES`, built by `_intern` on first use, and
+    validated first except as the union of two types.
     So equality and hash are `object`'s identity, at C speed; order and
     repr read `parts`; copies and pickles return the interned object."""
 
@@ -99,10 +114,7 @@ class WreathType:
                                       "decreasing, positive")
                 degree += sum(lam)
                 length += len(lam)
-            self = _TYPES[parts] = object.__new__(cls)
-            for name, v in (("parts", parts), ("degree", degree),
-                            ("length", length), ("unions", _Unions(self))):
-                object.__setattr__(self, name, v)
+            self = _intern(parts, degree, length)
         return self
 
     def __setattr__(self, name, value=None):

@@ -186,6 +186,49 @@ class TestCommands:
         assert out == "" and built == []
         assert err == "error: subgroup lattice exceeds cap 40\n"
 
+    @pytest.mark.parametrize("order", [360, 720])
+    def test_mackey_order_cap_before_lattice(self, order, capsys,
+                                             monkeypatch):
+        """A cyclic group of order past the Mackey cap is refused before
+        its subgroup lattice is built."""
+        built = []
+        monkeypatch.setattr(groups, "all_subgroup_element_sets",
+                            lambda *args: built.append(args))
+        assert main(["verify", "mackey", "--group", f"z{order}"]) == 2
+        assert built == []
+        assert capsys.readouterr() == (
+            "", f"error: group order {order} exceeds Mackey cap 120\n")
+
+    def test_verify_all_records_the_mackey_order_cap(self, capsys,
+                                                     monkeypatch):
+        """verify all keeps its other suites and records the refused
+        Mackey sweep as skipped, with the cap as witness."""
+        monkeypatch.setattr(groups, "MAX_MACKEY_ORDER", 5)
+        assert main(["verify", "all", "--group", "s3", "-N", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] Mackey sweep skipped  (group order 6 exceeds " \
+               "Mackey cap 5)\n" in out
+
+    @pytest.mark.parametrize("what", ["hopf", "lambda", "heisenberg", "all"])
+    def test_verify_degree_past_type_limit_exit_2(self, what, capsys,
+                                                  monkeypatch):
+        """The suites that enumerate every type to -N are refused by the
+        type count, before any suite runs; -N 9 on S3 (1479 types at
+        degree 9) is let through."""
+        ran = []
+        for name in ("hopf_verify", "lambda_verify", "heisenberg_verify",
+                     "euler_verify", "mackey_verify"):
+            monkeypatch.setattr(cli, name, lambda g, *args, name=name,
+                                **kw: ran.append((name, args)) or
+                                cli.Report(name))
+        assert main(["verify", what, "--group", "s3", "-N", "30"]) == 2
+        assert ran == []
+        assert capsys.readouterr() == (
+            "", "error: degree-30 types exceed limit 50000 "
+                "(57222 at degree 16)\n")
+        assert main(["verify", what, "--group", "s3", "-N", "9"]) == 0
+        assert ran
+
     @pytest.mark.parametrize("spec, error", [
         ("z2001", "group order 2001 exceeds cap 2000"),
         ("d1001", "group order 2002 exceeds cap 2000"),

@@ -210,13 +210,121 @@ class TestOracleValueTable:
             DualFunctional(g, tuple(rng.choice((0, Fraction(1, 2), w, -2))
                                     for _ in range(g.num_classes)))]
         monkeypatch.setattr(heisenberg, "_annihilate", None)
-        monkeypatch.setattr(heisenberg.HeisenbergOp, "__call__", None)
+        monkeypatch.setattr(heisenberg.HeisenbergOp, "apply", None)
         for f in elements:
             assert not f.coeffs or len({rho.degree for rho in f.coeffs}) > 1
             for m in (1, 2, 3):
                 for eta in etas:
                     assert a_minus_oracle(m, eta, f).equals(
                         a_minus_oracle_by_value_calls(m, eta, f))
+
+
+def per_vector_bracket_is(space, a, b, i, x, u) -> bool:
+    """The bracket checked one basis vector at a time, with FockElement
+    images: whether [a, b] u = x u, u the i-th basis vector, by comparing
+    a(b u) with b(a u), negated for two odd labels, plus x u; where b u or
+    a u is 0, that side is 0."""
+    (op1, c1, img1), (op2, c2, img2) = a, b
+    first = op1(img2[i]).coeffs if img2[i].coeffs else {}
+    need = op2(img1[i]).coeffs if img1[i].coeffs else {}
+    if min(c1, c2) >= space.odd:
+        need = {k: -v for k, v in need.items()}
+    if x:
+        need = dict(need)
+        for k, v in u.coeffs.items():
+            need[k] = need.get(k, 0) + v * x
+        need = {k: v for k, v in need.items() if v}
+    return first == need
+
+
+def bracket_tables(space, max_degree, modes, vees, etas):
+    """The basis to max_degree and one entry (operator, label, images) per
+    creation a_m(vees[c]) and annihilation a_-m(etas[c]): the batched
+    check's, whose images are coefficient maps, and the per-vector
+    check's, whose images are FockElements."""
+    basis = [FockElement(space, {rho: 1}) for n in range(max_degree + 1)
+             for rho in enumerate_types(space, n)]
+    batched = [entry for make, payloads in ((a_plus, vees), (a_minus, etas))
+               for entry in heisenberg._image_table(
+                   modes, basis, make, payloads).values()]
+    per_vector = [(op, c, [op(u) for u in basis]) for op, c, _ in batched]
+    return basis, batched, per_vector
+
+
+def bracket_value(space, a, b):
+    """The scalar that [a, b] is: l <eta, V> for [a_-m(eta), a_l(V)] at
+    m = l, the same for the other order where both labels are odd (an
+    anticommutator), its negative where not; 0 between like operators."""
+    (op1, c1, _), (op2, c2, _) = a, b
+    if op1.sign == op2.sign or op1.mode != op2.mode:
+        return 0
+    down, up = (op1, op2) if op1.sign == -1 else (op2, op1)
+    x = down.payload.pair(up.payload) * up.mode
+    return x if op1.sign == -1 or min(c1, c2) >= space.odd else -x
+
+
+def bracket_spaces():
+    """S3 (N=3, M=2), the Z3 payloads (N=3, M=3) and the (1|1) model
+    (N=4, M=2), with the basis payloads at every label."""
+    g, sup = symmetric(3), SuperFockSpace(1, 1)
+    v, eta, _ = z3_payload_data()
+    return {
+        "S3": (g, 3, range(1, 3),
+               [sigma_basis(g, c) for c in range(3)],
+               [DualFunctional.delta(g, c) for c in range(3)]),
+        "Z3-payloads": (v.group, 3, range(1, 4), [v], [eta]),
+        "(1|1)": (sup, 4, range(1, 3),
+                  [sigma_basis(sup, c) for c in range(2)],
+                  [DualFunctional.delta(sup, c) for c in range(2)])}
+
+
+class TestBatchedBracket:
+    @pytest.mark.parametrize("name", ["S3", "Z3-payloads", "(1|1)"])
+    def test_matches_the_per_vector_check(self, name):
+        """For every ordered pair of operators and for x = 0, 1 and the
+        bracket's value, one list comparison over the basis gives what
+        the per-vector check gives on all basis vectors."""
+        space, n, modes, vees, etas = bracket_spaces()[name]
+        basis, batched, per_vector = bracket_tables(space, n, modes, vees,
+                                                    etas)
+        verdicts = Counter()
+        for a, pa in zip(batched, per_vector):
+            for b, pb in zip(batched, per_vector):
+                for x in (0, 1, bracket_value(space, a, b)):
+                    want = all(per_vector_bracket_is(space, pa, pb, i, x, u)
+                               for i, u in enumerate(basis))
+                    got = heisenberg._bracket_is(space.odd, basis, a, b, x)
+                    assert got is want, (a[:2], b[:2], x)
+                    verdicts[got] += 1
+        assert verdicts[True] and verdicts[False]
+
+    @pytest.mark.parametrize("name", ["S3", "(1|1)"])
+    def test_planted_wrong_image_is_reported(self, name):
+        """An image wrong only at a middle basis index fails a bracket that
+        holds, on either side: planted in the images of b, which the even
+        creation a maps, or in the images of a, which the even creation b
+        maps.  The per-vector check fails at that index alone."""
+        space, n, modes, vees, etas = bracket_spaces()[name]
+        basis, batched, per_vector = bracket_tables(space, n, modes, vees,
+                                                    etas)
+        mid = len(basis) // 2
+        (rho,) = basis[mid].coeffs
+        up_1, up_2 = 0, len(vees)          # a_1 and a_2 at label 0, even
+        down_1 = len(modes) * len(vees)    # a_-1 at label 0
+        for i, j, planted in ((up_2, up_1, 1), (down_1, up_1, 0)):
+            ab, pab = [batched[i], batched[j]], [per_vector[i], per_vector[j]]
+            x = bracket_value(space, *ab)
+            assert heisenberg._bracket_is(space.odd, basis, *ab, x)
+            op, c, images = ab[planted]
+            wrong = dict(images[mid])
+            wrong[rho] = wrong.get(rho, 0) + 1
+            ab[planted] = (op, c, images[:mid] + [wrong] + images[mid + 1:])
+            pab[planted] = (op, c, [FockElement(space, w)
+                                    for w in ab[planted][2]])
+            assert not heisenberg._bracket_is(space.odd, basis, *ab, x)
+            assert [k for k, u in enumerate(basis)
+                    if not per_vector_bracket_is(space, *pab, k, x, u)] \
+                == [mid]
 
 
 class TestRelations:

@@ -100,15 +100,15 @@ def _scaled_op(monkeypatch, sign, mode, factor, big):
     """The operators of this sign and mode, on F_G and on the super model
     alike, multiply their result by `factor` on inputs with a type for
     which `big` holds."""
-    orig = HeisenbergOp.__call__
+    orig = HeisenbergOp.apply
 
-    def call(self, u):
-        out = orig(self, u)
-        if (self.sign, self.mode) == (sign, mode) and any(map(big, u.coeffs)):
-            return out * factor
+    def apply(self, coeffs):
+        out = orig(self, coeffs)
+        if (self.sign, self.mode) == (sign, mode) and any(map(big, coeffs)):
+            return {k: v * factor for k, v in out.items()}
         return out
 
-    monkeypatch.setattr(HeisenbergOp, "__call__", call)
+    monkeypatch.setattr(HeisenbergOp, "apply", apply)
 
 
 def _creation_2_doubled(monkeypatch):
@@ -349,11 +349,12 @@ def _count_calls(monkeypatch, counts, owner, name, key):
 # suites, and not on the int monomials of hopf_verify); only two types
 # with odd parts ask `_koszul`: 184 calls on the super model, 250 when
 # creation asked its sign at every odd label of its form.  The relation
-# checks build no bracket: their FockElements are the basis, the operator
-# images, the creation elements omega_m(sigma_c) and, on F_G, the
-# oracle's values.  They apply no operator to a zero image (1152 calls,
-# 576 kernel calls and 1246 elements on F_G, 1080, 540 and 1099 on the
-# super model, when they did), and the oracle reads the values of f once,
+# checks build no bracket, and an operator maps coefficient maps: their
+# FockElements are the basis, the creation elements omega_m(sigma_c) and,
+# on F_G, the oracle's values (896 and 689 elements when every image was
+# one).  They apply no operator to a zero image (1152 calls, 576 kernel
+# calls and 1246 elements on F_G, 1080, 540 and 1099 on the super model,
+# when they did), and the oracle reads the values of f once,
 # on its support (348 reads when it read one per (alpha, c)).  The
 # like-operator rows pair an operator with itself only at an odd label,
 # where a^2 = 0 is a real check.  A product with a Cyclotomic counts
@@ -361,19 +362,19 @@ def _count_calls(monkeypatch, counts, owner, name, key):
 # only a Cyclotomic on the left counted).
 WORK = {
     "commutator_check": (lambda: commutator_check(cyclic(2), 3, 2), {
-        "HeisenbergOp.__call__": 802, "fock_mul": 0,
+        "HeisenbergOp.apply": 802, "fock_mul": 0,
         "Cyclotomic.__mul__": 0, "_merge": 376, "_koszul": 0,
-        "FockElement.__init__": 896, "FockElement.value": 72}),
+        "FockElement.__init__": 94, "FockElement.value": 72}),
     "hopf_verify": (lambda: hopf_verify(cyclic(2), 3), {
-        "HeisenbergOp.__call__": 0, "fock_mul": 195,
+        "HeisenbergOp.apply": 0, "fock_mul": 195,
         "Cyclotomic.__mul__": 0, "_merge": 0, "_koszul": 0}),
     "z3_commutators": (z3_commutators, {
-        "HeisenbergOp.__call__": 1260, "fock_mul": 0,
+        "HeisenbergOp.apply": 1260, "fock_mul": 0,
         "Cyclotomic.__mul__": 3125, "_merge": 630, "_koszul": 0}),
     "sf_commutator_check": (lambda: sf_commutator_check(1, 1, 3, 2), {
-        "HeisenbergOp.__call__": 670, "fock_mul": 0,
+        "HeisenbergOp.apply": 670, "fock_mul": 0,
         "Cyclotomic.__mul__": 0, "_merge": 332, "_koszul": 184,
-        "FockElement.__init__": 689}),
+        "FockElement.__init__": 19}),
     # D4's 10 subgroups, and no group per double coset: H_s is a set of
     # ids of G (205 builds when each H_s was built once per subgroup pair,
     # 481 when once per class of H)
@@ -393,8 +394,8 @@ def test_verify_work_is_pinned(suite, monkeypatch):
     run, want = WORK[suite]
     assert run().all_passed          # warm the process-level caches
     counts = Counter()
-    _count_calls(monkeypatch, counts, HeisenbergOp, "__call__",
-                 "HeisenbergOp.__call__")
+    _count_calls(monkeypatch, counts, HeisenbergOp, "apply",
+                 "HeisenbergOp.apply")
     for name in ("__mul__", "__rmul__"):   # __rmul__ is __mul__
         _count_calls(monkeypatch, counts, Cyclotomic, name,
                      "Cyclotomic.__mul__")
@@ -422,7 +423,7 @@ def test_one_relation_check_serves_both_models(monkeypatch):
                 lambda: sf_commutator_check(1, 0, 3, 2)):
         counts = Counter()
         with monkeypatch.context() as patch:
-            _count_calls(patch, counts, HeisenbergOp, "__call__", "calls")
+            _count_calls(patch, counts, HeisenbergOp, "apply", "calls")
             assert run().all_passed
         calls.append(counts["calls"])
     assert calls == [88, 88]
@@ -434,11 +435,15 @@ def test_one_relation_check_serves_both_models(monkeypatch):
 # empty.  A type is built only by the intern table, so each type a suite
 # needs is built exactly once: the 17 nonempty types of degree <= 3 over Z2
 # and the 34 over Z3 (before interning 325 and 133; before the type caches,
-# a fresh process built 2147 and 2745).  The intern table is never cleared
-# in a running process: types alive across a clear would get twins.
+# a fresh process built 2147 and 2745).  The relation check over Z2 builds
+# 98: its basis, and the types up to degree 7 that two creations and the
+# oracle reach as unions, interned without re-validation.  The intern
+# table is never cleared in a running process: types alive across a clear
+# would get twins.
 COLD_TYPES = {
     "hopf_verify": ("hopf_verify(cyclic(2), 3)", 17),
     "lambda_verify": ("lambda_verify(cyclic(3), 3)", 34),
+    "commutator_check": ("commutator_check(cyclic(2), 3, 2)", 98),
 }
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -453,6 +458,7 @@ import gc
 from wreathfock import wreath
 from wreathfock.fock import hopf_verify
 from wreathfock.groups import cyclic
+from wreathfock.heisenberg import commutator_check
 from wreathfock.lambda_ops import lambda_verify
 before = len(wreath._TYPES)
 assert {run}.all_passed

@@ -104,6 +104,33 @@ class TestTypes:
                 assert fresh[tau] is WreathType.from_dict(d) \
                     is rho.unions[tau] is tau.unions[rho]
 
+    @pytest.mark.parametrize("space", [symmetric(3), SuperFockSpace(1, 1)],
+                             ids=["S3", "(1|1)"])
+    def test_trusted_union_equals_a_validated_build(self, space,
+                                                    monkeypatch):
+        """A union is interned without the checks of `WreathType`: for
+        every pair of types of degree <= 4, the union from a fresh table
+        has the parts, degree and length of a validated `from_dict` build
+        of the parts of both.  Each side is built in a private intern
+        table, so that the unions are new types and not found in the
+        process's table, whose types and union tables stay untouched."""
+        every = [t for n in range(5) for t in enumerate_types(space, n)]
+        trusted, validated = {}, {}
+        monkeypatch.setattr(wreath, "_TYPES", trusted)
+        mine = [WreathType(t.parts) for t in every]
+        unions = {(rho.parts, tau.parts): wreath._Unions(rho)[tau]
+                  for rho in mine for tau in mine}
+        assert len(trusted) > len(mine)   # unions of degree > 4 were new
+        monkeypatch.setattr(wreath, "_TYPES", validated)
+        for (a, b), u in unions.items():
+            d: dict = {}
+            for c, lam in a + b:
+                d.setdefault(c, []).extend(lam)
+            want = WreathType.from_dict(d)
+            assert (u.parts, u.degree, u.length) == \
+                (want.parts, want.degree, want.length)
+            assert u is trusted[u.parts] and want is validated[u.parts]
+
     @settings(max_examples=100, deadline=None)
     @given(types)
     def test_remove_part_inverts_union(self, t):
