@@ -1,9 +1,12 @@
 """Finite groups with conjugacy data, class functions and induction machinery.
 
 Groups are closed multiplication tables over element ids 0..n-1 with 0 the
-identity.  Conjugacy classes are found by brute-force orbit closure, which
-is fine at the scales this library targets (|G| up to a few thousand);
-`closure` and `orbits` are that one search, shared with the G-set code.
+identity.  Every builtin, permutation group and subgroup is one builder,
+`_generated`: an identity and generators closed under a product, the
+identity first and the rest sorted.  Conjugacy classes are found by
+brute-force orbit closure, which is fine at the scales this library
+targets (|G| up to a few thousand); `closure` and `orbits` are that one
+search, shared with the G-set code.
 Class functions are stored per conjugacy class, with exact values in
 Q(zeta_e) (`scalars`): a rational value is an ``int`` or a ``Fraction``,
 and integer values stay ``int``s.
@@ -14,7 +17,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import attrgetter
+from operator import add, attrgetter
 
 from .scalars import Scalar, div
 
@@ -211,28 +214,6 @@ def _check_associative(table) -> list[int]:
     return gens
 
 
-def _cayley_table(elems, gens, mul) -> list[tuple[int, ...]]:
-    """The Cayley table of the group on elems (identity first) that gens
-    generate: right multiplication by each generator takes |G||S|
-    products, and then a breadth-first spanning tree from the identity
-    fills column z = y s from column y, as x z = (x y) s, by lookups only.
-    Raises GroupError if the generators do not reach every element."""
-    index = {x: i for i, x in enumerate(elems)}
-    right = [[index[mul(x, s)] for x in elems] for s in gens]
-    cols = {0: range(len(elems))}
-    queue = [0]
-    for y in queue:
-        col = cols[y]
-        for r in right:
-            z = r[y]
-            if z not in cols:
-                cols[z] = [r[v] for v in col]
-                queue.append(z)
-    if len(cols) != len(elems):
-        raise GroupError(f"generators reach {len(cols)} of {len(elems)}")
-    return list(zip(*(cols[z] for z in range(len(elems)))))
-
-
 def json_rows(value, what: str, error=GroupError) -> list[list[int]]:
     """A JSON value that must be a list of lists of integers."""
     if not (isinstance(value, list) and all(
@@ -259,6 +240,35 @@ def _check_order(order: int):
         raise GroupError(f"group order {order} exceeds cap {MAX_ORDER}")
 
 
+def _generated(ident, gens, mul, name: str,
+               limit: int = MAX_ORDER) -> FiniteGroup:
+    """The group that gens generate under the product mul: the closure of
+    ident under right multiplication by gens, refused as soon as it passes
+    the limit, ordered identity first and the rest sorted.  Its Cayley
+    table takes |G||S| products, and then a breadth-first spanning tree
+    from the identity fills column z = y s from column y, as x z = (x y) s,
+    by lookups only."""
+    try:
+        elems = closure([ident], [lambda x, s=s: mul(x, s) for s in gens],
+                        limit)
+    except GroupError:
+        raise GroupError(f"group order exceeds cap {limit}") from None
+    ordered = [ident] + sorted(elems - {ident})
+    index = {x: i for i, x in enumerate(ordered)}
+    right = [[index[mul(x, s)] for x in ordered] for s in gens]
+    cols = {0: range(len(ordered))}
+    queue = [0]
+    for y in queue:
+        col = cols[y]
+        for r in right:
+            z = r[y]
+            if z not in cols:
+                cols[z] = [r[v] for v in col]
+                queue.append(z)
+    return FiniteGroup(list(zip(*(cols[z] for z in range(len(ordered))))),
+                       name)
+
+
 def group_from_cayley_json(text: str, name: str = "G") -> FiniteGroup:
     data = json.loads(text)
     if not isinstance(data, dict) or "table" not in data:
@@ -269,26 +279,23 @@ def group_from_cayley_json(text: str, name: str = "G") -> FiniteGroup:
     return FiniteGroup(table, name=name)
 
 
-def group_from_permutations(generators, degree: int, limit: int = MAX_ORDER,
+def group_from_permutations(generators, degree: int,
                             name: str = "perm") -> FiniteGroup:
     """Close a set of 0-indexed permutations of {0..degree-1} under product,
-    refused with a GroupError as soon as the closure passes the limit."""
+    refused with a GroupError as soon as the closure passes MAX_ORDER.  A
+    degree past MAX_ORDER is refused first, so the closure holds at most
+    MAX_ORDER^2 points, the size of the largest Cayley table."""
+    if degree > MAX_ORDER:
+        raise GroupError(f"permutation degree {degree} exceeds cap "
+                         f"{MAX_ORDER}")
     gens = []
     for g in generators:
         p = tuple(g)
-        if sorted(p) != list(range(degree)):
+        if len(p) != degree or sorted(p) != list(range(degree)):
             raise GroupError(f"not a permutation of 0..{degree - 1}: {g}")
         gens.append(p)
-    ident = tuple(range(degree))
-    try:
-        elems = closure([ident], [lambda p, g=g: tuple(p[i] for i in g)
-                                  for g in gens], limit)
-    except GroupError:
-        raise GroupError(f"group order exceeds cap {limit}") from None
-    ordered = [ident] + sorted(elems - {ident})
-    table = _cayley_table(ordered, gens,
-                          lambda a, b: tuple([a[i] for i in b]))
-    return FiniteGroup(table, name=name)
+    return _generated(tuple(range(degree)), gens,
+                      lambda a, b: tuple([a[i] for i in b]), name)
 
 
 def group_from_permutations_json(text: str, name: str = "perm") -> FiniteGroup:
@@ -302,7 +309,7 @@ def group_from_permutations_json(text: str, name: str = "perm") -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def trivial_group() -> FiniteGroup:
-    return FiniteGroup(((0,),), name="1")
+    return _generated(0, [], add, "1")
 
 
 @lru_cache(maxsize=None)
@@ -310,8 +317,7 @@ def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupError("cyclic(n) needs n >= 1")
     _check_order(n)
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, name=f"Z{n}")
+    return _generated(0, [1 % n], lambda a, b: (a + b) % n, f"Z{n}")
 
 
 @lru_cache(maxsize=None)
@@ -324,23 +330,26 @@ def symmetric(n: int) -> FiniteGroup:
     return group_from_permutations(gens, n, name=f"S{n}")
 
 
+def _dihedral(n: int, m: int, name: str) -> FiniteGroup:
+    """r^n = 1, s^2 = r^m, s r s^-1 = r^-1; r^k s^e is (e, k), so r^0..r^n-1
+    come first, then r^0 s..r^n-1 s."""
+    def mul(a, b):
+        e, k = a
+        d, l = b
+        if e == 0:
+            return (d, (k + l) % n)
+        return (1 - d, (k - l + m * d) % n)
+
+    return _generated((0, 0), [(0, 1 % n), (1, 0)], mul, name)
+
+
 @lru_cache(maxsize=None)
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: r^n = s^2 = 1, s r s = r^-1."""
     if n < 1:
         raise GroupError("dihedral(n) needs n >= 1")
     _check_order(2 * n)
-
-    def mul(a, b):
-        k, e = a
-        l, d = b
-        if e == 0:
-            return ((k + l) % n, d)
-        return ((k - l) % n, 1 - d)
-
-    elems = [(k, e) for e in (0, 1) for k in range(n)]
-    table = _cayley_table(elems, [(1, 0), (0, 1)], mul)
-    return FiniteGroup(table, name=f"D{n}")
+    return _dihedral(n, 0, f"D{n}")
 
 
 @lru_cache(maxsize=None)
@@ -350,20 +359,7 @@ def binary_dihedral(m: int) -> FiniteGroup:
     if m < 1:
         raise GroupError("binary_dihedral(m) needs m >= 1")
     _check_order(4 * m)
-    n = 2 * m
-
-    def mul(a, b):
-        k, e = a
-        l, d = b
-        if e == 0:
-            return ((k + l) % n, d)
-        if d == 0:
-            return ((k - l) % n, 1)
-        return ((k - l + m) % n, 0)
-
-    elems = [(k, e) for e in (0, 1) for k in range(n)]
-    table = _cayley_table(elems, [(1, 0), (0, 1)], mul)
-    return FiniteGroup(table, name=f"BD{m}")
+    return _dihedral(2 * m, m, f"BD{m}")
 
 
 def _sl2(p: int, name: str) -> FiniteGroup:
@@ -374,11 +370,8 @@ def _sl2(p: int, name: str) -> FiniteGroup:
                 (c * e + d * g) % p, (c * f + d * h) % p)
 
     # S = [[0, -1], [1, 0]] and T = [[1, 1], [0, 1]] generate SL2(F_p)
-    gens = [(0, p - 1, 1, 0), (1, 1, 0, 1)]
-    ident = (1, 0, 0, 1)
-    mats = closure([ident], [lambda x, s=s: mul(x, s) for s in gens])
-    ordered = [ident] + sorted(mats - {ident})
-    return FiniteGroup(_cayley_table(ordered, gens, mul), name=name)
+    return _generated((1, 0, 0, 1), [(0, p - 1, 1, 0), (1, 1, 0, 1)], mul,
+                      name)
 
 
 @lru_cache(maxsize=None)
@@ -423,13 +416,10 @@ def binary_octahedral() -> FiniteGroup:
     i = (zero, (2, 0), zero, zero)
     omega = ((-1, 0), (1, 0), (1, 0), (1, 0))
     s = ((0, 1), (0, 1), zero, zero)
-    gens = [i, omega, s]
-    ident = ((2, 0), zero, zero, zero)
-    elems = closure([ident], [lambda q, g=g: qmul(q, g) for g in gens])
-    if len(elems) != 48:
-        raise GroupError(f"binary octahedral closure has size {len(elems)}")
-    ordered = [ident] + sorted(elems - {ident})
-    return FiniteGroup(_cayley_table(ordered, gens, qmul), name="BO48")
+    g = _generated(((2, 0), zero, zero, zero), [i, omega, s], qmul, "BO48")
+    if g.order != 48:
+        raise GroupError(f"binary octahedral closure has size {g.order}")
+    return g
 
 
 _BUILTIN_PARAMETRIC = {
@@ -494,36 +484,41 @@ class SubgroupEmbedding(ByValue):
 
 def subgroup_from_elements(g: FiniteGroup, elements,
                            name: str | None = None) -> SubgroupEmbedding:
-    """Build the abstract subgroup on a closed subset, identity-first order."""
+    """The abstract subgroup on a subset that holds 0 and is closed under
+    the product, its ids in increasing order.  The subset generates its
+    closure, which is larger unless the subset is closed: a finite subset
+    closed under the product is a subgroup."""
     elems = sorted(set(elements))
     if not elems or elems[0] != 0:
         raise GroupError("subgroup must contain the identity 0")
-    eset = set(elems)
-    for a in elems:
-        if g.inv(a) not in eset:
-            raise GroupError("subset not closed under inverse")
-        for b in elems:
-            if g.mul(a, b) not in eset:
-                raise GroupError("subset not closed under product")
-    index = {x: i for i, x in enumerate(elems)}
-    table = [[index[g.mul(a, b)] for b in elems] for a in elems]
-    sub = FiniteGroup(table, name=name or f"{g.name}_sub{len(elems)}")
+    try:
+        sub = _generated(0, elems, g.mul, name or f"{g.name}_sub{len(elems)}",
+                         len(elems))
+    except GroupError:
+        raise GroupError("subset not closed under product") from None
     return SubgroupEmbedding(sub, g, tuple(elems))
 
 
-def all_subgroup_element_sets(g: FiniteGroup, limit: int | None = None
-                              ) -> list[tuple[int, ...]]:
+# all_subgroup_element_sets refuses a group with more subgroups than this
+MAX_SUBGROUPS = 40
+
+
+def all_subgroup_element_sets(g: FiniteGroup) -> list[tuple[int, ...]]:
     """All subgroups as sorted element tuples, by iterated generator growth.
     A finite seed generates its closure under right multiplication by the
-    seed elements.  Raises GroupError as soon as there are more than limit
-    subgroups."""
+    seed elements.  Raises GroupError as soon as there are more than
+    MAX_SUBGROUPS subgroups."""
     def generated(seed):
         return tuple(sorted(closure(
             [0], [lambda y, s=s: g.table[y][s] for s in seed])))
 
-    found = closure([(0,)], [lambda sub, x=x: sub if x in sub
-                             else generated(sub + (x,))
-                             for x in range(g.order)], limit)
+    try:
+        found = closure([(0,)], [lambda sub, x=x: sub if x in sub
+                                 else generated(sub + (x,))
+                                 for x in range(g.order)], MAX_SUBGROUPS)
+    except GroupError:
+        raise GroupError(f"subgroup lattice exceeds cap {MAX_SUBGROUPS}"
+                         ) from None
     return sorted(found, key=lambda s: (len(s), s))
 
 
@@ -683,9 +678,8 @@ def double_cosets(g: FiniteGroup, emb_h: SubgroupEmbedding,
     return reps
 
 
-# mackey_verify refuses a group with more subgroups than this
-MAX_SUBGROUPS = 40
-MAX_MACKEY_ORDER = 120  # and one of higher order, before its lattice
+# mackey_verify refuses a group of higher order, before its lattice
+MAX_MACKEY_ORDER = 120
 
 
 def mackey_verify(g: FiniteGroup):
@@ -696,11 +690,7 @@ def mackey_verify(g: FiniteGroup):
         raise GroupError(f"group order {g.order} exceeds Mackey cap "
                          f"{MAX_MACKEY_ORDER}")
     rep = Report(f"mackey_verify({g.name})")
-    try:
-        subs = all_subgroup_element_sets(g, MAX_SUBGROUPS)
-    except GroupError:
-        raise GroupError(f"subgroup lattice exceeds cap {MAX_SUBGROUPS}"
-                         ) from None
+    subs = all_subgroup_element_sets(g)
     embeddings = [subgroup_from_elements(g, s) for s in subs]
     rep.check(f"Mackey formula over {len(subs)}^2 subgroup pairs",
               ((emb_h, emb_l, c) for emb_h in embeddings

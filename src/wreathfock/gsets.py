@@ -33,7 +33,11 @@ class GSetError(ValueError):
 
 
 class GSet(ByValue):
-    """A finite G-set on points 0..size-1; action[g][x] = g . x."""
+    """A finite G-set on points 0..size-1; action[g][x] = g . x.
+
+    (ab).x = a.(b.x) is checked for every a and every generator b: the b
+    for which it holds for all a hold the identity and are closed under
+    the product, as G is associative, so they are all of G."""
 
     __slots__ = ("group", "size", "action", "name")
     _key = attrgetter(*__slots__)
@@ -46,12 +50,12 @@ class GSet(ByValue):
         if len(self.action) != g.order:
             raise GSetError("need one action row per group element")
         for row in self.action:
-            if sorted(row) != list(range(self.size)):
+            if len(row) != size or sorted(row) != list(range(size)):
                 raise GSetError("each group element must act by a permutation")
         if tuple(self.action[0]) != tuple(range(self.size)):
             raise GSetError("identity must act trivially")
         for a in range(g.order):
-            for b in range(g.order):
+            for b in g.generators:
                 ab = g.mul(a, b)
                 for x in range(self.size):
                     if self.action[ab][x] != self.action[a][self.action[b][x]]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wreathfock import cli, groups
+from wreathfock import cli, groups, gsets
 from wreathfock.cli import (MAX_SERIES_DEGREE, MAX_SERIES_EXPONENT, main,
                             parse_group, parse_gset)
 from wreathfock.fock import graded_dim
@@ -238,9 +238,10 @@ class TestCommands:
                                                   monkeypatch):
         """A Cayley table has |G|^2 entries: a builtin of order past the
         cap is refused before any table is built.  S7 is refused while
-        its permutations are closed."""
+        its permutations are closed, before `_generated` fills a table
+        and hands it to FiniteGroup."""
         built = []
-        monkeypatch.setattr(groups, "_cayley_table",
+        monkeypatch.setattr(groups, "FiniteGroup",
                             lambda *args: built.append(args))
         assert main(["group", "info", "--group", spec]) == 2
         assert built == []
@@ -359,6 +360,36 @@ class TestFileIngestion:
         assert main(["verify", "all", "--group", "sl2_f3", "-N", "4"]) == 2
         assert capsys.readouterr() == (
             "", "error: |G_n| = 82944 exceeds limit 50000\n")
+
+    def test_permutation_degree_past_cap_exit_2(self, tmp_path, capsys,
+                                                monkeypatch):
+        """The degree field is refused before the identity on its points
+        or any closure is built."""
+        def never(*args, **kwargs):
+            raise AssertionError("closure reached")
+
+        monkeypatch.setattr(groups, "closure", never)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"degree": 10**9, "generators": []}))
+        assert main(["group", "info", "--group", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: permutation degree 1000000000 exceeds cap 2000\n")
+
+    def test_gset_size_past_rows_exit_2(self, tmp_path, capsys, monkeypatch):
+        """A row shorter than the size field is refused by its length,
+        before it is sorted against the size's points."""
+        def never(*args, **kwargs):
+            raise AssertionError("row sort reached")
+
+        groups.trivial_group()  # built before closure is patched out
+        monkeypatch.setattr(groups, "closure", never)
+        monkeypatch.setattr(gsets, "sorted", never, raising=False)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"size": 10**9, "action": [[0]]}))
+        assert main(["verify", "euler", "--group", "trivial",
+                     "--gset", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: each group element must act by a permutation\n")
 
     def test_bad_gset_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathfock.groups import (ClassFunction, DualFunctional, FiniteGroup,
-                               GroupError, SubgroupEmbedding, _cayley_table,
+                               GroupError, SubgroupEmbedding,
                                adams_psi, all_subgroup_element_sets,
                                binary_dihedral, binary_octahedral, builtin,
                                closure, cyclic, dihedral,
@@ -294,6 +294,25 @@ class TestInductionRestriction:
         g = symmetric(3)
         with pytest.raises(GroupError):
             subgroup_from_elements(g, [0, 3])  # 3-cycle without its inverse
+        # two transpositions, each its own inverse, whose product (a
+        # 3-cycle) lies outside the subset
+        s, t = [x for x in range(g.order) if g.element_orders[x] == 2][:2]
+        with pytest.raises(GroupError, match="not closed under product"):
+            subgroup_from_elements(g, [0, s, t])
+
+    @pytest.mark.parametrize("make", [lambda: symmetric(3),
+                                      lambda: dihedral(4),
+                                      lambda: binary_dihedral(2), sl2_f3],
+                             ids=["s3", "d4", "q8", "sl2_f3"])
+    def test_subgroup_table_is_the_restricted_table(self, make):
+        """The table of each subgroup, built from the subset as
+        generators, is G's table on the subset's ids, one product per
+        pair."""
+        g = make()
+        for elems in all_subgroup_element_sets(g):
+            emb = subgroup_from_elements(g, elems)
+            assert [list(row) for row in emb.source.table] == \
+                all_pairs_table(elems, g.mul)
 
     def test_mackey_sweeps(self):
         for g in (symmetric(3), dihedral(4), binary_dihedral(2)):
@@ -342,7 +361,7 @@ def test_binary_octahedral_table_is_recorded():
 
 def all_pairs_table(elems, mul) -> list[list[int]]:
     """The Cayley table by one product per pair, on elems in their order:
-    the oracle of `groups._cayley_table`."""
+    the oracle of `groups._generated`."""
     index = {x: i for i, x in enumerate(elems)}
     return [[index[mul(a, b)] for b in elems] for a in elems]
 
@@ -412,6 +431,11 @@ def symmetric_oracle(n: int) -> list[list[int]]:
 
 
 CAYLEY_ORACLES = {
+    "trivial": (trivial_group, lambda: [[0]]),
+    **{f"Z{n}": (lambda n=n: cyclic(n),
+                 lambda n=n: all_pairs_table(range(n),
+                                             lambda a, b: (a + b) % n))
+       for n in range(1, 7)},
     "sl2_f3": (sl2_f3, lambda: sl2_oracle(3)),
     "sl2_f5": (sl2_f5, lambda: sl2_oracle(5)),
     "binary_octahedral": (binary_octahedral, binary_octahedral_oracle),
@@ -442,15 +466,6 @@ def test_permutation_cayley_table_matches_all_pairs(seed):
     want = all_pairs_table(permutation_elements(gens, degree), compose)
     got = group_from_permutations(gens, degree).table
     assert [list(row) for row in got] == want
-
-
-def test_cayley_table_needs_generators_that_generate():
-    elems = permutation_elements([(1, 0, 2), (1, 2, 0)], 3)
-    assert len(_cayley_table(elems, [(1, 0, 2), (1, 2, 0)], compose)) == 6
-    with pytest.raises(GroupError, match="reach 2 of 6"):
-        _cayley_table(elems, [(1, 0, 2)], compose)
-    with pytest.raises(GroupError, match="reach 1 of 6"):
-        _cayley_table(elems, [], compose)
 
 
 @st.composite

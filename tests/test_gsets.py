@@ -3,12 +3,14 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreath_oracle import act, enumerate_wreath_elements, perm_of
 from wreathfock import gsets, wreath
-from wreathfock.groups import (all_subgroup_element_sets, binary_dihedral,
-                               cyclic, orbits, sl2_f3, symmetric,
-                               trivial_group)
+from wreathfock.groups import (FiniteGroup, all_subgroup_element_sets,
+                               binary_dihedral, cyclic, dihedral, orbits,
+                               sl2_f3, symmetric, trivial_group)
 from wreathfock.fock import graded_dim
 from wreathfock.gsets import (GSet, GSetError, burnside_check, coset_gset,
                               commuting_pair_sum,
@@ -77,6 +79,62 @@ class TestGSet:
         table = p.point_table(a)
         assert table == (2, 0, 3, 1)
         assert p.fixed(a) == [t for t in range(4) if table[t] == t]
+
+
+def all_pairs_action(group: FiniteGroup, size: int, action) -> bool:
+    """The G-set axioms by definition: every row a permutation, the
+    identity trivial, and (ab).x = a.(b.x) for every a, b and x."""
+    n, points = group.order, list(range(size))
+    return all(sorted(row) == points for row in action) and \
+        list(action[0]) == points and \
+        all(action[group.mul(a, b)][x] == action[a][action[b][x]]
+            for a in range(n) for b in range(n) for x in points)
+
+
+@st.composite
+def edited_actions(draw):
+    """A coset G-set of S3, Q8, D4 or Z4 with one row changed, so that
+    every row is still a permutation: the row replaced by another row, or
+    two of its entries swapped."""
+    group = draw(st.sampled_from([symmetric(3), binary_dihedral(2),
+                                  dihedral(4), cyclic(4)]))
+    x = coset_gset(group, draw(st.sampled_from(
+        all_subgroup_element_sets(group))))
+    rows = [list(row) for row in x.action]
+    g = draw(st.integers(0, group.order - 1))
+    if draw(st.booleans()):
+        rows[g] = list(rows[draw(st.integers(0, group.order - 1))])
+    else:
+        i, j = (draw(st.integers(0, x.size - 1)) for _ in range(2))
+        rows[g][i], rows[g][j] = rows[g][j], rows[g][i]
+    return group, x.size, tuple(map(tuple, rows))
+
+
+class TestActionOnGenerators:
+    @settings(max_examples=200, deadline=None)
+    @given(edited_actions())
+    def test_refused_exactly_when_some_pair_fails(self, edited):
+        """Checking b over the generators refuses an action exactly when
+        the check over all pairs (a, b) does."""
+        group, size, action = edited
+        try:
+            GSet(group, size, action)
+            refused = False
+        except GSetError:
+            refused = True
+        assert refused == (not all_pairs_action(group, size, action))
+
+    def test_work_is_order_times_generators(self, monkeypatch):
+        """On the regular G-set of Z400 the law is checked for 400 x 1
+        pairs (a, b), not |G|^2 = 160000."""
+        g = cyclic(400)
+        calls = []
+        mul = FiniteGroup.mul
+        monkeypatch.setattr(FiniteGroup, "mul", lambda self, a, b:
+                            calls.append(None) or mul(self, a, b))
+        GSet(g, g.order, g.table)  # row a is x -> a x
+        assert g.generators == (1,)
+        assert len(calls) == g.order * len(g.generators) == 400
 
 
 class TestEuler:
