@@ -27,6 +27,8 @@ from .wreath import (brute_force_classes, decode_element,
 LIMIT = 50_000  # default --limit; also caps the types of graded-dim, verify
 MAX_SERIES_DEGREE = 2_000  # the q-series recurrence is quadratic in -N
 MAX_SERIES_EXPONENT = 10_000  # |-e|, --d0, --d1: coefficients < 4300 digits
+# verify heisenberg/all: (2 M classes)^2 brackets on every type to -N
+MAX_HEISENBERG_WORK = 4_000_000  # s3 -N 8 -M 6 (2.1 M), q8 -N 6 -M 4 run
 
 _ERRORS = (ValueError, OSError)  # every library error is a ValueError
 
@@ -171,7 +173,12 @@ def cmd_verify(args) -> int:
         return _emit_report(mackey_verify(parse_group(args.group)), fmt)
     g = parse_group(args.group)
     if args.what != "euler":  # the suites that list every type to -N
-        type_counts(g, args.max_degree, LIMIT)
+        counts = type_counts(g, args.max_degree, LIMIT)
+    if args.what in ("heisenberg", "all"):  # before any operator is built
+        work = (2 * args.max_mode * g.num_classes) ** 2 * sum(counts)
+        if work > MAX_HEISENBERG_WORK:
+            raise ValueError(f"Heisenberg work (2 M classes)^2 x types = "
+                             f"{work} exceeds cap {MAX_HEISENBERG_WORK}")
     if args.what == "hopf":
         return _emit_report(hopf_verify(g, args.max_degree,
                                         oracle_limit=args.limit), fmt)

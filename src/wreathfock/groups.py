@@ -491,6 +491,8 @@ def subgroup_from_elements(g: FiniteGroup, elements,
     elems = sorted(set(elements))
     if not elems or elems[0] != 0:
         raise GroupError("subgroup must contain the identity 0")
+    if elems[-1] >= g.order:
+        raise GroupError(f"subgroup element {elems[-1]} is not in {g.name}")
     try:
         sub = _generated(0, elems, g.mul, name or f"{g.name}_sub{len(elems)}",
                          len(elems))

@@ -78,9 +78,7 @@ def point_gset(group: FiniteGroup) -> GSet:
 
 
 def regular_gset(group: FiniteGroup) -> GSet:
-    rows = tuple(tuple(group.mul(g, x) for x in range(group.order))
-                 for g in range(group.order))
-    return GSet(group, group.order, rows, name="regular")
+    return GSet(group, group.order, group.table, name="regular")
 
 
 def coset_gset(group: FiniteGroup, subgroup_elements) -> GSet:

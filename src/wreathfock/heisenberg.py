@@ -18,8 +18,9 @@ annihilation a_{-m}(eta) is the derivation sum_c x_c d/d sigma_m(c), with
 x_c = m <eta, sigma_c> = m eta_c w(c).  On the super model the payloads
 `sigma_basis(space, c)` and `DualFunctional.delta(space, c)` give the
 generator at label c.  Both carry the Koszul sign `fock._koszul`.  An
-evaluation-style restriction oracle, which reads a table of the values of
-its vector, is the independent cross-check on F_G.
+evaluation-style restriction oracle, built on unions of types and never
+on part removal, is the independent cross-check on F_G: it reads its vector
+only at the types that its memoized preimage tables map back.
 What an operator needs apart from the vector it acts on, its form, is
 computed once, when the operator is built, and `HeisenbergOp.apply` maps
 coefficient maps to coefficient maps.  One `relation_check` checks
@@ -30,7 +31,7 @@ coefficient maps, applying no operator to an image that is 0.
 """
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from operator import attrgetter
 
 from .fock import FockElement, _first_odd, _koszul, _merge, graded_dim
@@ -162,23 +163,31 @@ def vacuum(group: LabelSpace) -> FockElement:
     return FockElement.unit(group)
 
 
+@lru_cache
+def _preimages(space: LabelSpace, d: int,
+               cyc: WreathType) -> dict[WreathType, WreathType]:
+    """{alpha u cyc: alpha} over the degree-d types alpha of the space, by
+    unions only: the alpha, if any, whose union with cyc is a given type."""
+    return {alpha.unions[cyc]: alpha for alpha in enumerate_types(space, d)}
+
+
 def a_minus_oracle(m: int, eta: DualFunctional,
                    f: FockElement) -> FockElement:
     """(1 tensor eta ch_m) Res, computed by evaluation: value at alpha is
-    sum_c eta_c f(alpha u (m-cycle at c)), per degree n >= m of f, read
-    from a table of the values of f on its support."""
+    sum_c eta_c f(alpha u (m-cycle at c)).  A term is nonzero only where
+    alpha u (m-cycle at c) is a type rho on the support of f, so each rho
+    is looked up in the `_preimages` table of its degree, per c with
+    eta_c != 0, and f is read only where it has a preimage alpha."""
     g = f.group
-    values = {rho: f.value(rho) for rho in f.coeffs}
     cycles = [(x, n_cycle_type(c, m)) for c, x in enumerate(eta.coeffs) if x]
     out = {}
-    for n in {rho.degree for rho in values}:
-        if n < m:
+    for rho in f.coeffs:
+        if rho.degree < m:
             continue
-        for alpha in enumerate_types(g, n - m):
-            unions = alpha.unions
-            v = sum((x * values.get(unions[cyc], 0) for x, cyc in cycles), 0)
-            if v:
-                out[alpha] = v
+        for x, cyc in cycles:
+            alpha = _preimages(g, rho.degree - m, cyc).get(rho)
+            if alpha is not None:
+                out[alpha] = out.get(alpha, 0) + x * f.value(rho)
     return FockElement.from_values(g, out)
 
 

@@ -70,19 +70,21 @@ class _Unions(dict):
                                               reverse=True))))
             i, j = i + (c <= cc), j + (cc <= c)
         parts = tuple(parts) + a[i:] + b[j:]
-        out = _TYPES.get(parts) or _intern(parts, rho.degree + tau.degree,
-                                           rho.length + tau.length)
+        out = _intern(parts, rho.degree + tau.degree, rho.length + tau.length)
         self[tau] = tau.unions[rho] = out
         return out
 
 
 def _intern(parts: tuple, degree: int, length: int) -> "WreathType":
-    """The new type of these canonical parts, kept in `_TYPES`: the one
-    place a type is built."""
-    self = _TYPES[parts] = object.__new__(WreathType)
-    for name, v in (("parts", parts), ("degree", degree),
-                    ("length", length), ("unions", _Unions(self))):
-        object.__setattr__(self, name, v)
+    """The type of these canonical parts from `_TYPES`, built there on
+    first use, unchecked: the one place a type is built."""
+    self = _TYPES.get(parts)
+    if self is None:
+        self = _TYPES[parts] = object.__new__(WreathType)
+        _PARTS(self, parts)
+        _DEGREE(self, degree)
+        _LENGTH(self, length)
+        _UNIONS(self, _Unions(self))
     return self
 
 
@@ -94,7 +96,8 @@ class WreathType:
 
     `WreathType(parts)`, like `from_dict` and `union`, returns the one
     object per `parts` from `_TYPES`, built by `_intern` on first use, and
-    validated first except as the union of two types.
+    validated first except where the parts are canonical by construction:
+    a union, a part removed, or a type `enumerate_types` lists.
     So equality and hash are `object`'s identity, at C speed; order and
     repr read `parts`; copies and pickles return the interned object."""
 
@@ -150,11 +153,15 @@ class WreathType:
 
     @lru_cache(maxsize=None)
     def remove_part(self, r: int, c: int) -> "WreathType":
-        """The type with one part r removed at class c; memoized."""
-        d = dict(self.parts)
-        d[c] = list(d[c])
-        d[c].remove(r)
-        return WreathType.from_dict(d)
+        """The type with one part r removed at class c, cut out of the
+        canonical parts (a ValueError if there is none); memoized."""
+        parts = self.parts
+        i = [cc for cc, _ in parts].index(c)
+        lam = parts[i][1]
+        j = lam.index(r)
+        lam = lam[:j] + lam[j + 1:]
+        parts = parts[:i] + ((c, lam),) * bool(lam) + parts[i + 1:]
+        return _intern(parts, self.degree - r, self.length - 1)
 
     def to_json_obj(self):
         return [[c, list(lam)] for c, lam in self.parts]
@@ -164,6 +171,8 @@ class WreathType:
         return f"Type({{{inner}}})"
 
 
+_PARTS, _DEGREE, _LENGTH, _UNIONS = (  # the slot setters, for `_intern`
+    getattr(WreathType, name).__set__ for name in WreathType.__slots__)
 EMPTY_TYPE = WreathType(())
 
 
@@ -190,18 +199,19 @@ def partitions(n: int) -> tuple[tuple[int, ...], ...]:
 def enumerate_types(space: LabelSpace, n: int) -> list[WreathType]:
     """All degree-n types over the labels of the space, duplicate-free, in
     canonical order; an odd label takes distinct parts.  Over G the labels
-    are the classes, all even."""
+    are the classes, all even.  The parts are built canonical, so their
+    types are interned unchecked, in the order of their parts."""
     if n < 0:
         raise WreathError("degree must be >= 0")
     table = _tables(space)[0]
     if n not in table:
         labels, odd = len(space.weights), space.odd
-        results: list[WreathType] = []
+        results: list[tuple] = []
 
         def rec(c, remaining, parts):
             if c == labels:
                 if remaining == 0:
-                    results.append(WreathType(parts))
+                    results.append(parts)
                 return
             sizes = [remaining] if c == labels - 1 else range(remaining + 1)
             for size in sizes:
@@ -211,7 +221,8 @@ def enumerate_types(space: LabelSpace, n: int) -> list[WreathType]:
                             parts + ((c, lam),) if lam else parts)
 
         rec(0, n, ())
-        table[n] = tuple(sorted(results))
+        table[n] = tuple(_intern(p, n, sum(len(lam) for _, lam in p))
+                         for p in sorted(results))
     return list(table[n])
 
 

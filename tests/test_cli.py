@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wreathfock import cli, groups, gsets
+from wreathfock import cli, groups, gsets, heisenberg
 from wreathfock.cli import (MAX_SERIES_DEGREE, MAX_SERIES_EXPONENT, main,
                             parse_group, parse_gset)
 from wreathfock.fock import graded_dim
@@ -360,6 +361,46 @@ class TestFileIngestion:
         assert main(["verify", "all", "--group", "sl2_f3", "-N", "4"]) == 2
         assert capsys.readouterr() == (
             "", "error: |G_n| = 82944 exceeds limit 50000\n")
+
+    @pytest.mark.parametrize("suite", ["heisenberg", "all"])
+    def test_heisenberg_size_plan_refuses_before_any_operator(
+            self, suite, monkeypatch, capsys):
+        """Z121 has 7,624 types of degree <= 2, far under the type limit,
+        and 484 operators at -M 2: (2 * 2 * 121)^2 * 7,624 is past the
+        cap, so the suite, and under `verify all` every suite, is refused
+        at once, with no operator built."""
+        def never(*args, **kwargs):
+            raise AssertionError("a suite or an operator ran")
+
+        for name in ("hopf_verify", "lambda_verify", "heisenberg_verify"):
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.setattr(heisenberg, "HeisenbergOp", never)
+        start = time.perf_counter()
+        assert main(["verify", suite, "--group", "z121", "-N", "2"]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == (
+            "", "error: Heisenberg work (2 M classes)^2 x types = "
+                "1785967744 exceeds cap 4000000\n")
+
+    @pytest.mark.parametrize("argv,work", [
+        (["--group", "s3", "-N", "8", "-M", "6"], 36 ** 2 * 1654),
+        (["--group", "q8", "-N", "6", "-M", "4"], 40 ** 2 * 2052),
+        (["--group", "s3", "-N", "9", "-M", "6"], None)])
+    def test_heisenberg_size_plan_admits_the_frontier(self, argv, work,
+                                                      monkeypatch, capsys):
+        """S3 at -N 8 -M 6 and Q8 at -N 6 -M 4 are under the cap and reach
+        the suite; S3 at -N 9 (1,479 more types) is past it."""
+        ran = []
+        monkeypatch.setattr(cli, "heisenberg_verify",
+                            lambda *args: ran.append(args)
+                            or cli.Report("stub"))
+        code = main(["verify", "heisenberg"] + argv)
+        if work:
+            assert work <= cli.MAX_HEISENBERG_WORK
+            assert code == 0 and len(ran) == 1
+        else:
+            assert code == 2 and ran == []
+            assert "exceeds cap" in capsys.readouterr().err
 
     def test_permutation_degree_past_cap_exit_2(self, tmp_path, capsys,
                                                 monkeypatch):

@@ -299,6 +299,11 @@ class TestInductionRestriction:
         s, t = [x for x in range(g.order) if g.element_orders[x] == 2][:2]
         with pytest.raises(GroupError, match="not closed under product"):
             subgroup_from_elements(g, [0, s, t])
+        # ids past |G| are no elements, refused before the table is read
+        for ids in ([0, 9], [0, 1, 2, 6]):
+            with pytest.raises(GroupError,
+                               match=f"element {max(ids)} is not in S3"):
+                subgroup_from_elements(g, ids)
 
     @pytest.mark.parametrize("make", [lambda: symmetric(3),
                                       lambda: dihedral(4),

@@ -51,6 +51,23 @@ class TestGSet:
         two = coset_gset(g, [0, 1])  # index-3 subgroup of order 2
         assert two.size == 3 and orbit_count(two) == 1
 
+    @pytest.mark.parametrize("make", [lambda: symmetric(3),
+                                      lambda: cyclic(7), lambda: dihedral(4)],
+                             ids=["s3", "z7", "d4"])
+    def test_regular_rows_are_the_table(self, make, monkeypatch):
+        """The regular G-set acts by the rows of the Cayley table, g.x =
+        gx; only the action check multiplies, once per (a, generator)."""
+        g = make()
+        calls = []
+        mul = g.mul
+        monkeypatch.setattr(g, "mul",
+                            lambda a, b: calls.append(1) or mul(a, b))
+        x = regular_gset(g)
+        assert len(calls) == g.order * len(g.generators)
+        assert x.size == g.order
+        assert x.action == tuple(tuple(mul(a, b) for b in range(g.order))
+                                 for a in range(g.order)) == g.table
+
     @pytest.mark.parametrize("elems,message", [
         ([0, 1, 2], "closed under the product"),
         ([1, 2], "contain the identity"),

@@ -184,6 +184,29 @@ def a_minus_oracle_by_value_calls(m: int, eta: DualFunctional,
     return FockElement.from_values(g, out)
 
 
+def a_minus_oracle_full_sweep(m: int, eta: DualFunctional,
+                              f: FockElement) -> FockElement:
+    """The evaluation oracle over every alpha of degree n - m, per degree
+    n >= m of f, reading a table of the values of f on its support."""
+    g = f.group
+    values = {rho: f.value(rho) for rho in f.coeffs}
+    cycles = [(x, n_cycle_type(c, m)) for c, x in enumerate(eta.coeffs) if x]
+    out = {}
+    for n in {rho.degree for rho in values}:
+        if n < m:
+            continue
+        for alpha in enumerate_types(g, n - m):
+            unions = alpha.unions
+            v = sum((x * values.get(unions[cyc], 0) for x, cyc in cycles), 0)
+            if v:
+                out[alpha] = v
+    return FockElement.from_values(g, out)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the oracle must not call this")
+
+
 class TestOracleValueTable:
     @pytest.mark.parametrize("group", [symmetric(3), cyclic(3),
                                        binary_dihedral(2)],
@@ -191,9 +214,11 @@ class TestOracleValueTable:
     def test_matches_one_value_call_per_term(self, group, monkeypatch):
         """On multi-term elements of mixed degree <= 4 with int, Fraction
         and Cyclotomic coefficients, and on 0, for modes m <= 3 and
-        functionals with zero and irrational coefficients, the oracle's
-        value table gives what reading f once per (alpha, c) gives, and
-        neither the derivation nor an operator is asked."""
+        functionals with zero, irrational and several nonzero coefficients,
+        the oracle's preimage tables give what a sweep over every alpha
+        gives, with a value table and with one read of f per (alpha, c),
+        and neither the derivation, nor an operator, nor a part removal is
+        asked."""
         g, w = group, Cyclotomic.root(3)
         rng = random.Random(5)
         types = [rho for n in range(5) for rho in enumerate_types(g, n)]
@@ -208,14 +233,18 @@ class TestOracleValueTable:
             for _ in range(3)]
         etas = [DualFunctional.delta(g, c) for c in range(g.num_classes)] + [
             DualFunctional(g, tuple(rng.choice((0, Fraction(1, 2), w, -2))
-                                    for _ in range(g.num_classes)))]
-        monkeypatch.setattr(heisenberg, "_annihilate", None)
-        monkeypatch.setattr(heisenberg.HeisenbergOp, "apply", None)
+                                    for _ in range(g.num_classes))),
+            DualFunctional(g, tuple(w + c for c in range(g.num_classes)))]
+        monkeypatch.setattr(heisenberg, "_annihilate", refuse)
+        monkeypatch.setattr(heisenberg.HeisenbergOp, "apply", refuse)
+        monkeypatch.setattr(WreathType, "remove_part", refuse)
         for f in elements:
             assert not f.coeffs or len({rho.degree for rho in f.coeffs}) > 1
             for m in (1, 2, 3):
                 for eta in etas:
-                    assert a_minus_oracle(m, eta, f).equals(
+                    want = a_minus_oracle_full_sweep(m, eta, f)
+                    assert a_minus_oracle(m, eta, f).equals(want)
+                    assert want.equals(
                         a_minus_oracle_by_value_calls(m, eta, f))
 
 

@@ -354,8 +354,11 @@ def _count_calls(monkeypatch, counts, owner, name, key):
 # on F_G, the oracle's values (896 and 689 elements when every image was
 # one).  They apply no operator to a zero image (1152 calls, 576 kernel
 # calls and 1246 elements on F_G, 1080, 540 and 1099 on the super model,
-# when they did), and the oracle reads the values of f once,
-# on its support (348 reads when it read one per (alpha, c)).  The
+# when they did), and the oracle reads f only at the types of its support
+# that are some alpha u (m-cycle at c), looked up in a memoized preimage
+# table (348 reads when it read one per (alpha, c), 72 when it read all of
+# the support).  Warm, the types are listed only for the basis (68
+# enumerate_types calls when the oracle listed a degree per call).  The
 # like-operator rows pair an operator with itself only at an odd label,
 # where a^2 = 0 is a real check.  A product with a Cyclotomic counts
 # once, on whichever side the Cyclotomic is (1978 for z3_commutators when
@@ -364,7 +367,8 @@ WORK = {
     "commutator_check": (lambda: commutator_check(cyclic(2), 3, 2), {
         "HeisenbergOp.apply": 802, "fock_mul": 0,
         "Cyclotomic.__mul__": 0, "_merge": 376, "_koszul": 0,
-        "FockElement.__init__": 94, "FockElement.value": 72}),
+        "FockElement.__init__": 94, "FockElement.value": 22,
+        "enumerate_types": 4}),
     "hopf_verify": (lambda: hopf_verify(cyclic(2), 3), {
         "HeisenbergOp.apply": 0, "fock_mul": 195,
         "Cyclotomic.__mul__": 0, "_merge": 0, "_koszul": 0}),
@@ -405,6 +409,9 @@ def test_verify_work_is_pinned(suite, monkeypatch):
         _count_calls(monkeypatch, counts, module, "_merge", "_merge")
         _count_calls(monkeypatch, counts, module, "_koszul", "_koszul")
     _count_calls(monkeypatch, counts, fock, "fock_mul", "fock_mul")
+    for module in (fock, heisenberg, lambda_ops):
+        _count_calls(monkeypatch, counts, module, "enumerate_types",
+                     "enumerate_types")
     _count_calls(monkeypatch, counts, lambda_ops, "fock_mul", "fock_mul")
     _count_calls(monkeypatch, counts, FockElement, "__init__",
                  "FockElement.__init__")

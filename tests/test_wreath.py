@@ -1,5 +1,6 @@
 """Wreath layer: the (g; s) oracle, types, Z_rho, sigma basis."""
 import copy
+import itertools
 import pickle
 import random
 from collections import Counter
@@ -17,7 +18,7 @@ from wreath_oracle import (WreathElement, cycle_products,
 from wreathfock.fock import (FockElement, hopf_verify, sigma_r_c, sigma_rho,
                              sign_char, trivial_char)
 from wreathfock import wreath
-from wreathfock.groups import cyclic, symmetric
+from wreathfock.groups import binary_dihedral, cyclic, symmetric
 from wreathfock.heisenberg import SuperFockSpace
 from wreathfock.scalars import euler_product
 from wreathfock.wreath import (EMPTY_TYPE, WreathError, WreathType,
@@ -63,6 +64,11 @@ class TestElements:
 types = st.builds(WreathType.from_dict, st.dictionaries(
     st.integers(0, 3), st.lists(st.integers(1, 4), max_size=3).map(tuple),
     max_size=3))
+
+
+SPACES = [symmetric(3), binary_dihedral(2), SuperFockSpace(1, 1),
+          SuperFockSpace(2, 1)]
+SPACE_IDS = ["S3", "Q8", "(1|1)", "(2|1)"]
 
 
 class TestTypes:
@@ -143,6 +149,57 @@ class TestTypes:
                 assert smaller.degree == t.degree - r
                 assert t.remove_part(r, c) is smaller
                 assert n_cycle_type(c, r) is n_cycle_type(c, r)
+
+    @pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
+    def test_listed_types_equal_sorted_validated_builds(self, space,
+                                                        monkeypatch):
+        """`enumerate_types` interns its types unchecked: to degree 6, in a
+        private intern table and type table, it lists the parts, degrees
+        and lengths of the validated `WreathType` builds of every choice of
+        a partition per label (distinct parts at an odd label), sorted by
+        `WreathType.__lt__`; the process's tables stay untouched."""
+        labels = range(len(space.weights))
+        monkeypatch.setattr(wreath, "_tables", lambda space: ({}, {}))
+        for n in range(7):
+            monkeypatch.setattr(wreath, "_TYPES", {})
+            listed = enumerate_types(space, n)
+            monkeypatch.setattr(wreath, "_TYPES", {})
+            built = []
+            for sizes in itertools.product(range(n + 1), repeat=len(labels)):
+                if sum(sizes) != n:
+                    continue
+                for lams in itertools.product(*map(partitions, sizes)):
+                    if all(c < space.odd or len(set(lam)) == len(lam)
+                           for c, lam in zip(labels, lams)):
+                        built.append(WreathType(tuple(
+                            (c, lam) for c, lam in zip(labels, lams) if lam)))
+            assert [(t.parts, t.degree, t.length) for t in listed] == \
+                [(t.parts, t.degree, t.length) for t in sorted(built)]
+
+    @pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
+    def test_remove_part_equals_a_dict_build(self, space, monkeypatch):
+        """Removing any part of any type of degree <= 5 gives the type
+        `from_dict` builds without it.  The removal of the degree-5 types
+        is redone, past its memo, in a private intern table that holds only
+        them, so every result is interned there unchecked; it has the
+        parts, degree and length of a validated build."""
+        every = [t for n in range(6) for t in enumerate_types(space, n)]
+        cuts = [(t, r, c) for t in every for c, lam in t.parts for r in lam]
+        for t, r, c in cuts:
+            d = {cc: list(lam) for cc, lam in t.parts}
+            d[c].remove(r)
+            assert t.remove_part(r, c) is WreathType.from_dict(d)
+        remove = WreathType.remove_part.__wrapped__
+        monkeypatch.setattr(wreath, "_TYPES", {})
+        mine = {t: WreathType(t.parts) for t in every if t.degree == 5}
+        cut = [(t, r, c, remove(mine[t], r, c))
+               for t, r, c in cuts if t in mine]
+        assert len(wreath._TYPES) > len(mine)
+        monkeypatch.setattr(wreath, "_TYPES", {})
+        for t, r, c, u in cut:
+            want = WreathType(t.remove_part(r, c).parts)
+            assert (u.parts, u.degree, u.length) == \
+                (want.parts, want.degree, want.length)
 
     def test_equality_and_order_ignore_cached_fields(self):
         a = WreathType(((0, (2, 1)),))
